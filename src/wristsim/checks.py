@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BodyModel, WristState, integrate_step
+from .fic import FicPhase, torque_for_phase
 from .rotations import (
     GimbalLockError,
     X_AXIS,
@@ -138,14 +139,8 @@ def check_quat_norm_drift(tol=1e-9, steps=500) -> CheckResult:
     stiffness = 10000.0
 
     def controller(q, omega, t):
-        err = quat_mul(q_des, np.array([q[0], -q[1], -q[2], -q[3]]))
-        vec = err[1:]
-        vn = float(np.linalg.norm(vec))
-        if vn < 1e-15:
-            return np.zeros(3)
-        angle = 2.0 * math.atan2(vn, err[0])
-        sign = 1.0 if err[0] >= 0.0 else -1.0
-        return sign * stiffness * angle / vn * vec
+        # the divergence branch alone: a linear spring toward q_des
+        return torque_for_phase(q, q_des, stiffness, FicPhase())[0]
 
     # start close enough that the spring torque stays at task scale
     state = WristState(

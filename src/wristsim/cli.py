@@ -28,6 +28,7 @@ from .checks import run_checks
 from .config import Condition, ConfigError, ExperimentConfig, load_config
 from .experiments import (
     RankDeficientError,
+    SimulationError,
     Trajectory,
     build_clock_schedule,
     build_retune_schedule,
@@ -136,17 +137,24 @@ def condition_metrics(cond: Condition, cfg, schedule, traj) -> dict:
     return out
 
 
+def write_json(path: Path, data) -> None:
+    # encode first: a non-finite value fails before the file is touched
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
+
+
 def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path) -> dict:
-    schedule, traj = simulate_condition(cond, cfg)
+    try:
+        schedule, traj = simulate_condition(cond, cfg)
+    except SimulationError as exc:
+        raise SimulationError(f"{cond.name}: {exc}") from exc
     cond_dir = out_root / cond.name
     cond_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(cond_dir / "trajectory.csv", traj)
     write_listing(cond_dir / "listing_measured.csv", extract_listing([traj]))
     write_listing(cond_dir / "listing_desired.csv", extract_listing([traj], "desired"))
     metrics = condition_metrics(cond, cfg, schedule, traj)
-    with open(cond_dir / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cond_dir / "metrics.json", metrics)
     return metrics
 
 
@@ -166,9 +174,7 @@ def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
             f"effort={metrics['effort_mean_Nm']:.3f}"
             f"+-{metrics['effort_std_Nm']:.3f}Nm"
         )
-    with open(out_root / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_root / "summary.json", summary)
     return 0
 
 

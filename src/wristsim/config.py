@@ -99,7 +99,7 @@ _SCHEMA = {
     "body": {"mass", "length", "width", "thickness", "com_offset", "gravity"},
     "band": {"virtual_mass", "max_accel", "stiffness"},
     "task": {"plane_distance", "radius", "n_targets", "dwell"},
-    "sim": {"dt", "method", "substeps", "rtol", "engine"},
+    "sim": {"dt", "substeps"},
     "conditions": {"name", "kind", "gravity", "stiffness", "torsion_deg"},
     "sweep": {"gravity", "stiffness", "torsion_deg"},
 }
@@ -118,16 +118,42 @@ def _check_keys(node, allowed, path):
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
-def _positive(node, key, path):
-    if key in node and not (isinstance(node[key], (int, float)) and node[key] > 0):
-        raise ConfigError(f"{path}{key}: must be a positive number, got {node[key]!r}")
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _build_section(cls, node, path, positives=(), vectors=()):
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
+# expected type of each condition and sweep-entry leaf
+_LEAF_TYPES = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "gravity": (lambda v: isinstance(v, bool), "a boolean"),
+    "stiffness": (_is_number, "a number"),
+    "torsion_deg": (_is_number, "a number"),
+}
+
+
+def _check_leaf(key, value, path):
+    test, expected = _LEAF_TYPES[key]
+    if not test(value):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
+def _build_section(cls, node, path, positives=(), counts=(), vectors=()):
     _require_mapping(node, path.rstrip("."))
     _check_keys(node, _SCHEMA[path.rstrip(".")], path)
     for key in positives:
-        _positive(node, key, path)
+        if key in node and not (_is_number(node[key]) and node[key] > 0):
+            raise ConfigError(
+                f"{path}{key}: must be a positive number, got {node[key]!r}"
+            )
+    for key in counts:
+        if key in node and not _is_count(node[key]):
+            raise ConfigError(
+                f"{path}{key}: must be a positive integer, got {node[key]!r}"
+            )
     kwargs = {}
     for key, value in node.items():
         if key in vectors:
@@ -147,6 +173,9 @@ def _parse_condition(node, index):
     _check_keys(node, _SCHEMA["conditions"], path)
     if "name" not in node:
         raise ConfigError(f"{path}name: required")
+    for key in _LEAF_TYPES:
+        if key in node:
+            _check_leaf(key, node[key], path + key)
     kwargs = {k: v for k, v in node.items() if k != "torsion_deg"}
     if "torsion_deg" in node:
         kwargs["torsion"] = math.radians(float(node["torsion_deg"]))
@@ -164,6 +193,8 @@ def _expand_sweep(node):
                         ("torsion_deg", torsions_deg)):
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"{path}{key}: expected a non-empty list")
+        for j, value in enumerate(values):
+            _check_leaf(key, value, f"{path}{key}[{j}]")
     out = []
     for gravity in gravities:
         for torsion_deg in torsions_deg:
@@ -209,13 +240,15 @@ def load_config(path) -> ExperimentConfig:
     if "task" in raw:
         task = _build_section(
             ClockTask, raw["task"], "task.",
-            positives=("plane_distance", "radius", "n_targets", "dwell"),
+            positives=("plane_distance", "radius", "dwell"),
+            counts=("n_targets",),
         )
         cfg = replace(cfg, task=task)
     if "sim" in raw:
         sim = _build_section(
             SimOptions, raw["sim"], "sim.",
-            positives=("dt", "substeps", "rtol"),
+            positives=("dt",),
+            counts=("substeps",),
         )
         cfg = replace(cfg, sim=sim)
     if "conditions" in raw and "sweep" in raw:

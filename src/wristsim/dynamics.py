@@ -4,6 +4,10 @@ State is the body orientation quaternion (body -> world) plus the body-frame
 angular velocity.  The only torques are the commanded world-frame control
 torque and gravity acting at the center of mass; there is no joint friction,
 so any damping must come from the controller.
+
+The plant law (:func:`plant`, :func:`gravity_moment`) and the RK4 step are
+written once on plain floats and shared by the trial kernel and
+:func:`integrate_step`.
 """
 
 from __future__ import annotations
@@ -14,13 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .rotations import quat_mul, quat_norm, rotate_vec
+from .rotations import to_body
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the adaptive integrator cannot meet its tolerance."""
 
 
 def inertia_box(
@@ -75,79 +75,84 @@ class WristState:
     t: float = 0.0
 
 
+def gravity_moment(qw, qx, qy, qz, mass, cx, cy, cz, gx, gy, gz):
+    """Body-frame torque of gravity about the joint, on plain floats."""
+    gbx, gby, gbz = to_body(qw, qx, qy, qz, gx, gy, gz)
+    mgx, mgy, mgz = mass * gbx, mass * gby, mass * gbz
+    return cy * mgz - cz * mgy, cz * mgx - cx * mgz, cx * mgy - cy * mgx
+
+
 def gravity_torque(q: np.ndarray, body: BodyModel) -> np.ndarray:
     """Body-frame torque of gravity about the joint at orientation q."""
-    g_body = rotate_vec(
-        np.array([q[0], -q[1], -q[2], -q[3]]), np.asarray(body.gravity)
+    return np.array(
+        gravity_moment(*map(float, q), body.mass, *body.com_offset, *body.gravity)
     )
-    return np.cross(body.com_offset, body.mass * g_body)
 
 
-def dynamics_rhs(
-    q: np.ndarray, omega: np.ndarray, tau_body: np.ndarray, body: BodyModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (q_dot, omega_dot) for a body-frame applied torque.
+def plant(body: BodyModel):
+    """Right-hand side of the rigid plant for ``body``, on plain floats.
 
-    Gravity is added internally; ``tau_body`` is everything else, already
-    expressed in the body frame.
+    Returns ``rhs(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)`` giving the time
+    derivatives of the state (q, omega) under the world-frame control torque
+    (tx, ty, tz); gravity and the gyroscopic term are added internally.
     """
     inertia = body.inertia
-    total = tau_body + gravity_torque(q, body) - np.cross(omega, inertia @ omega)
-    omega_dot = np.linalg.solve(inertia, total)
-    q_dot = 0.5 * quat_mul(q, np.concatenate(([0.0], omega)))
-    return q_dot, omega_dot
+    ixx, ixy, ixz, iyx, iyy, iyz, izx, izy, izz = map(float, inertia.ravel())
+    inv = np.linalg.inv(inertia)
+    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = map(float, inv.ravel())
+    mass = float(body.mass)
+    cx, cy, cz = body.com_offset
+    gx, gy, gz = body.gravity
+
+    def rhs(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz):
+        tbx, tby, tbz = to_body(qw, qx, qy, qz, tx, ty, tz)
+        gtx, gty, gtz = gravity_moment(qw, qx, qy, qz, mass, cx, cy, cz, gx, gy, gz)
+        tbx += gtx
+        tby += gty
+        tbz += gtz
+        # gyroscopic term
+        lx = ixx * wx + ixy * wy + ixz * wz
+        ly = iyx * wx + iyy * wy + iyz * wz
+        lz = izx * wx + izy * wy + izz * wz
+        tbx -= wy * lz - wz * ly
+        tby -= wz * lx - wx * lz
+        tbz -= wx * ly - wy * lx
+        return (
+            0.5 * (-qx * wx - qy * wy - qz * wz),
+            0.5 * (qw * wx + qy * wz - qz * wy),
+            0.5 * (qw * wy - qx * wz + qz * wx),
+            0.5 * (qw * wz + qx * wy - qy * wx),
+            jxx * tbx + jxy * tby + jxz * tbz,
+            jyx * tbx + jyy * tby + jyz * tbz,
+            jzx * tbx + jzy * tby + jzz * tbz,
+        )
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------
 # integration of the closed loop
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince embedded 4(5) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
 
-MIN_ADAPTIVE_STEP = 1e-9
-
-
-def _pack(q, omega):
-    return np.concatenate((q, omega))
-
-
-def _plant_rhs(y, t, controller, body, inertia, inertia_inv):
-    q = y[:4]
-    omega = y[4:]
-    tau_world = controller(q, omega, t)
-    tau_body = rotate_vec(np.array([q[0], -q[1], -q[2], -q[3]]), tau_world)
-    total = tau_body + gravity_torque(q, body) - np.cross(omega, inertia @ omega)
-    omega_dot = inertia_inv @ total
-    q_dot = 0.5 * quat_mul(q, np.concatenate(([0.0], omega)))
-    return np.concatenate((q_dot, omega_dot))
-
-
-def _rk4(y, t, h, rhs):
+def rk4_step(rhs, y, t, h):
+    """One classical RK4 step of ``rhs(y, t)`` on a state tuple."""
+    half, sixth = 0.5 * h, h / 6.0
     k1 = rhs(y, t)
-    k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
-    k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
-    k4 = rhs(y + h * k3, t + h)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(tuple(a + half * b for a, b in zip(y, k1)), t + half)
+    k3 = rhs(tuple(a + half * b for a, b in zip(y, k2)), t + half)
+    k4 = rhs(tuple(a + h * b for a, b in zip(y, k3)), t + h)
+    return tuple(
+        a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+def unit_quat_state(y):
+    """State tuple (q, omega) with q scaled back to unit norm."""
+    qw, qx, qy, qz, wx, wy, wz = y
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    return qw / n, qx / n, qy / n, qz / n, wx, wy, wz
 
 
 def integrate_step(
@@ -155,63 +160,27 @@ def integrate_step(
     controller: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     body: BodyModel,
     dt: float = 1e-3,
-    method: str = "rk4",
     substeps: int = 5,
-    rtol: float = 1e-8,
     renormalize: bool = True,
 ) -> WristState:
     """Advance plant plus controller closure by one control interval.
 
     ``controller(q, omega, t)`` returns the commanded world-frame torque and
     is re-evaluated at every integrator stage, so the feedback is continuous
-    within the step.  The fixed-step method takes ``substeps`` classical RK4
-    substeps per call (the stiffest torsional mode at clock-task stiffness
-    sits outside the RK4 stability region at the full control interval); the
-    adaptive method is embedded Dormand-Prince 4(5) with error control.
+    within the step.  The step is split into ``substeps`` classical RK4
+    substeps (the stiffest torsional mode at clock-task stiffness sits
+    outside the RK4 stability region at the full control interval).
     """
-    inertia = body.inertia
-    inertia_inv = np.linalg.inv(inertia)
+    plant_rhs = plant(body)
 
     def rhs(y, t):
-        return _plant_rhs(y, t, controller, body, inertia, inertia_inv)
+        tau = controller(np.array(y[:4]), np.array(y[4:]), t)
+        return plant_rhs(*y, *map(float, tau))
 
-    y = _pack(np.asarray(state.q, dtype=float), np.asarray(state.omega, dtype=float))
-    t0 = state.t
-    if method == "rk4":
-        h = dt / substeps
-        for i in range(substeps):
-            y = _rk4(y, t0 + i * h, h, rhs)
-            if renormalize:
-                y[:4] /= quat_norm(y[:4])
-    elif method == "rk45":
-        y = _dp45(y, t0, dt, rhs, rtol)
+    y = (*map(float, state.q), *map(float, state.omega))
+    h = dt / substeps
+    for i in range(substeps):
+        y = rk4_step(rhs, y, state.t + i * h, h)
         if renormalize:
-            y[:4] /= quat_norm(y[:4])
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
-    return WristState(q=y[:4], omega=y[4:], t=t0 + dt)
-
-
-def _dp45(y, t0, dt, rhs, rtol, atol=1e-12):
-    t = 0.0
-    h = dt
-    while t < dt - 1e-15:
-        h = min(h, dt - t)
-        k = [rhs(y, t0 + t)]
-        for row, c in zip(_DP_A[1:], _DP_C[1:]):
-            y_stage = y + h * sum(a * ki for a, ki in zip(row, k))
-            k.append(rhs(y_stage, t0 + t + c * h))
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            t += h
-            y = y5
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < MIN_ADAPTIVE_STEP:
-            raise IntegrationError(
-                f"stiff dynamics: adaptive step collapsed below {MIN_ADAPTIVE_STEP}"
-            )
-    return y
+            y = unit_quat_state(y)
+    return WristState(q=np.array(y[:4]), omega=np.array(y[4:]), t=state.t + dt)

@@ -24,15 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dynamics as _dyn
-from .dynamics import BodyModel, gravity_torque
-from .fic import DEADBAND, FicPhase, fic_torque_quat, torque_for_phase
+from .dynamics import BodyModel, gravity_torque, plant, rk4_step, unit_quat_state
+from .fic import branch_step, branch_torque
 from .planner import BandParams, band_stiffness_for_accel, reach_duration
 from .rotations import (
     GimbalLockError,
     X_AXIS,
     euler_xyz_from_quat,
-    project_to_sphere,
+    pointing_quat,
     rotate_vec,
 )
 
@@ -43,6 +42,10 @@ class PointerParallelError(ValueError):
 
 class RankDeficientError(ValueError):
     """Raised when a plane fit has too little spread to be determined."""
+
+
+class SimulationError(RuntimeError):
+    """Raised when a trial's state stops being finite (numerical blow-up)."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +253,21 @@ class ReachProfile:
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Integration and controller options for a trial.
+    """Integration options for a trial.
 
-    The control/recording interval ``dt`` is split into ``substeps``
-    integrator steps, and the controller branch machine advances at the
-    substep rate too.  Ten substeps resolve the stiffest (twist) error mode
-    at clock-task stiffness well enough for the branch switches to land on
+    The control/recording interval ``dt`` is split into ``substeps`` RK4
+    steps, and the controller branch machine advances at the substep rate
+    too.  Ten substeps resolve the stiffest (twist) error mode at
+    clock-task stiffness well enough for the branch switches to land on
     time; five is numerically stable but mistimed switches feed the residual
     ring instead of draining it.
     """
 
     dt: float = 1e-3
-    method: str = "rk4"
     substeps: int = 10
-    rtol: float = 1e-8
-    torque_axis: str = "unit"
-    twist_convention: str = "pointer"
-    deadband: float = DEADBAND
-    engine: str = "fast"
+
+    #: the only integrator; each substep evaluates the right-hand side 4 times
+    method = "rk4"
 
 
 @dataclass
@@ -316,13 +316,9 @@ def run_trial(
     stiff = np.array([schedule.stiffness_at(t) for t in times])
     torsion = np.array([schedule.torsion_at(t) for t in times])
     idx_stream = [schedule.target_at(t) for t in times]
-    if opts.engine == "fast" and opts.method == "rk4":
-        raw = _simulate_fast(times, stiff, torsion, idx_stream, task, body, band, opts)
-    else:
-        raw = _simulate_reference(
-            times, stiff, torsion, idx_stream, task, body, band, opts
-        )
-    plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = raw
+    plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = _simulate(
+        times, stiff, torsion, idx_stream, task, body, band, opts
+    )
     tau_grav = np.array([gravity_torque(quat[k], body) for k in range(n + 1)])
     pointer = np.array(
         [pointer_intersection(quat[k], task.plane_distance) for k in range(n + 1)]
@@ -342,97 +338,12 @@ def run_trial(
     )
 
 
-def _simulate_reference(times, stiff, torsion, idx_stream, task, body, band, opts):
-    """Trial loop written against the public module API (slow, exact spec)."""
-    n = len(times) - 1
-    plan_pos = np.empty((n + 1, 3))
-    quat_des = np.empty((n + 1, 4))
-    quat = np.empty((n + 1, 4))
-    omega_rec = np.empty((n + 1, 3))
-    tau_rec = np.empty((n + 1, 3))
-    err_rec = np.empty(n + 1)
-    dmax_rec = np.empty(n + 1)
+def _simulate(times, stiff, torsion, idx_stream, task, body, band, opts):
+    """The trial kernel: closed loop on plain floats, RK4 with renormalization.
 
-    profile = ReachProfile.from_rest(task.center, task.center, band, 0.0)
-    cur_idx: Optional[int] = None
-    phase = FicPhase()
-    state = _dyn.WristState(
-        q=project_to_sphere(task.center, torsion=torsion[0],
-                            twist_convention=opts.twist_convention),
-        omega=np.zeros(3),
-    )
-    h = opts.dt / opts.substeps
-    for k in range(n + 1):
-        t_k = times[k]
-        if idx_stream[k] is not None and idx_stream[k] != cur_idx:
-            pos_now, _, _ = profile.sample(t_k)
-            profile = ReachProfile.from_rest(
-                pos_now, task.position(idx_stream[k]), band, t_k
-            )
-            cur_idx = idx_stream[k]
-            phase = FicPhase()
-        k_now, phi_now = stiff[k], torsion[k]
-
-        def desired(t):
-            return project_to_sphere(
-                profile.sample(t)[0], torsion=phi_now,
-                twist_convention=opts.twist_convention,
-            )
-
-        q_des_k = desired(t_k)
-        tau_k, angle_k, phase = fic_torque_quat(
-            state.q, q_des_k, k_now, phase,
-            axis_mode=opts.torque_axis, deadband=opts.deadband,
-        )
-        plan_pos[k] = profile.sample(t_k)[0]
-        quat_des[k] = q_des_k
-        quat[k] = state.q
-        omega_rec[k] = state.omega
-        tau_rec[k] = tau_k
-        err_rec[k] = angle_k
-        dmax_rec[k] = phase.disp_max
-        if k == n:
-            break
-        if opts.method == "rk4":
-            for i in range(opts.substeps):
-                t_sub = t_k + i * h
-                if i > 0:
-                    _, _, phase = fic_torque_quat(
-                        state.q, desired(t_sub), k_now, phase,
-                        axis_mode=opts.torque_axis, deadband=opts.deadband,
-                    )
-                frozen = phase
-
-                def controller(q, w, t, _frozen=frozen):
-                    return torque_for_phase(
-                        q, desired(t), k_now, _frozen, axis_mode=opts.torque_axis
-                    )[0]
-
-                # pin the clock so stage times do not accumulate rounding
-                state = _dyn.WristState(q=state.q, omega=state.omega, t=t_sub)
-                state = _dyn.integrate_step(
-                    state, controller, body, dt=h, method="rk4", substeps=1
-                )
-        else:
-            frozen = phase
-
-            def controller(q, w, t, _frozen=frozen):
-                return torque_for_phase(
-                    q, desired(t), k_now, _frozen, axis_mode=opts.torque_axis
-                )[0]
-
-            state = _dyn.WristState(q=state.q, omega=state.omega, t=t_k)
-            state = _dyn.integrate_step(
-                state, controller, body, dt=opts.dt, method="rk45", rtol=opts.rtol
-            )
-    return plan_pos, quat_des, quat, omega_rec, tau_rec, err_rec, dmax_rec
-
-
-def _simulate_fast(times, stiff, torsion, idx_stream, task, body, band, opts):
-    """Scalar-arithmetic twin of the reference loop (RK4 only).
-
-    Kept free of array allocations in the inner stages; equivalence with
-    the reference engine is pinned by tests to float rounding.
+    The branch machine ticks at every substep boundary and is frozen inside
+    the RK4 stages; the plan and the desired pose are evaluated at every
+    stage time.
     """
     n = len(times) - 1
     plan_pos = np.empty((n + 1, 3))
@@ -443,19 +354,7 @@ def _simulate_fast(times, stiff, torsion, idx_stream, task, body, band, opts):
     err_rec = np.empty(n + 1)
     dmax_rec = np.empty(n + 1)
 
-    inertia = body.inertia
-    ixx, ixy, ixz, iyx, iyy, iyz, izx, izy, izz = map(float, inertia.ravel())
-    inv = np.linalg.inv(inertia)
-    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = map(float, inv.ravel())
-    mass = float(body.mass)
-    cx, cy, cz = (float(v) for v in body.com_offset)
-    gx, gy, gz = (float(v) for v in body.gravity)
-    global_twist = opts.twist_convention == "global"
-    raw_axis = opts.torque_axis == "raw"
-    deadband = opts.deadband
-
-    # profile scalars: start s_, target g_, unit u_, t0, omega, duration, dist
-    profile = ReachProfile.from_rest(task.center, task.center, band, 0.0)
+    plant_rhs = plant(body)
 
     def unpack_profile(p):
         # plain floats: numpy scalars would slow every inner-loop operation
@@ -465,6 +364,8 @@ def _simulate_fast(times, stiff, torsion, idx_stream, task, body, band, opts):
             float(p.unit[0]), float(p.unit[1]), float(p.unit[2]),
         )
 
+    # profile scalars: t0, dist, omega, duration, target g*_t, unit u*
+    profile = ReachProfile.from_rest(task.center, task.center, band, 0.0)
     t0, dist, omega_p, dur, gx_t, gy_t, gz_t, ux, uy, uz = unpack_profile(profile)
 
     def plan_at(t):
@@ -476,80 +377,21 @@ def _simulate_fast(times, stiff, torsion, idx_stream, task, body, band, opts):
         rem = 0.5 * dist * (1.0 + math.cos(omega_p * rel))
         return gx_t - rem * ux, gy_t - rem * uy, gz_t - rem * uz
 
-    def project(px, py, pz, cr, sr):
-        norm = math.sqrt(px * px + py * py + pz * pz)
-        rx, ry, rz = px / norm, py / norm, pz / norm
-        w0 = 1.0 + rx
-        if w0 <= 1e-15:
-            a, b, c = 0.0, 0.0, 1.0
-        else:
-            m = math.sqrt(w0 * w0 + rz * rz + ry * ry)
-            a, b, c = w0 / m, -rz / m, ry / m
-        if global_twist:
-            # roll about the world x axis applied after the swing
-            qw, qx, qy, qz = cr * a, sr * a, cr * b - sr * c, cr * c + sr * b
-        else:
-            qw, qx, qy, qz = a * cr, a * sr, b * cr + c * sr, c * cr - b * sr
-        if qw < 0.0:
-            return -qw, -qx, -qy, -qz
-        return qw, qx, qy, qz
-
-    def torque(qw, qx, qy, qz, dw, dx, dy, dz, k_now, mode_div, dmax):
-        ew = dw * qw + dx * qx + dy * qy + dz * qz
-        ex = dx * qw - dw * qx - dy * qz + dz * qy
-        ey = dx * qz - dw * qy + dy * qw - dz * qx
-        ez = -dw * qz - dx * qy + dy * qx + dz * qw
-        vn = math.sqrt(ex * ex + ey * ey + ez * ez)
-        angle = 2.0 * math.atan2(vn, ew)
-        if vn < 1e-15:
-            return 0.0, 0.0, 0.0, angle
-        if mode_div:
-            mag = k_now * angle
-        elif dmax > 0.0:
-            mag = 2.0 * (k_now * dmax) / dmax * (angle - 0.5 * dmax)
-        else:
-            mag = 0.0
-        sign = 1.0 if ew > 0.0 else (-1.0 if ew < 0.0 else 0.0)
-        scale = sign * mag if raw_axis else sign * mag / vn
-        return scale * ex, scale * ey, scale * ez, angle
-
-    def deriv(qw, qx, qy, qz, wx, wy, wz, t, k_now, cr, sr, mode_div, dmax):
+    def closed_loop(y, t):
+        qw, qx, qy, qz, wx, wy, wz = y
         px, py, pz = plan_at(t)
-        dw, dx, dy, dz = project(px, py, pz, cr, sr)
-        tw_x, tw_y, tw_z, _ = torque(qw, qx, qy, qz, dw, dx, dy, dz,
-                                     k_now, mode_div, dmax)
-        # world -> body for the control torque and gravity
-        tbx, tby, tbz = _rot_inv(qw, qx, qy, qz, tw_x, tw_y, tw_z)
-        gbx, gby, gbz = _rot_inv(qw, qx, qy, qz, gx, gy, gz)
-        mgx, mgy, mgz = mass * gbx, mass * gby, mass * gbz
-        tbx += cy * mgz - cz * mgy
-        tby += cz * mgx - cx * mgz
-        tbz += cx * mgy - cy * mgx
-        # gyroscopic term
-        lx = ixx * wx + ixy * wy + ixz * wz
-        ly = iyx * wx + iyy * wy + iyz * wz
-        lz = izx * wx + izy * wy + izz * wz
-        tbx -= wy * lz - wz * ly
-        tby -= wz * lx - wx * lz
-        tbz -= wx * ly - wy * lx
-        ax = jxx * tbx + jxy * tby + jxz * tbz
-        ay = jyx * tbx + jyy * tby + jyz * tbz
-        az = jzx * tbx + jzy * tby + jzz * tbz
-        return (
-            0.5 * (-qx * wx - qy * wy - qz * wz),
-            0.5 * (qw * wx + qy * wz - qz * wy),
-            0.5 * (qw * wy - qx * wz + qz * wx),
-            0.5 * (qw * wz + qx * wy - qy * wx),
-            ax, ay, az,
-        )
+        dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
+        tx, ty, tz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
+                                      k_now, diverging, peak)
+        return plant_rhs(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)
 
     # initial state: at the plan start pose, at rest
     phi0 = float(torsion[0])
-    qw, qx, qy, qz = project(float(task.center[0]), float(task.center[1]),
-                             float(task.center[2]),
-                             math.cos(0.5 * phi0), math.sin(0.5 * phi0))
-    wx = wy = wz = 0.0
-    mode_div, dmax, dprev = True, 0.0, 0.0
+    y = (*pointing_quat(float(task.center[0]), float(task.center[1]),
+                        float(task.center[2]),
+                        math.cos(0.5 * phi0), math.sin(0.5 * phi0)),
+         0.0, 0.0, 0.0)
+    diverging, peak, prev = True, 0.0, 0.0
     cur_idx: Optional[int] = None
     h = opts.dt / opts.substeps
     stiff_f = [float(v) for v in stiff]
@@ -566,86 +408,41 @@ def _simulate_fast(times, stiff, torsion, idx_stream, task, body, band, opts):
             (t0, dist, omega_p, dur,
              gx_t, gy_t, gz_t, ux, uy, uz) = unpack_profile(profile)
             cur_idx = idx_stream[k]
-            mode_div, dmax, dprev = True, 0.0, 0.0
+            diverging, peak, prev = True, 0.0, 0.0
         k_now = stiff_f[k]
         cr, sr = math.cos(0.5 * torsion_f[k]), math.sin(0.5 * torsion_f[k])
 
-        px, py, pz = plan_at(t_k)
-        dw, dx, dy, dz = project(px, py, pz, cr, sr)
-        # sample-boundary controller tick
-        angle = _err_angle(qw, qx, qy, qz, dw, dx, dy, dz)
-        mode_div, dmax, dprev = _phase_tick(mode_div, dmax, dprev, angle, deadband)
-        tcx, tcy, tcz, _ = torque(qw, qx, qy, qz, dw, dx, dy, dz, k_now,
-                                  mode_div, dmax)
-
-        plan_pos[k] = px, py, pz
-        quat_des[k] = dw, dx, dy, dz
-        quat[k] = qw, qx, qy, qz
-        omega_rec[k] = wx, wy, wz
-        tau_rec[k] = tcx, tcy, tcz
-        err_rec[k] = angle
-        dmax_rec[k] = dmax
-        if k == n:
-            break
-
+        # one finiteness test per sample: a sum of finite values is finite
+        # unless the state has already diverged far enough to overflow
+        if not math.isfinite(sum(y)):
+            raise SimulationError(
+                f"non-finite state at sample {k} (t = {t_k:.3f} s)"
+            )
         for i in range(opts.substeps):
             t_sub = t_k + i * h
-            if i > 0:
-                px, py, pz = plan_at(t_sub)
-                dw, dx, dy, dz = project(px, py, pz, cr, sr)
-                angle = _err_angle(qw, qx, qy, qz, dw, dx, dy, dz)
-                mode_div, dmax, dprev = _phase_tick(
-                    mode_div, dmax, dprev, angle, deadband
-                )
-            y = (qw, qx, qy, qz, wx, wy, wz)
-            k1 = deriv(*y, t_sub, k_now, cr, sr, mode_div, dmax)
-            y2 = tuple(y[j] + 0.5 * h * k1[j] for j in range(7))
-            k2 = deriv(*y2, t_sub + 0.5 * h, k_now, cr, sr, mode_div, dmax)
-            y3 = tuple(y[j] + 0.5 * h * k2[j] for j in range(7))
-            k3 = deriv(*y3, t_sub + 0.5 * h, k_now, cr, sr, mode_div, dmax)
-            y4 = tuple(y[j] + h * k3[j] for j in range(7))
-            k4 = deriv(*y4, t_sub + h, k_now, cr, sr, mode_div, dmax)
-            qw, qx, qy, qz, wx, wy, wz = (
-                y[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                for j in range(7)
-            )
-            norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-            qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+            # controller tick at the substep boundary
+            qw, qx, qy, qz, wx, wy, wz = y
+            px, py, pz = plan_at(t_sub)
+            dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
+            angle = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
+                                  k_now, diverging, peak)[3]
+            diverging, peak = branch_step(diverging, peak, angle, angle - prev)
+            prev = angle
+            if i == 0:  # record the sample at the first tick of its interval
+                tcx, tcy, tcz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
+                                                 k_now, diverging, peak)
+                plan_pos[k] = px, py, pz
+                quat_des[k] = dw, dx, dy, dz
+                quat[k] = qw, qx, qy, qz
+                omega_rec[k] = wx, wy, wz
+                tau_rec[k] = tcx, tcy, tcz
+                err_rec[k] = angle
+                dmax_rec[k] = peak
+                if k == n:  # the last sample is recorded, not integrated
+                    break
+            y = unit_quat_state(rk4_step(closed_loop, y, t_sub, h))
 
     return plan_pos, quat_des, quat, omega_rec, tau_rec, err_rec, dmax_rec
-
-
-def _phase_tick(mode_div, dmax, dprev, disp, deadband):
-    """Scalar mirror of :func:`wristsim.fic.update_phase`."""
-    rate = disp - dprev
-    if not mode_div and disp <= deadband:
-        return True, 0.0, disp
-    if rate > 0.0 or disp > dmax:
-        if mode_div:
-            return True, disp if disp > dmax else dmax, disp
-        return True, disp, disp
-    return False, dmax, disp
-
-
-def _err_angle(qw, qx, qy, qz, dw, dx, dy, dz):
-    """Rotation angle of the error quaternion d * conj(q), sign included."""
-    ew = dw * qw + dx * qx + dy * qy + dz * qz
-    ex = dx * qw - dw * qx - dy * qz + dz * qy
-    ey = dx * qz - dw * qy + dy * qw - dz * qx
-    ez = -dw * qz - dx * qy + dy * qx + dz * qw
-    return 2.0 * math.atan2(math.sqrt(ex * ex + ey * ey + ez * ez), ew)
-
-
-def _rot_inv(qw, qx, qy, qz, vx, vy, vz):
-    """Rotate a world vector into the body frame (conjugate rotation)."""
-    tx = 2.0 * (vy * qz - vz * qy)
-    ty = 2.0 * (vz * qx - vx * qz)
-    tz = 2.0 * (vx * qy - vy * qx)
-    return (
-        vx + qw * tx - qy * tz + qz * ty,
-        vy + qw * ty - qz * tx + qx * tz,
-        vz + qw * tz - qx * ty + qy * tx,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Fractal impedance controller: branch logic, force/torque laws, energy.
 
 The controller is a nonlinear spring with two branches.  While the tracking
-displacement grows (divergence) it pulls back with the stiffness profile;
+displacement grows (divergence) it pulls back as a linear spring;
 once the displacement peaks it switches to a linear spring anchored at half
 the recorded peak (convergence), which carries the state back to the goal in
 a single harmonic half cycle and arrives at rest.  Every completed excursion
 therefore dissipates the energy it stored, without any explicit damping
 term, while the instantaneous output torque stays bounded by the stiffness
 times the peak displacement.
+
+The branch machine, the force law and the quaternion torque are written
+once on plain floats (:func:`branch_step`, :func:`branch_force`,
+:func:`branch_torque`); the trial kernel calls them directly and the
+dataclass-based functions wrap them.
 """
 
 from __future__ import annotations
@@ -15,11 +20,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-from .rotations import quat_conj, quat_mul
 
 #: displacement below which a converged excursion is considered closed
 DEADBAND = 1e-6
@@ -34,8 +37,8 @@ class Mode(enum.Enum):
 class FicPhase:
     """Controller memory: branch selector and the peak displacement seen.
 
-    ``disp_prev`` only feeds the displacement-rate estimate when the caller
-    does not supply one; it carries no control authority of its own.
+    ``disp_prev`` only feeds the displacement-rate estimate of
+    :func:`fic_torque_quat`; it carries no control authority of its own.
     """
 
     mode: Mode = Mode.DIVERGENCE
@@ -45,29 +48,17 @@ class FicPhase:
 
 @dataclass(frozen=True)
 class FicParams:
-    """Stiffness profile of the divergence branch.
-
-    ``profile`` maps displacement to restoring force; ``None`` selects the
-    linear law ``stiffness * disp``.
-    """
+    """Stiffness of the divergence branch (a linear spring)."""
 
     stiffness: float
-    profile: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.stiffness > 0.0:
             raise ValueError(f"stiffness must be positive, got {self.stiffness}")
 
-    def restoring_force(self, disp: float) -> float:
-        if self.profile is not None:
-            return self.profile(disp)
-        return self.stiffness * disp
 
-
-def update_phase(
-    phase: FicPhase, disp: float, disp_rate: float, deadband: float = DEADBAND
-) -> FicPhase:
-    """Advance the branch machine for the current displacement sample.
+def branch_step(diverging, peak, disp, rate, deadband=DEADBAND):
+    """Advance the branch machine; returns ``(diverging, peak)``.
 
     Divergence holds while the displacement grows and records its running
     peak; the first non-growing sample hands over to convergence with the
@@ -82,25 +73,69 @@ def update_phase(
     in a sustained limit cycle; re-anchoring makes every aborted descent
     shed its energy mismatch instead.
     """
+    if not diverging and disp <= deadband:
+        return True, 0.0
+    if rate > 0.0 or disp > peak:
+        if diverging:
+            return True, disp if disp > peak else peak
+        return True, disp
+    return False, peak
+
+
+def branch_force(disp, stiffness, diverging, peak):
+    """Restoring force toward the goal (positive pulls the error down).
+
+    Divergence is the linear spring; convergence is a spring of twice the
+    gain anchored at half the peak, continuous with it at the switch.
+    """
+    if diverging:
+        return stiffness * disp
+    if peak > 0.0:
+        return 2.0 * (stiffness * peak) / peak * (disp - 0.5 * peak)
+    return 0.0
+
+
+def branch_torque(qw, qx, qy, qz, dw, dx, dy, dz, stiffness, diverging, peak):
+    """World torque pulling q toward the desired d; returns (tx, ty, tz, angle).
+
+    The orientation error is ``d * q^-1``; its rotation angle drives the
+    branch force and the torque acts along its unit axis, so the torque
+    magnitude is exactly the branch force.  The angle does not depend on
+    the branch state.
+    """
+    ew = dw * qw + dx * qx + dy * qy + dz * qz
+    ex = dx * qw - dw * qx - dy * qz + dz * qy
+    ey = dx * qz - dw * qy + dy * qw - dz * qx
+    ez = -dw * qz - dx * qy + dy * qx + dz * qw
+    vn = math.sqrt(ex * ex + ey * ey + ez * ez)
+    angle = 2.0 * math.atan2(vn, ew)
+    if vn < 1e-15:
+        return 0.0, 0.0, 0.0, angle
+    sign = 1.0 if ew > 0.0 else (-1.0 if ew < 0.0 else 0.0)
+    scale = sign * branch_force(angle, stiffness, diverging, peak) / vn
+    return scale * ex, scale * ey, scale * ez, angle
+
+
+def update_phase(
+    phase: FicPhase, disp: float, disp_rate: float, deadband: float = DEADBAND
+) -> FicPhase:
+    """Advance the branch machine for the current displacement sample.
+
+    See :func:`branch_step`.
+    """
     if disp < 0.0:
         raise ValueError("displacement must be non-negative")
-    if phase.mode is Mode.CONVERGENCE and disp <= deadband:
-        return FicPhase(Mode.DIVERGENCE, 0.0, disp)
-    if disp_rate > 0.0 or disp > phase.disp_max:
-        if phase.mode is Mode.DIVERGENCE:
-            return FicPhase(Mode.DIVERGENCE, max(disp, phase.disp_max), disp)
-        return FicPhase(Mode.DIVERGENCE, disp, disp)
-    return FicPhase(Mode.CONVERGENCE, phase.disp_max, disp)
+    diverging, peak = branch_step(
+        phase.mode is Mode.DIVERGENCE, phase.disp_max, disp, disp_rate, deadband
+    )
+    return FicPhase(Mode.DIVERGENCE if diverging else Mode.CONVERGENCE, peak, disp)
 
 
 def fic_force_linear(disp: float, params: FicParams, phase: FicPhase) -> float:
     """Restoring force toward the goal (positive pulls the error down)."""
-    if phase.mode is Mode.DIVERGENCE:
-        return params.restoring_force(disp)
-    if phase.disp_max <= 0.0:
-        return 0.0
-    gain = 2.0 * params.restoring_force(phase.disp_max) / phase.disp_max
-    return gain * (disp - 0.5 * phase.disp_max)
+    return branch_force(
+        disp, params.stiffness, phase.mode is Mode.DIVERGENCE, phase.disp_max
+    )
 
 
 def fic_potential_energy(disp: float, params: FicParams, phase: FicPhase) -> float:
@@ -110,24 +145,15 @@ def fic_potential_energy(disp: float, params: FicParams, phase: FicPhase) -> flo
     invariant of the autonomous motion; the discrete branch events can only
     remove energy from the ledger.
     """
-    def stored_at(d: float) -> float:
-        if params.profile is None:
-            return 0.5 * params.stiffness * d * d
-        return _quad_profile(params, d)
-
+    k = params.stiffness
     if phase.mode is Mode.DIVERGENCE:
-        return stored_at(disp)
+        return 0.5 * k * disp * disp
     peak = phase.disp_max
     if peak <= 0.0:
         return 0.0
-    gain = 2.0 * params.restoring_force(peak) / peak
-    offset = stored_at(peak) - 0.5 * gain * (0.5 * peak) ** 2
+    gain = 2.0 * (k * peak) / peak
+    offset = 0.5 * k * peak * peak - 0.5 * gain * (0.5 * peak) ** 2
     return 0.5 * gain * (disp - 0.5 * peak) ** 2 + offset
-
-
-def _quad_profile(params: FicParams, disp: float, n: int = 512) -> float:
-    xs = np.linspace(0.0, disp, n)
-    return float(np.trapezoid([params.restoring_force(x) for x in xs], xs))
 
 
 # ---------------------------------------------------------------------------
@@ -136,57 +162,30 @@ def _quad_profile(params: FicParams, disp: float, n: int = 512) -> float:
 
 
 def torque_for_phase(
-    q: np.ndarray,
-    q_des: np.ndarray,
-    stiffness: float,
-    phase: FicPhase,
-    axis_mode: str = "unit",
+    q: np.ndarray, q_des: np.ndarray, stiffness: float, phase: FicPhase
 ) -> tuple[np.ndarray, float]:
     """World-frame torque for a frozen branch state; returns (torque, angle).
 
-    The orientation error is ``q_des * q^-1``; its rotation angle drives the
-    branch force and its vector part gives the torque direction.  With
-    ``axis_mode="unit"`` the torque acts along the unit error axis so its
-    magnitude is exactly the branch force; ``"raw"`` scales by the
-    unnormalized vector part instead (kept for comparison).
+    See :func:`branch_torque`.
     """
-    q_err = quat_mul(q_des, quat_conj(q))
-    vec = q_err[1:]
-    vec_norm = math.sqrt(vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2])
-    angle = 2.0 * math.atan2(vec_norm, q_err[0])
-    if vec_norm < 1e-15:
-        return np.zeros(3), angle
-    params = FicParams(stiffness)
-    magnitude = fic_force_linear(angle, params, phase)
-    sign = 1.0 if q_err[0] > 0.0 else (-1.0 if q_err[0] < 0.0 else 0.0)
-    if axis_mode == "unit":
-        return sign * magnitude / vec_norm * vec, angle
-    if axis_mode == "raw":
-        return sign * magnitude * vec, angle
-    raise ValueError(f"unknown axis mode {axis_mode!r}")
+    *torque, angle = branch_torque(
+        *map(float, q), *map(float, q_des), stiffness,
+        phase.mode is Mode.DIVERGENCE, phase.disp_max,
+    )
+    return np.array(torque), angle
 
 
 def fic_torque_quat(
-    q: np.ndarray,
-    q_des: np.ndarray,
-    stiffness: float,
-    phase: FicPhase,
-    axis_mode: str = "unit",
-    disp_rate: Optional[float] = None,
-    deadband: float = DEADBAND,
+    q: np.ndarray, q_des: np.ndarray, stiffness: float, phase: FicPhase
 ) -> tuple[np.ndarray, float, FicPhase]:
     """One controller tick: update the branch machine, emit world torque.
 
-    When ``disp_rate`` is not given it is estimated from the previous
-    displacement stored in ``phase``.  Returns ``(torque, angle, phase')``.
+    The displacement rate is estimated from the previous displacement
+    stored in ``phase``.  Returns ``(torque, angle, phase')``.
     """
-    q_err = quat_mul(q_des, quat_conj(q))
-    vec = q_err[1:]
-    vec_norm = math.sqrt(vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2])
-    angle = 2.0 * math.atan2(vec_norm, q_err[0])
-    rate = angle - phase.disp_prev if disp_rate is None else disp_rate
-    new_phase = update_phase(phase, angle, rate, deadband)
-    torque, _ = torque_for_phase(q, q_des, stiffness, new_phase, axis_mode)
+    _, angle = torque_for_phase(q, q_des, stiffness, phase)
+    new_phase = update_phase(phase, angle, angle - phase.disp_prev)
+    torque, _ = torque_for_phase(q, q_des, stiffness, new_phase)
     return torque, angle, new_phase
 
 
@@ -213,7 +212,7 @@ def simulate_release(
     Returns ``(t, disp, vel, t_arrive)`` with sample arrays ending at the
     arrival state.
     """
-    omega = math.sqrt(2.0 * params.restoring_force(start_disp) / (start_disp * mass))
+    omega = math.sqrt(2.0 * params.stiffness / mass)
     if dt is None:
         dt = (math.pi / omega) / 4000.0
     phase = FicPhase(Mode.CONVERGENCE, start_disp)
@@ -281,11 +280,7 @@ def vdp_equivalent_mu(
     damping_work = float(np.trapezoid((1.0 - xs**2) * vs**2, ts))
     if damping_work < 1e-12:
         raise ValueError("degenerate damping integral along the release path")
-    k_at_peak = params.restoring_force(peak_disp) / peak_disp
-    natural_freq_sq = k_at_peak / (2.0 * mass)
-    numerator = (
-        mass * natural_freq_sq * peak_disp**2
-        + k_at_peak * peak_disp**2
-        + extra_energy
-    )
+    k = params.stiffness
+    natural_freq_sq = k / (2.0 * mass)
+    numerator = mass * natural_freq_sq * peak_disp**2 + k * peak_disp**2 + extra_energy
     return numerator / (2.0 * damping_work)

@@ -76,10 +76,7 @@ class ElasticBand:
     so retargeting mid-flight keeps position and velocity continuous (only
     the acceleration jumps).  When the remaining distance drops inside
     ``arrival_tol`` the state snaps exactly onto the target and stays
-    clamped there.  ``mode="spring"`` swaps the branch force for a plain
-    spring centered on the target, which crosses the target at peak speed
-    and is clamped with a velocity discontinuity; it exists to document why
-    the convergence-branch attractor is the default.
+    clamped there.
     """
 
     def __init__(
@@ -88,14 +85,10 @@ class ElasticBand:
         params: BandParams,
         dt: float = 1e-3,
         arrival_tol: float = ARRIVAL_TOL,
-        mode: str = "fic",
     ):
-        if mode not in ("fic", "spring"):
-            raise ValueError(f"unknown band mode {mode!r}")
         self.params = params
         self.dt = dt
         self.arrival_tol = arrival_tol
-        self.mode = mode
         self.t = 0.0
         self.pos = np.asarray(start, dtype=float).copy()
         self.vel = np.zeros(3)
@@ -136,10 +129,7 @@ class ElasticBand:
         dist = float(np.linalg.norm(offset))
         if dist < 1e-15:
             return np.zeros(3)
-        if self.mode == "spring":
-            force = self.reach_stiffness * dist
-        else:
-            force = fic_force_linear(dist, FicParams(self.reach_stiffness), phase)
+        force = fic_force_linear(dist, FicParams(self.reach_stiffness), phase)
         return force / self.params.virtual_mass / dist * offset
 
     def sample(self) -> PlanSample:
@@ -163,8 +153,7 @@ class ElasticBand:
             self.pos = p + dt / 6.0 * (v + 2.0 * k2p + 2.0 * k3p + k4p)
             self.vel = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             dist = float(np.linalg.norm(self.target - self.pos))
-            heading = float(np.dot(self.target - self.pos, self.target - p))
-            if dist <= self.snap_tol or (self.mode == "spring" and heading < 0.0):
+            if dist <= self.snap_tol:
                 self._snap()
             else:
                 self.phase = update_phase(

@@ -10,6 +10,10 @@ Conventions used throughout the package:
 The projection maps a point on a planar workspace to the orientation of a
 pointer (the body x axis) whose ray pierces that point, with an optional
 torsion angle about the pointer itself.
+
+The laws the trial kernel evaluates at every integrator stage
+(:func:`pointing_quat`, :func:`to_body`) are written once on plain floats;
+the numpy functions wrap them.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ import math
 import numpy as np
 
 X_AXIS = np.array([1.0, 0.0, 0.0])
-
-# unit ray used to disambiguate the antipodal (pointer exactly reversed) case
-ANTIPODAL_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class DegeneratePointingError(ValueError):
@@ -75,11 +76,6 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     return -np.asarray(q, dtype=float) if q[0] < 0.0 else np.asarray(q, dtype=float)
 
 
-def quat_inverse(q: np.ndarray) -> np.ndarray:
-    """Inverse of a unit quaternion (its conjugate)."""
-    return quat_conj(q)
-
-
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
@@ -89,33 +85,28 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.concatenate(([math.cos(half)], math.sin(half) / n * axis))
 
 
+def to_body(qw, qx, qy, qz, vx, vy, vz):
+    """Rotate a world vector into the frame of the unit quaternion q.
+
+    This is the conjugate rotation (world -> body), on plain floats.
+    """
+    tx = 2.0 * (vy * qz - vz * qy)
+    ty = 2.0 * (vz * qx - vx * qz)
+    tz = 2.0 * (vx * qy - vy * qx)
+    return (
+        vx + qw * tx - qy * tz + qz * ty,
+        vy + qw * ty - qz * tx + qx * tz,
+        vz + qw * tz - qx * ty + qy * tx,
+    )
+
+
 def rotate_vec(q: np.ndarray, v) -> np.ndarray:
-    """Rotate a 3-vector by the unit quaternion q (body -> world)."""
-    w, x, y, z = q
-    vx, vy, vz = v
-    # q * (0, v) * conj(q), expanded
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.array(
-        [
-            vx + w * tx + y * tz - z * ty,
-            vy + w * ty + z * tx - x * tz,
-            vz + w * tz + x * ty - y * tx,
-        ]
-    )
+    """Rotate a 3-vector by the unit quaternion q (body -> world).
 
-
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix whose columns are the body axes in world coordinates."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    This is :func:`to_body` for the conjugate of q.
+    """
+    w, x, y, z = map(float, q)
+    return np.array(to_body(w, -x, -y, -z, *map(float, v)))
 
 
 def quat_angle(q: np.ndarray) -> float:
@@ -134,52 +125,43 @@ def quat_angle_between(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def project_to_sphere(
-    point,
-    center=(0.0, 0.0, 0.0),
-    torsion: float = 0.0,
-    twist_convention: str = "pointer",
-) -> np.ndarray:
+def pointing_quat(px, py, pz, cr, sr):
+    """Orientation that points the body x axis along (px, py, pz).
+
+    The swing part is the shortest-arc rotation taking +x onto the ray;
+    a reversed ray swings half a turn about z.  The roll about the pointer,
+    given as the cosine and sine of half the torsion angle, is composed in
+    the rotated frame, so the pointing direction is torsion-invariant.
+    Returns the canonical (non-negative scalar) unit quaternion as floats.
+    """
+    norm = math.sqrt(px * px + py * py + pz * pz)
+    rx, ry, rz = px / norm, py / norm, pz / norm
+    w0 = 1.0 + rx
+    if w0 <= 1e-15:
+        a, b, c = 0.0, 0.0, 1.0
+    else:
+        m = math.sqrt(w0 * w0 + rz * rz + ry * ry)
+        a, b, c = w0 / m, -rz / m, ry / m
+    qw, qx, qy, qz = a * cr, a * sr, b * cr + c * sr, c * cr - b * sr
+    if qw < 0.0:
+        return -qw, -qx, -qy, -qz
+    return qw, qx, qy, qz
+
+
+def project_to_sphere(point, center=(0.0, 0.0, 0.0), torsion: float = 0.0) -> np.ndarray:
     """Orientation that points the body x axis at ``point``.
 
-    The swing part is the shortest-arc rotation taking +x onto the unit ray
-    from ``center`` to ``point``; ``torsion`` then rolls the body about the
-    pointer.  With ``twist_convention="pointer"`` the roll is composed in the
-    rotated frame, so the pointing direction is torsion-invariant and
-    ``torsion_about_pointer`` recovers the angle exactly.  The alternative
-    ``"global"`` convention pre-multiplies a roll about the world x axis,
-    which tilts the pointer whenever torsion is nonzero; it is kept only for
-    comparison.
-
-    Returns the canonical (non-negative scalar) unit quaternion.
+    The pointer ray runs from ``center`` to ``point``; ``torsion`` rolls
+    the body about it, so ``torsion_about_pointer`` recovers the angle
+    exactly.  See :func:`pointing_quat`.
     """
-    point = np.asarray(point, dtype=float)
-    offset = point - np.asarray(center, dtype=float)
-    dist = math.sqrt(offset[0] * offset[0] + offset[1] * offset[1]
-                     + offset[2] * offset[2])
-    if dist <= 1e-9:
+    ox, oy, oz = (float(p) - float(c) for p, c in zip(point, center))
+    if math.sqrt(ox * ox + oy * oy + oz * oz) <= 1e-9:
         raise DegeneratePointingError(
             f"pointing target {point} coincides with projection center"
         )
-    ray = offset / dist
-    cos_swing = ray[0]
-    if cos_swing <= -1.0 + 1e-15:
-        # pointer exactly reversed: 180 degree swing about a fixed reference axis
-        swing = np.concatenate(([0.0], ANTIPODAL_AXIS))
-    else:
-        swing = quat_normalize(
-            np.concatenate(([1.0 + cos_swing], np.cross(X_AXIS, ray)))
-        )
-    if torsion == 0.0:
-        return quat_canonical(swing)
-    roll = np.array([math.cos(0.5 * torsion), math.sin(0.5 * torsion), 0.0, 0.0])
-    if twist_convention == "pointer":
-        q = quat_mul(swing, roll)
-    elif twist_convention == "global":
-        q = quat_mul(roll, swing)
-    else:
-        raise ValueError(f"unknown twist convention {twist_convention!r}")
-    return quat_canonical(q)
+    half = 0.5 * torsion
+    return np.array(pointing_quat(ox, oy, oz, math.cos(half), math.sin(half)))
 
 
 def swing_twist(q: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:

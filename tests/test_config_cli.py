@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,41 @@ def test_invalid_values_name_the_field(tmp_path):
         load_config(write(tmp_path, "body:\n  com_offset: [1.0, 2.0]\n"))
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(write(tmp_path, "body: [unclosed\n"))
+
+
+def test_leaf_types_name_the_dotted_key(tmp_path, capsys):
+    """Mistyped leaves exit 2 naming the key (PyYAML reads 1.0e6 as text)."""
+    cases = (
+        ("conditions:\n  - name: a\n    stiffness: 1.0e6\n",
+         "conditions[0].stiffness: expected a number, got '1.0e6'"),
+        ("conditions:\n  - name: a\n    gravity: 1\n",
+         "conditions[0].gravity: expected a boolean"),
+        ("conditions:\n  - name: a\n    torsion_deg: ten\n",
+         "conditions[0].torsion_deg: expected a number"),
+        ("sweep:\n  stiffness: [1000.0, 1.0e6]\n",
+         "sweep.stiffness[1]: expected a number, got '1.0e6'"),
+        ("sweep:\n  gravity: [true, 0]\n",
+         "sweep.gravity[1]: expected a boolean"),
+        ("sim:\n  substeps: 2.5\n",
+         "sim.substeps: must be a positive integer, got 2.5"),
+        ("sim:\n  substeps: 0\n",
+         "sim.substeps: must be a positive integer"),
+        ("task:\n  n_targets: 2.5\n",
+         "task.n_targets: must be a positive integer, got 2.5"),
+    )
+    for text, message in cases:
+        cfg = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(cfg)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_removed_sim_keys_are_unknown(tmp_path, capsys):
+    for key, value in (("engine", "fast"), ("method", "rk4"), ("rtol", 1e-8)):
+        cfg = write(tmp_path, f"sim:\n  {key}: {value}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert f"unknown key 'sim.{key}'" in capsys.readouterr().err
 
 
 def test_sections_override_defaults(tmp_path):
@@ -252,6 +288,23 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         a = (outs[0] / rel).read_bytes()
         b = (outs[1] / rel).read_bytes()
         assert a == b, f"{rel} differs between runs"
+
+
+def test_unstable_run_exits_1_without_outputs(tmp_path, capsys):
+    """A stiffness far past the RK4 stability bound blows up within a few
+    samples: the run stops with the condition named and writes no files."""
+    cfg = write(
+        tmp_path,
+        "task:\n  n_targets: 1\n  dwell: 0.05\n"
+        "conditions:\n  - name: stiff\n    stiffness: 1.0e+6\n",
+    )
+    out = tmp_path / "res"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "stiff: non-finite state at sample" in err
+    assert not (out / "stiff" / "trajectory.csv").exists()
+    assert not (out / "stiff" / "metrics.json").exists()
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_check_flag_runs_invariant_suite(capsys):

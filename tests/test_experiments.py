@@ -27,6 +27,7 @@ from wristsim.experiments import (
     target_rmse,
 )
 from wristsim.planner import BandParams, plan_reach, reach_duration
+from oracles import simulate_reference
 from wristsim.rotations import (
     project_to_sphere,
     quat_norm,
@@ -244,11 +245,12 @@ def test_desired_stream_carries_scheduled_torsion(task, body, band, opts):
 
 
 def test_engines_agree(task, body, band):
-    """The scalar fast path reproduces the reference loop through K and
-    torsion steps (tolerances far above the observed float-rounding gap)."""
+    """The scalar kernel reproduces the reference loop in tests/oracles.py
+    through K and torsion steps (tolerances far above the observed
+    float-rounding gap)."""
     sched = build_retune_schedule(task, band, duration=0.5, gravity=True)
-    fast = run_trial(sched, task, body, band, SimOptions(engine="fast"))
-    ref = run_trial(sched, task, body, band, SimOptions(engine="reference"))
+    fast = run_trial(sched, task, body, band, SimOptions())
+    ref = simulate_reference(sched, task, body, band, SimOptions())
     np.testing.assert_array_equal(fast.plan_pos, ref.plan_pos)
     np.testing.assert_array_equal(fast.quat_des, ref.quat_des)
     assert np.max(np.abs(fast.quat - ref.quat)) < 1e-6

@@ -183,17 +183,6 @@ def test_torque_zero_at_goal():
     np.testing.assert_allclose(tau, np.zeros(3), atol=1e-9)
 
 
-def test_torque_raw_axis_scales_by_half_angle_sine():
-    q_des = project_to_sphere(np.array([0.3, 0.0, 0.1]))
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    t_unit, angle, _ = fic_torque_quat(q, q_des, 10000.0, FicPhase())
-    t_raw, _, _ = fic_torque_quat(q, q_des, 10000.0, FicPhase(),
-                                  axis_mode="raw")
-    assert np.linalg.norm(t_raw) == pytest.approx(
-        np.linalg.norm(t_unit) * math.sin(0.5 * angle), rel=1e-12
-    )
-
-
 def test_torque_infers_rate_from_previous_sample():
     q_des = project_to_sphere(np.array([0.3, 0.0, 0.1]))
     q = np.array([1.0, 0.0, 0.0, 0.0])

@@ -123,23 +123,3 @@ def test_retarget_from_rest_reaches_new_target(band):
             break
     np.testing.assert_allclose(bandit.pos, [0.3, 0.1, 0.0], atol=1e-12)
     np.testing.assert_allclose(bandit.vel, 0.0, atol=1e-12)
-
-
-def test_spring_mode_crosses_target_hot(band):
-    """The plain-spring alternative arrives at speed, the branch one at rest."""
-    fic = ElasticBand([0.0, 0.0, 0.0], band, mode="fic")
-    spring = ElasticBand([0.0, 0.0, 0.0], band, mode="spring")
-    last_speed = {}
-    for b, name in ((fic, "fic"), (spring, "spring")):
-        b.retarget([0.1, 0.0, 0.0])
-        prev = 0.0
-        while not b.arrived:
-            prev = float(np.linalg.norm(b.vel))
-            b.step()
-        last_speed[name] = prev
-    assert last_speed["fic"] < 0.05 * last_speed["spring"]
-
-
-def test_unknown_band_mode_rejected(band):
-    with pytest.raises(ValueError):
-        ElasticBand([0.0, 0.0, 0.0], band, mode="pd")

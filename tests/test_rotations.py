@@ -123,13 +123,6 @@ def test_torsion_equivariance(y, z, phi):
     assert quat_angle_between(quat_mul(q0, roll), q1) < 1e-12
 
 
-def test_global_twist_convention_tilts_pointer():
-    q = project_to_sphere(np.array([0.3, 0.0, 0.1]), torsion=0.4,
-                          twist_convention="global")
-    ray = rotate_vec(q, np.array([1.0, 0.0, 0.0]))
-    assert np.linalg.norm(ray - np.array([0.3, 0.0, 0.1]) / math.sqrt(0.1)) > 1e-3
-
-
 def test_swing_twist_recomposes(rng):
     axis = np.array([1.0, 0.0, 0.0])
     for _ in range(50):
