@@ -107,7 +107,9 @@ def _plane_dict(fit) -> dict:
     }
 
 
-def condition_metrics(cond: Condition, cfg, schedule, traj) -> dict:
+def condition_metrics(cond: Condition, cfg, schedule, traj, measured, desired) -> dict:
+    """Scalar summary of one condition; ``measured`` and ``desired`` are its
+    two Listing surfaces, extracted once by the caller."""
     metrics = compute_metrics(traj)
     rmse_ty, rmse_tz = target_rmse(traj, schedule, cfg.task)
     out = {
@@ -124,10 +126,10 @@ def condition_metrics(cond: Condition, cfg, schedule, traj) -> dict:
         "effort_mean_Nm": metrics.effort_mean,
         "effort_std_Nm": metrics.effort_std,
     }
-    for source, key in (("measured", "plane_fit"), ("desired", "plane_fit_desired")):
+    for surface, key in ((measured, "plane_fit"), (desired, "plane_fit_desired")):
         try:
-            out[key] = _plane_dict(fit_plane(extract_listing([traj], source)))
-        except (RankDeficientError, ValueError):
+            out[key] = _plane_dict(fit_plane(surface))
+        except RankDeficientError:
             out[key] = None
     if cond.kind == "retune":
         err = np.linalg.norm(traj.pointer[-1] - traj.plan_pos[-1])
@@ -151,9 +153,10 @@ def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path) -> di
     cond_dir = out_root / cond.name
     cond_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(cond_dir / "trajectory.csv", traj)
-    write_listing(cond_dir / "listing_measured.csv", extract_listing([traj]))
-    write_listing(cond_dir / "listing_desired.csv", extract_listing([traj], "desired"))
-    metrics = condition_metrics(cond, cfg, schedule, traj)
+    measured, desired = extract_listing([traj]), extract_listing([traj], "desired")
+    write_listing(cond_dir / "listing_measured.csv", measured)
+    write_listing(cond_dir / "listing_desired.csv", desired)
+    metrics = condition_metrics(cond, cfg, schedule, traj, measured, desired)
     write_json(cond_dir / "metrics.json", metrics)
     return metrics
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
 
 import yaml
 
@@ -95,18 +94,6 @@ class ExperimentConfig:
         raise ConfigError(f"unknown condition {name!r}; known: {known}")
 
 
-_SCHEMA = {
-    "body": {"mass", "length", "width", "thickness", "com_offset", "gravity"},
-    "band": {"virtual_mass", "max_accel", "stiffness"},
-    "task": {"plane_distance", "radius", "n_targets", "dwell"},
-    "sim": {"dt", "substeps"},
-    "conditions": {"name", "kind", "gravity", "stiffness", "torsion_deg"},
-    "sweep": {"gravity", "stiffness", "torsion_deg"},
-}
-_TOP_KEYS = {"body", "band", "task", "sim", "conditions", "sweep",
-             "output_dir", "seed"}
-
-
 def _require_mapping(node, path):
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
@@ -122,60 +109,82 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-# expected type of each condition and sweep-entry leaf
-_LEAF_TYPES = {
-    "name": (lambda v: isinstance(v, str), "a string"),
-    "gravity": (lambda v: isinstance(v, bool), "a boolean"),
-    "stiffness": (_is_number, "a number"),
-    "torsion_deg": (_is_number, "a number"),
+# leaf rules: (test, what the message says when the test fails)
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "must be a positive number")
+_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "must be a non-negative number")
+_COUNT = (lambda v: _is_int(v) and v > 0, "must be a positive integer")
+_VECTOR = (
+    lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
+    "expected a 3-vector of numbers",
+)
+_NUMBER = (_is_number, "expected a number")
+
+# each section: the dataclass it builds and the rule for each of its keys
+_SECTIONS = {
+    "body": (BodyModel, {
+        "mass": _POSITIVE, "length": _POSITIVE, "width": _POSITIVE,
+        "thickness": _POSITIVE, "com_offset": _VECTOR, "gravity": _VECTOR,
+    }),
+    "band": (BandParams, {
+        "virtual_mass": _POSITIVE, "max_accel": _POSITIVE,
+        "stiffness": (lambda v: v is None or _POSITIVE[0](v),
+                      "must be null or a positive number"),
+    }),
+    "task": (ClockTask, {
+        "plane_distance": _POSITIVE, "radius": _POSITIVE,
+        "n_targets": _COUNT, "dwell": _NON_NEGATIVE,
+    }),
+    "sim": (SimOptions, {"dt": _POSITIVE, "substeps": _COUNT}),
 }
 
+# condition and sweep-entry leaves
+_CONDITION_LEAVES = {
+    "name": (lambda v: isinstance(v, str), "expected a string"),
+    "gravity": (lambda v: isinstance(v, bool), "expected a boolean"),
+    "stiffness": _NUMBER,
+    "torsion_deg": _NUMBER,
+}
+_CONDITION_KEYS = {"kind", *_CONDITION_LEAVES}
+_SWEEP_KEYS = {"gravity", "stiffness", "torsion_deg"}
 
-def _check_leaf(key, value, path):
-    test, expected = _LEAF_TYPES[key]
+_TOP_LEAVES = {
+    "output_dir": (lambda v: isinstance(v, str) and bool(v), "expected a non-empty string"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
+}
+_TOP_KEYS = {*_SECTIONS, "conditions", "sweep", *_TOP_LEAVES}
+
+
+def _check_leaf(rule, value, path):
+    test, expected = rule
     if not test(value):
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        raise ConfigError(f"{path}: {expected}, got {value!r}")
 
 
-def _build_section(cls, node, path, positives=(), counts=(), vectors=()):
-    _require_mapping(node, path.rstrip("."))
-    _check_keys(node, _SCHEMA[path.rstrip(".")], path)
-    for key in positives:
-        if key in node and not (_is_number(node[key]) and node[key] > 0):
-            raise ConfigError(
-                f"{path}{key}: must be a positive number, got {node[key]!r}"
-            )
-    for key in counts:
-        if key in node and not _is_count(node[key]):
-            raise ConfigError(
-                f"{path}{key}: must be a positive integer, got {node[key]!r}"
-            )
-    kwargs = {}
+def _build_section(name, node):
+    cls, leaves = _SECTIONS[name]
+    _require_mapping(node, name)
+    _check_keys(node, leaves, f"{name}.")
     for key, value in node.items():
-        if key in vectors:
-            if not (isinstance(value, (list, tuple)) and len(value) == 3):
-                raise ConfigError(f"{path}{key}: expected a 3-vector, got {value!r}")
-            value = tuple(float(v) for v in value)
-        kwargs[key] = value
+        _check_leaf(leaves[key], value, f"{name}.{key}")
     try:
-        return cls(**kwargs)
+        return cls(**node)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path.rstrip('.')}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _parse_condition(node, index):
     path = f"conditions[{index}]."
     _require_mapping(node, path.rstrip("."))
-    _check_keys(node, _SCHEMA["conditions"], path)
+    _check_keys(node, _CONDITION_KEYS, path)
     if "name" not in node:
         raise ConfigError(f"{path}name: required")
-    for key in _LEAF_TYPES:
+    for key, rule in _CONDITION_LEAVES.items():
         if key in node:
-            _check_leaf(key, node[key], path + key)
+            _check_leaf(rule, node[key], path + key)
     kwargs = {k: v for k, v in node.items() if k != "torsion_deg"}
     if "torsion_deg" in node:
         kwargs["torsion"] = math.radians(float(node["torsion_deg"]))
@@ -185,7 +194,7 @@ def _parse_condition(node, index):
 def _expand_sweep(node):
     path = "sweep."
     _require_mapping(node, "sweep")
-    _check_keys(node, _SCHEMA["sweep"], path)
+    _check_keys(node, _SWEEP_KEYS, path)
     gravities = node.get("gravity", [True])
     stiffnesses = node.get("stiffness", [10000.0])
     torsions_deg = node.get("torsion_deg", [0.0])
@@ -194,7 +203,7 @@ def _expand_sweep(node):
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"{path}{key}: expected a non-empty list")
         for j, value in enumerate(values):
-            _check_leaf(key, value, f"{path}{key}[{j}]")
+            _check_leaf(_CONDITION_LEAVES[key], value, f"{path}{key}[{j}]")
     out = []
     for gravity in gravities:
         for torsion_deg in torsions_deg:
@@ -224,33 +233,9 @@ def load_config(path) -> ExperimentConfig:
     _check_keys(raw, _TOP_KEYS, "")
 
     cfg = ExperimentConfig()
-    if "body" in raw:
-        body = _build_section(
-            BodyModel, raw["body"], "body.",
-            positives=("mass", "length", "width", "thickness"),
-            vectors=("com_offset", "gravity"),
-        )
-        cfg = replace(cfg, body=body)
-    if "band" in raw:
-        band = _build_section(
-            BandParams, raw["band"], "band.",
-            positives=("virtual_mass", "max_accel"),
-        )
-        cfg = replace(cfg, band=band)
-    if "task" in raw:
-        task = _build_section(
-            ClockTask, raw["task"], "task.",
-            positives=("plane_distance", "radius", "dwell"),
-            counts=("n_targets",),
-        )
-        cfg = replace(cfg, task=task)
-    if "sim" in raw:
-        sim = _build_section(
-            SimOptions, raw["sim"], "sim.",
-            positives=("dt",),
-            counts=("substeps",),
-        )
-        cfg = replace(cfg, sim=sim)
+    for name in _SECTIONS:
+        if name in raw:
+            cfg = replace(cfg, **{name: _build_section(name, raw[name])})
     if "conditions" in raw and "sweep" in raw:
         raise ConfigError("give either 'conditions' or 'sweep', not both")
     if "conditions" in raw:
@@ -264,12 +249,8 @@ def load_config(path) -> ExperimentConfig:
     if len(set(names)) != len(names):
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
-    if "output_dir" in raw:
-        if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
-            raise ConfigError("output_dir: expected a non-empty string")
-        cfg = replace(cfg, output_dir=raw["output_dir"])
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int):
-            raise ConfigError(f"seed: expected an integer, got {raw['seed']!r}")
-        cfg = replace(cfg, seed=raw["seed"])
+    for key, rule in _TOP_LEAVES.items():
+        if key in raw:
+            _check_leaf(rule, raw[key], key)
+            cfg = replace(cfg, **{key: raw[key]})
     return cfg

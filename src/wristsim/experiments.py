@@ -2,8 +2,8 @@
 
 A trial couples three pieces at a 1 kHz control/recording rate:
 
-* the elastic band plays a planned reach (closed form per leg, continuous
-  in time inside the integrator),
+* the planner's closed-form reach leg (:class:`~.planner.ReachProfile`)
+  gives the planned position, evaluated at every integrator stage time,
 * the planned position is projected to a desired pointer orientation with
   the scheduled torsion,
 * the impedance controller torque drives the rigid-body plant.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import BodyModel, gravity_torque, plant, rk4_step, unit_quat_state
 from .fic import branch_step, branch_torque
-from .planner import BandParams, band_stiffness_for_accel, reach_duration
+from .planner import BandParams, ReachProfile, reach_duration
 from .rotations import (
     GimbalLockError,
     X_AXIS,
@@ -200,53 +200,6 @@ def build_retune_schedule(
 
 
 # ---------------------------------------------------------------------------
-# closed-form reach legs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReachProfile:
-    """One from-rest band leg in closed form (harmonic half cycle + clamp)."""
-
-    start: np.ndarray
-    target: np.ndarray
-    t0: float
-    dist: float
-    omega: float
-    duration: float
-    unit: np.ndarray
-
-    @classmethod
-    def from_rest(cls, start, target, params: BandParams, t0: float) -> "ReachProfile":
-        start = np.asarray(start, dtype=float)
-        target = np.asarray(target, dtype=float)
-        dist = float(np.linalg.norm(target - start))
-        if dist <= 1e-12:
-            return cls(target.copy(), target.copy(), t0, 0.0, 0.0, 0.0, np.zeros(3))
-        k = params.stiffness
-        if k is None:
-            k = band_stiffness_for_accel(params.max_accel, dist, params.virtual_mass)
-        omega = math.sqrt(2.0 * k / params.virtual_mass)
-        return cls(start, target, t0, dist, omega, math.pi / omega, (target - start) / dist)
-
-    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Planned (position, velocity, acceleration) at absolute time t."""
-        rel = t - self.t0
-        if self.dist == 0.0 or rel >= self.duration:
-            return self.target.copy(), np.zeros(3), np.zeros(3)
-        rel = max(rel, 0.0)
-        half = 0.5 * self.dist
-        remaining = half * (1.0 + math.cos(self.omega * rel))
-        speed = half * self.omega * math.sin(self.omega * rel)
-        accel = half * self.omega**2 * math.cos(self.omega * rel)
-        return (
-            self.target - remaining * self.unit,
-            speed * self.unit,
-            accel * self.unit,
-        )
-
-
-# ---------------------------------------------------------------------------
 # trial runner
 # ---------------------------------------------------------------------------
 
@@ -342,8 +295,9 @@ def _simulate(times, stiff, torsion, idx_stream, task, body, band, opts):
     """The trial kernel: closed loop on plain floats, RK4 with renormalization.
 
     The branch machine ticks at every substep boundary and is frozen inside
-    the RK4 stages; the plan and the desired pose are evaluated at every
-    stage time.
+    the RK4 stages; the plan (the active leg's
+    :meth:`~.planner.ReachProfile.position`) and the desired pose are
+    evaluated at every stage time.
     """
     n = len(times) - 1
     plan_pos = np.empty((n + 1, 3))
@@ -355,31 +309,11 @@ def _simulate(times, stiff, torsion, idx_stream, task, body, band, opts):
     dmax_rec = np.empty(n + 1)
 
     plant_rhs = plant(body)
-
-    def unpack_profile(p):
-        # plain floats: numpy scalars would slow every inner-loop operation
-        return (
-            float(p.t0), float(p.dist), float(p.omega), float(p.duration),
-            float(p.target[0]), float(p.target[1]), float(p.target[2]),
-            float(p.unit[0]), float(p.unit[1]), float(p.unit[2]),
-        )
-
-    # profile scalars: t0, dist, omega, duration, target g*_t, unit u*
-    profile = ReachProfile.from_rest(task.center, task.center, band, 0.0)
-    t0, dist, omega_p, dur, gx_t, gy_t, gz_t, ux, uy, uz = unpack_profile(profile)
-
-    def plan_at(t):
-        rel = t - t0
-        if dist == 0.0 or rel >= dur:
-            return gx_t, gy_t, gz_t
-        if rel < 0.0:
-            rel = 0.0
-        rem = 0.5 * dist * (1.0 + math.cos(omega_p * rel))
-        return gx_t - rem * ux, gy_t - rem * uy, gz_t - rem * uz
+    leg_position = ReachProfile.from_rest(task.center, task.center, band, 0.0).position
 
     def closed_loop(y, t):
         qw, qx, qy, qz, wx, wy, wz = y
-        px, py, pz = plan_at(t)
+        px, py, pz = leg_position(t)
         dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
         tx, ty, tz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
                                       k_now, diverging, peak)
@@ -401,12 +335,9 @@ def _simulate(times, stiff, torsion, idx_stream, task, body, band, opts):
     for k in range(n + 1):
         t_k = times_f[k]
         if idx_stream[k] is not None and idx_stream[k] != cur_idx:
-            pos_now = np.array(plan_at(t_k))
-            profile = ReachProfile.from_rest(
-                pos_now, task.position(idx_stream[k]), band, t_k
-            )
-            (t0, dist, omega_p, dur,
-             gx_t, gy_t, gz_t, ux, uy, uz) = unpack_profile(profile)
+            leg_position = ReachProfile.from_rest(
+                leg_position(t_k), task.position(idx_stream[k]), band, t_k
+            ).position
             cur_idx = idx_stream[k]
             diverging, peak, prev = True, 0.0, 0.0
         k_now = stiff_f[k]
@@ -422,7 +353,7 @@ def _simulate(times, stiff, torsion, idx_stream, task, body, band, opts):
             t_sub = t_k + i * h
             # controller tick at the substep boundary
             qw, qx, qy, qz, wx, wy, wz = y
-            px, py, pz = plan_at(t_sub)
+            px, py, pz = leg_position(t_sub)
             dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
             angle = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
                                   k_now, diverging, peak)[3]

@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import rk4_step
+
 #: displacement below which a converged excursion is considered closed
 DEADBAND = 1e-6
 
@@ -217,24 +219,14 @@ def simulate_release(
         dt = (math.pi / omega) / 4000.0
     phase = FicPhase(Mode.CONVERGENCE, start_disp)
 
-    def accel(x):
-        return -fic_force_linear(x, params, phase) / mass
-
-    def rk4(x, v, h):
-        k1x, k1v = v, accel(x)
-        k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x)
-        k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x)
-        k4x, k4v = v + h * k3v, accel(x + h * k3x)
-        return (
-            x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v),
-        )
+    def rhs(y, t):
+        return y[1], -fic_force_linear(y[0], params, phase) / mass
 
     ts, xs, vs = [0.0], [start_disp], [0.0]
     t, x, v = 0.0, start_disp, 0.0
     t_end = max_cycles * math.pi / omega
     while t < t_end:
-        x_new, v_new = rk4(x, v, dt)
+        x_new, v_new = rk4_step(rhs, (x, v), t, dt)
         t += dt
         # arrival is a tangent touchdown: displacement reaches zero exactly
         # as the velocity does, so whichever numerical crossing shows first
@@ -245,7 +237,7 @@ def simulate_release(
             else:
                 frac = v / (v - v_new)
             t_arrive = t - dt + frac * dt
-            x_arr, v_arr = rk4(x, v, frac * dt)
+            x_arr, v_arr = rk4_step(rhs, (x, v), t - dt, frac * dt)
             ts.append(t_arrive)
             xs.append(x_arr)
             vs.append(v_arr)

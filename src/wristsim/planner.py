@@ -7,6 +7,10 @@ profile that arrives at the target at rest after pi/omega seconds, with
 omega^2 = 2 * stiffness / mass.  Choosing the band stiffness as
 ``mass * max_accel / d0`` caps the path acceleration at ``max_accel``
 independently of reach length.
+
+:class:`ReachProfile` is that from-rest leg in closed form and is the plan
+the trial kernel follows; :class:`ElasticBand` integrates the same band
+step by step, so a reach can be retargeted mid-flight.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import rk4_step
 from .fic import FicParams, FicPhase, Mode, fic_force_linear, update_phase
 
 #: distance at which a reach is considered complete and the plan clamps
@@ -43,6 +48,13 @@ class BandParams:
         if self.stiffness is not None and not self.stiffness > 0.0:
             raise ValueError(f"stiffness must be positive, got {self.stiffness}")
 
+    def stiffness_for(self, dist: float) -> float:
+        """Band stiffness of a reach over ``dist``: the fixed override if
+        set, else the stiffness whose stroke peaks at ``max_accel``."""
+        if self.stiffness is not None:
+            return self.stiffness
+        return band_stiffness_for_accel(self.max_accel, dist, self.virtual_mass)
+
 
 @dataclass(frozen=True)
 class PlanSample:
@@ -59,14 +71,72 @@ def band_stiffness_for_accel(max_accel: float, dist: float, virtual_mass: float)
     return virtual_mass * max_accel / dist
 
 
+def _half_cycle_rate(dist: float, params: BandParams) -> float:
+    """Angular rate omega = sqrt(2 K / m) of a from-rest reach over ``dist``."""
+    return math.sqrt(2.0 * params.stiffness_for(dist) / params.virtual_mass)
+
+
 def reach_duration(dist: float, params: BandParams) -> float:
     """Half-cycle duration of a from-rest reach over ``dist`` meters."""
     if dist <= 0.0:
         return 0.0
-    k = params.stiffness
-    if k is None:
-        k = band_stiffness_for_accel(params.max_accel, dist, params.virtual_mass)
-    return math.pi / math.sqrt(2.0 * k / params.virtual_mass)
+    return math.pi / _half_cycle_rate(dist, params)
+
+
+@dataclass(frozen=True)
+class ReachProfile:
+    """One from-rest band leg in closed form (harmonic half cycle + clamp).
+
+    ``target`` and ``unit`` (start -> target direction) are plain float
+    triples so :meth:`position` runs on floats inside the trial kernel.
+    """
+
+    target: tuple
+    unit: tuple
+    t0: float
+    dist: float
+    omega: float
+    duration: float
+
+    @classmethod
+    def from_rest(cls, start, target, params: BandParams, t0: float) -> "ReachProfile":
+        start = np.asarray(start, dtype=float)
+        target = np.asarray(target, dtype=float)
+        dist = float(np.linalg.norm(target - start))
+        if dist <= 1e-12:
+            return cls(tuple(map(float, target)), (0.0, 0.0, 0.0), t0, 0.0, 0.0, 0.0)
+        return cls(
+            tuple(map(float, target)), tuple(map(float, (target - start) / dist)),
+            t0, dist, _half_cycle_rate(dist, params), reach_duration(dist, params),
+        )
+
+    def position(self, t: float) -> tuple:
+        """Planned position ``(x, y, z)`` at absolute time t.
+
+        Before ``t0`` the leg holds its start point; from ``t0 + duration``
+        on (at once for a degenerate leg) it is clamped to the target.
+        """
+        rel = t - self.t0
+        if rel >= self.duration:
+            return self.target
+        if rel < 0.0:
+            rel = 0.0
+        rem = 0.5 * self.dist * (1.0 + math.cos(self.omega * rel))
+        gx, gy, gz = self.target
+        ux, uy, uz = self.unit
+        return gx - rem * ux, gy - rem * uy, gz - rem * uz
+
+    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Planned (position, velocity, acceleration) at absolute time t."""
+        pos = np.array(self.position(t))
+        rel = max(t - self.t0, 0.0)
+        if rel >= self.duration:
+            return pos, np.zeros(3), np.zeros(3)
+        half = 0.5 * self.dist
+        speed = half * self.omega * math.sin(self.omega * rel)
+        accel = half * self.omega**2 * math.cos(self.omega * rel)
+        unit = np.array(self.unit)
+        return pos, speed * unit, accel * unit
 
 
 class ElasticBand:
@@ -105,12 +175,7 @@ class ElasticBand:
         if dist <= self.arrival_tol:
             self._snap()
             return
-        if self.params.stiffness is not None:
-            self.reach_stiffness = self.params.stiffness
-        else:
-            self.reach_stiffness = band_stiffness_for_accel(
-                self.params.max_accel, dist, self.params.virtual_mass
-            )
+        self.reach_stiffness = self.params.stiffness_for(dist)
         # the sampled touchdown can sit up to accel * dt^2 / 2 off the
         # target (tangent approach on a discrete grid), so the snap ball
         # must scale with the deceleration there or long reaches bounce
@@ -140,18 +205,13 @@ class ElasticBand:
     def step(self) -> PlanSample:
         """Advance one tick and return the new sample."""
         if not self.arrived:
-            dt, phase = self.dt, self.phase
-            p, v = self.pos, self.vel
-            k1v = self._accel(p, phase)
-            k2p = v + 0.5 * dt * k1v
-            k2v = self._accel(p + 0.5 * dt * v, phase)
-            k3p = v + 0.5 * dt * k2v
-            k3v = self._accel(p + 0.5 * dt * k2p, phase)
-            k4p = v + dt * k3v
-            k4v = self._accel(p + dt * k3p, phase)
-            dist_prev = float(np.linalg.norm(self.target - p))
-            self.pos = p + dt / 6.0 * (v + 2.0 * k2p + 2.0 * k3p + k4p)
-            self.vel = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            phase = self.phase
+
+            def rhs(y, t):
+                return y[1], self._accel(y[0], phase)
+
+            dist_prev = float(np.linalg.norm(self.target - self.pos))
+            self.pos, self.vel = rk4_step(rhs, (self.pos, self.vel), self.t, self.dt)
             dist = float(np.linalg.norm(self.target - self.pos))
             if dist <= self.snap_tol:
                 self._snap()

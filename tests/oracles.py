@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from wristsim.dynamics import WristState, integrate_step, plant
-from wristsim.experiments import ReachProfile
 from wristsim.fic import FicPhase, fic_torque_quat, torque_for_phase
+from wristsim.planner import ReachProfile
 from wristsim.rotations import project_to_sphere, quat_norm
 
 

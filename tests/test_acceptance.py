@@ -25,7 +25,6 @@ import pytest
 from wristsim.checks import run_checks
 from wristsim.experiments import (
     ParamSchedule,
-    SimOptions,
     Trajectory,
     build_clock_schedule,
     build_retune_schedule,

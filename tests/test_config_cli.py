@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ def test_leaf_types_name_the_dotted_key(tmp_path, capsys):
          "sim.substeps: must be a positive integer"),
         ("task:\n  n_targets: 2.5\n",
          "task.n_targets: must be a positive integer, got 2.5"),
+        ("seed: -1\n", "seed: must be a non-negative integer, got -1"),
+        ("seed: true\n", "seed: must be a non-negative integer, got True"),
+        ("body:\n  com_offset: [a, 0, 0]\n",
+         "body.com_offset: expected a 3-vector of numbers, got ['a', 0, 0]"),
+        ("body:\n  gravity: [0, 0, null]\n",
+         "body.gravity: expected a 3-vector of numbers"),
+        ("band:\n  stiffness: 1e3\n",
+         "band.stiffness: must be null or a positive number, got '1e3'"),
     )
     for text, message in cases:
         cfg = write(tmp_path, text)
@@ -111,13 +120,14 @@ def test_sections_override_defaults(tmp_path):
         write(
             tmp_path,
             "body:\n  mass: 2.0\n"
-            "task:\n  n_targets: 4\n"
+            "task:\n  n_targets: 4\n  dwell: 0\n"
             "sim:\n  substeps: 5\n"
             "output_dir: out\nseed: 7\n",
         )
     )
     assert cfg.body.mass == 2.0
     assert cfg.task.n_targets == 4
+    assert cfg.task.dwell == 0  # zero dwell is valid, as for ClockTask
     assert cfg.sim.substeps == 5
     assert cfg.output_dir == "out"
     assert cfg.seed == 7
@@ -185,6 +195,13 @@ def test_duplicate_condition_names_rejected(tmp_path):
         load_config(
             write(tmp_path, "conditions:\n  - name: a\n  - name: a\n")
         )
+
+
+def test_clock_config_lists_the_default_clock_conditions():
+    """configs/clock.yaml is the default battery without the retune trial."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "clock.yaml"
+    expected = tuple(c for c in default_conditions() if c.kind == "clock")
+    assert load_config(path).conditions == expected
 
 
 def test_unknown_condition_lookup_lists_known():

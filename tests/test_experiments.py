@@ -1,7 +1,6 @@
 """Task geometry, schedules, the trial loop, and the summary metrics."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from wristsim.experiments import (
     ParamSchedule,
     PointerParallelError,
     RankDeficientError,
-    ReachProfile,
     SimOptions,
     Trajectory,
     build_clock_schedule,
@@ -26,7 +24,7 @@ from wristsim.experiments import (
     run_trial,
     target_rmse,
 )
-from wristsim.planner import BandParams, plan_reach, reach_duration
+from wristsim.planner import ReachProfile, plan_reach, reach_duration
 from oracles import simulate_reference
 from wristsim.rotations import (
     project_to_sphere,
