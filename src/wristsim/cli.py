@@ -153,7 +153,7 @@ def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path) -> di
     cond_dir = out_root / cond.name
     cond_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory(cond_dir / "trajectory.csv", traj)
-    measured, desired = extract_listing([traj]), extract_listing([traj], "desired")
+    measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
     write_listing(cond_dir / "listing_measured.csv", measured)
     write_listing(cond_dir / "listing_desired.csv", desired)
     metrics = condition_metrics(cond, cfg, schedule, traj, measured, desired)

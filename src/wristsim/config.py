@@ -12,6 +12,7 @@ file (``torsion_deg``) and carried in radians internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -105,12 +106,14 @@ def _check_keys(node, allowed, path):
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    """An int or float whose float value is finite; bools are not numbers."""
+    # compares exactly, so inf, nan and ints past the float range all fail
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 # leaf rules: (test, what the message says when the test fails)
@@ -185,6 +188,9 @@ def _parse_condition(node, index):
     for key, rule in _CONDITION_LEAVES.items():
         if key in node:
             _check_leaf(rule, node[key], path + key)
+    for key in ("stiffness", "torsion_deg"):
+        if key in node and node.get("kind") == "retune":
+            raise ConfigError(f"{path}{key}: a retune condition runs its fixed schedule")
     kwargs = {k: v for k, v in node.items() if k != "torsion_deg"}
     if "torsion_deg" in node:
         kwargs["torsion"] = math.radians(float(node["torsion_deg"]))

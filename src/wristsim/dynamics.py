@@ -7,7 +7,8 @@ so any damping must come from the controller.
 
 The plant law (:func:`plant`, :func:`gravity_moment`) and the RK4 step are
 written once on plain floats and shared by the trial kernel and
-:func:`integrate_step`.
+:func:`integrate_step`; :func:`gravity_torque` feeds :func:`gravity_moment`
+the columns of a whole quaternion record.
 """
 
 from __future__ import annotations
@@ -76,17 +77,18 @@ class WristState:
 
 
 def gravity_moment(qw, qx, qy, qz, mass, cx, cy, cz, gx, gy, gz):
-    """Body-frame torque of gravity about the joint, on plain floats."""
+    """Body-frame torque of gravity about the joint, on floats or arrays."""
     gbx, gby, gbz = to_body(qw, qx, qy, qz, gx, gy, gz)
     mgx, mgy, mgz = mass * gbx, mass * gby, mass * gbz
     return cy * mgz - cz * mgy, cz * mgx - cx * mgz, cx * mgy - cy * mgx
 
 
 def gravity_torque(q: np.ndarray, body: BodyModel) -> np.ndarray:
-    """Body-frame torque of gravity about the joint at orientation q."""
-    return np.array(
-        gravity_moment(*map(float, q), body.mass, *body.com_offset, *body.gravity)
-    )
+    """Body-frame torque of gravity about the joint at orientation q: one
+    quaternion gives a 3-vector, an (n, 4) stack an (n, 3) stack."""
+    qw, qx, qy, qz = np.asarray(q, dtype=float).T
+    moment = gravity_moment(qw, qx, qy, qz, body.mass, *body.com_offset, *body.gravity)
+    return np.stack(moment, axis=-1)
 
 
 def plant(body: BodyModel):

@@ -13,6 +13,9 @@ so a single trial can sweep controller parameters online.  The planned
 stream never looks at the measured state: deformation under gravity or low
 stiffness is interaction, not re-planning, and the desired-pose stream is
 bit-identical across those conditions.
+
+Streams derived after the loop are computed on the whole record at once,
+except the Euler angles of :func:`extract_listing`, kept on ``math``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,8 +137,7 @@ class ParamSchedule:
 
     @staticmethod
     def _value_at(breaks, t, default):
-        times = [b[0] for b in breaks]
-        i = bisect_right(times, t)
+        i = bisect_right(breaks, t, key=itemgetter(0))
         return breaks[i - 1][1] if i else default
 
     def stiffness_at(self, t: float) -> float:
@@ -244,13 +247,17 @@ class Trajectory:
 
 
 def pointer_intersection(q: np.ndarray, plane_distance: float) -> np.ndarray:
-    """Point where the body x ray pierces the plane x = plane_distance."""
+    """Point where the body x ray pierces the plane x = plane_distance, for
+    one quaternion or an (n, 4) stack; names the first parallel sample."""
     ray = rotate_vec(q, X_AXIS)
-    if abs(ray[0]) <= 1e-6:
+    parallel = np.flatnonzero(np.abs(ray[..., 0]) <= 1e-6)
+    if parallel.size:
+        k = parallel[0]
         raise PointerParallelError(
-            f"pointer ray {ray} is parallel to the target plane"
+            f"pointer ray {ray.reshape(-1, 3)[k]} at sample {k} "
+            "is parallel to the target plane"
         )
-    return plane_distance / ray[0] * ray
+    return plane_distance / ray[..., :1] * ray
 
 
 def run_trial(
@@ -272,10 +279,6 @@ def run_trial(
     plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = _simulate(
         times, stiff, torsion, idx_stream, task, body, band, opts
     )
-    tau_grav = np.array([gravity_torque(quat[k], body) for k in range(n + 1)])
-    pointer = np.array(
-        [pointer_intersection(quat[k], task.plane_distance) for k in range(n + 1)]
-    )
     return Trajectory(
         t=times,
         plan_pos=plan_pos,
@@ -283,8 +286,8 @@ def run_trial(
         quat=quat,
         omega=omega,
         tau_cmd=tau_cmd,
-        tau_grav=tau_grav,
-        pointer=pointer,
+        tau_grav=gravity_torque(quat, body),
+        pointer=pointer_intersection(quat, task.plane_distance),
         err_angle=err_angle,
         disp_max=disp_max,
         stiffness=stiff.copy(),
@@ -389,13 +392,16 @@ class TrialMetrics:
     effort_std: float
 
 
+def _rmse_yz(err: np.ndarray) -> tuple[float, float]:
+    """Root-mean-square of the y and z columns of an (n, 3) error stack."""
+    return tuple(float(np.sqrt(np.mean(err[:, i] ** 2))) for i in (1, 2))
+
+
 def compute_metrics(traj: Trajectory) -> TrialMetrics:
     """Tracking error against the plan plus commanded-torque effort."""
-    err = traj.pointer - traj.plan_pos
     effort = np.linalg.norm(traj.tau_cmd, axis=1)
     return TrialMetrics(
-        rmse_y=float(np.sqrt(np.mean(err[:, 1] ** 2))),
-        rmse_z=float(np.sqrt(np.mean(err[:, 2] ** 2))),
+        *_rmse_yz(traj.pointer - traj.plan_pos),
         effort_mean=float(np.mean(effort)),
         effort_std=float(np.std(effort)),
     )
@@ -404,16 +410,11 @@ def compute_metrics(traj: Trajectory) -> TrialMetrics:
 def target_rmse(
     traj: Trajectory, schedule: ParamSchedule, task: ClockTask
 ) -> tuple[float, float]:
-    """Alternative error: pointer against the scheduled target position."""
-    ref = np.empty_like(traj.pointer)
-    for k, t in enumerate(traj.t):
-        idx = schedule.target_at(t)
-        ref[k] = task.center if idx is None else task.position(idx)
-    err = traj.pointer - ref
-    return (
-        float(np.sqrt(np.mean(err[:, 1] ** 2))),
-        float(np.sqrt(np.mean(err[:, 2] ** 2))),
-    )
+    """Alternative error: pointer against the scheduled target position;
+    the center row of ``[targets; center]`` serves -1 and ``None``."""
+    table = np.vstack([task.targets, task.center])
+    rows = [-1 if idx is None else idx for idx in map(schedule.target_at, traj.t)]
+    return _rmse_yz(traj.pointer - table[rows])
 
 
 @dataclass(frozen=True)
@@ -434,37 +435,22 @@ class PlaneFit:
     rms_residual: float
 
 
-def extract_listing(
-    trajectories: Sequence[Trajectory], source: str = "measured"
-) -> ListingSurface:
-    """Pool the intrinsic x-y-z Euler decomposition over trials.
+def extract_listing(quats: np.ndarray) -> ListingSurface:
+    """Intrinsic x-y-z Euler decomposition of an (n, 4) quaternion stream.
 
-    ``source`` selects the measured (``"measured"``) or planned
-    (``"desired"``) orientation stream.  Samples inside the gimbal-lock
-    guard band are excluded and counted.
+    Samples inside the gimbal-lock guard band are excluded and counted.
     """
-    if source not in ("measured", "desired"):
-        raise ValueError(f"unknown source {source!r}")
-    ys, zs, xs = [], [], []
-    excluded = 0
-    for traj in trajectories:
-        quats = traj.quat if source == "measured" else traj.quat_des
-        for q in quats:
-            try:
-                ax, ay, az = euler_xyz_from_quat(q)
-            except GimbalLockError:
-                excluded += 1
-                continue
-            xs.append(ax)
-            ys.append(ay)
-            zs.append(az)
-    if not xs:
+    angles, excluded = [], 0  # one flat list: a tuple per sample costs more memory
+    for q in quats:
+        try:
+            angles.extend(euler_xyz_from_quat(q))
+        except GimbalLockError:
+            excluded += 1
+    if not angles:
         raise ValueError("no usable samples outside the gimbal guard band")
+    theta_x, theta_y, theta_z = np.reshape(angles, (-1, 3)).T
     return ListingSurface(
-        theta_y=np.array(ys),
-        theta_z=np.array(zs),
-        theta_x=np.array(xs),
-        n_excluded=excluded,
+        theta_y=theta_y, theta_z=theta_z, theta_x=theta_x, n_excluded=excluded
     )
 
 

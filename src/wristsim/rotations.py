@@ -13,7 +13,8 @@ torsion angle about the pointer itself.
 
 The laws the trial kernel evaluates at every integrator stage
 (:func:`pointing_quat`, :func:`to_body`) are written once on plain floats;
-the numpy functions wrap them.
+the numpy functions wrap them, and :func:`rotate_vec` feeds :func:`to_body`
+the columns of a whole quaternion stack.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
 def to_body(qw, qx, qy, qz, vx, vy, vz):
     """Rotate a world vector into the frame of the unit quaternion q.
 
-    This is the conjugate rotation (world -> body), on plain floats.
+    This is the conjugate rotation (world -> body), on floats or arrays.
     """
     tx = 2.0 * (vy * qz - vz * qy)
     ty = 2.0 * (vz * qx - vx * qz)
@@ -103,10 +104,11 @@ def to_body(qw, qx, qy, qz, vx, vy, vz):
 def rotate_vec(q: np.ndarray, v) -> np.ndarray:
     """Rotate a 3-vector by the unit quaternion q (body -> world).
 
-    This is :func:`to_body` for the conjugate of q.
+    ``q`` is one quaternion or an (n, 4) stack, giving a 3-vector or an
+    (n, 3) stack.  This is :func:`to_body` for the conjugate of q.
     """
-    w, x, y, z = map(float, q)
-    return np.array(to_body(w, -x, -y, -z, *map(float, v)))
+    w, x, y, z = np.asarray(q, dtype=float).T  # the 4 components or 4 columns
+    return np.stack(to_body(w, -x, -y, -z, *map(float, v)), axis=-1)
 
 
 def quat_angle(q: np.ndarray) -> float:

@@ -162,8 +162,8 @@ def test_a4_listing_plane_deformation(battery):
     desired = {}
     for name in names:
         traj = battery[name].traj
-        measured[name] = fit_plane(extract_listing([traj], "measured")).rms_residual
-        desired[name] = fit_plane(extract_listing([traj], "desired")).rms_residual
+        measured[name] = fit_plane(extract_listing(traj.quat)).rms_residual
+        desired[name] = fit_plane(extract_listing(traj.quat_des)).rms_residual
     r_soft, r_stiff, r_nog = (measured[n] for n in names)
     d_vals = [desired[n] for n in names]
     failed = report(

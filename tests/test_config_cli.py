@@ -1,5 +1,6 @@
 """Config parsing, condition expansion, and the command-line contract."""
 
+import hashlib
 import json
 import math
 import re
@@ -99,6 +100,24 @@ def test_leaf_types_name_the_dotted_key(tmp_path, capsys):
          "body.gravity: expected a 3-vector of numbers"),
         ("band:\n  stiffness: 1e3\n",
          "band.stiffness: must be null or a positive number, got '1e3'"),
+        # non-finite numbers: each would otherwise fail later, as exit 1
+        ("body:\n  mass: .inf\n", "body.mass: must be a positive number, got inf"),
+        ("task:\n  dwell: .inf\n",
+         "task.dwell: must be a non-negative number, got inf"),
+        ("conditions:\n  - name: a\n    stiffness: .inf\n",
+         "conditions[0].stiffness: expected a number, got inf"),
+        ("sweep:\n  torsion_deg: [0.0, -.inf]\n",
+         "sweep.torsion_deg[1]: expected a number, got -inf"),
+        ("body:\n  com_offset: [.nan, 0, 0]\n",
+         "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]"),
+        ("body:\n  length: 1" + "0" * 400 + "\n",  # an int past the float range
+         "body.length: must be a positive number, got 1000"),
+        # a retune condition runs a fixed schedule
+        ("conditions:\n  - name: r\n    kind: retune\n    stiffness: 500.0\n"
+         "    torsion_deg: 40.0\n",
+         "conditions[0].stiffness: a retune condition runs its fixed schedule"),
+        ("conditions:\n  - name: r\n    kind: retune\n    torsion_deg: 40.0\n",
+         "conditions[0].torsion_deg: a retune condition runs its fixed schedule"),
     )
     for text, message in cases:
         cfg = write(tmp_path, text)
@@ -232,6 +251,24 @@ def test_cli_runs_named_condition_into_out_dir(tmp_path, capsys):
                   "listing_measured.csv", "listing_desired.csv"):
         assert (cond_dir / fname).is_file()
     assert (out / "summary.json").is_file()
+
+
+def test_retune_condition_files_match_the_recorded_digests(tmp_path, capsys):
+    """The retune condition's four files are byte-identical to the digests
+    the benchmark recorded for the default battery."""
+    reference = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+    )
+    out = tmp_path / "res"
+    assert main(["run", "--condition", "online_single_target", "--out", str(out)]) == 0
+    capsys.readouterr()
+    files = {
+        key: digest for key, digest in reference["battery"]["files"].items()
+        if key.startswith("online_single_target/")
+    }
+    assert len(files) == 4
+    for key, digest in files.items():
+        assert hashlib.sha256((out / key).read_bytes()).hexdigest() == digest, key
 
 
 def test_cli_unknown_condition_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from wristsim.dynamics import (
     BodyModel,
     WristState,
+    gravity_moment,
     gravity_torque,
     inertia_box,
     integrate_step,
@@ -39,9 +40,18 @@ def test_body_validation():
         BodyModel(thickness=0.0)
 
 
-def test_gravity_torque_oracle(body):
+def test_gravity_torque_oracle(body, rng):
     tau = gravity_torque(np.array([1.0, 0.0, 0.0, 0.0]), body)
     np.testing.assert_allclose(tau, [0.0, 0.4905, 0.0], atol=1e-12)
+    # a stack and each single quaternion give exactly the float law's rows
+    quats = rng.normal(size=(64, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    rows = np.array([
+        gravity_moment(*map(float, q), body.mass, *body.com_offset, *body.gravity)
+        for q in quats
+    ])
+    np.testing.assert_array_equal(gravity_torque(quats, body), rows)
+    np.testing.assert_array_equal([gravity_torque(q, body) for q in quats], rows)
 
 
 def test_gravity_torque_has_no_twist_component(body, rng):

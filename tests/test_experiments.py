@@ -123,9 +123,14 @@ def test_retune_schedule_steps_inside_outgoing_leg(task, band):
 # ---------------------------------------------------------------------------
 
 
-def test_pointer_intersection_identity():
+def test_pointer_intersection_identity(rng):
     hit = pointer_intersection(np.array([1.0, 0.0, 0.0, 0.0]), 0.3)
     np.testing.assert_allclose(hit, [0.3, 0.0, 0.0], atol=0)
+    # a stack gives, row for row, exactly the single-quaternion results
+    quats = rng.normal(size=(64, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    rows = np.array([pointer_intersection(q, 0.3) for q in quats])
+    np.testing.assert_array_equal(pointer_intersection(quats, 0.3), rows)
 
 
 @given(
@@ -144,6 +149,10 @@ def test_parallel_pointer_rejected():
     s = math.sqrt(0.5)
     with pytest.raises(PointerParallelError):
         pointer_intersection(np.array([s, 0.0, s, 0.0]), 0.3)
+    # in a stack, the error names the first parallel sample
+    quats = np.array([[1.0, 0.0, 0.0, 0.0], [s, 0.0, s, 0.0], [s, 0.0, s, 0.0]])
+    with pytest.raises(PointerParallelError, match="at sample 1 "):
+        pointer_intersection(quats, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +301,12 @@ def test_compute_metrics_formulas():
 
 def test_target_rmse_uses_scheduled_reference(task):
     traj = synthetic_trajectory()
-    # target 0 active for the whole record: reference is (0.3, 0, 0.1)
-    sched = ParamSchedule(duration=0.005, target_breaks=((0.0, 0),))
+    # center (no target yet) for t < 1 ms, target 2 until 3 ms, then center
+    sched = ParamSchedule(duration=0.005, target_breaks=((0.001, 2), (0.003, -1)))
     ry, rz = target_rmse(traj, sched, task)
-    err = traj.pointer - task.targets[0]
+    ref = np.array([task.center, task.targets[2], task.targets[2],
+                    task.center, task.center])
+    err = traj.pointer - ref
     assert ry == pytest.approx(np.sqrt(np.mean(err[:, 1] ** 2)), rel=0)
     assert rz == pytest.approx(np.sqrt(np.mean(err[:, 2] ** 2)), rel=0)
 
@@ -309,26 +320,10 @@ def test_extract_listing_counts_gimbal_samples():
     ident = np.array([1.0, 0.0, 0.0, 0.0])
     s = math.sqrt(0.5)
     locked = np.array([s, 0.0, s, 0.0])  # pitch exactly 90 deg
-    quats = np.array([ident, ident, locked, ident, locked])
-    traj = synthetic_trajectory(n=5)
-    traj.quat = quats
-    surf = extract_listing([traj])
+    surf = extract_listing(np.array([ident, ident, locked, ident, locked]))
     assert surf.n_excluded == 2
     assert surf.theta_x.shape == (3,)
     np.testing.assert_allclose(surf.theta_x, 0.0, atol=0)
-
-
-def test_extract_listing_source_selects_stream():
-    traj = synthetic_trajectory(n=4)
-    traj.quat_des = np.tile(
-        project_to_sphere([0.3, 0.0, 0.1], torsion=0.2), (4, 1)
-    )
-    measured = extract_listing([traj], "measured")
-    desired = extract_listing([traj], "desired")
-    np.testing.assert_allclose(measured.theta_x, 0.0, atol=0)
-    assert np.all(np.abs(desired.theta_x) > 0.1)
-    with pytest.raises(ValueError, match="unknown source"):
-        extract_listing([traj], "planned")
 
 
 def test_fit_plane_recovers_synthetic_coefficients(rng):
