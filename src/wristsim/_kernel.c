@@ -1,0 +1,261 @@
+/*
+ * The trial kernel of wristsim.experiments.run_trial: the closed loop
+ * (reach leg -> pointing projection -> branch machine and torque -> rigid
+ * plant), classical RK4 with quaternion renormalisation, and the 1 kHz
+ * record.
+ *
+ * Each function is the C form of the Python float law named in its comment
+ * and keeps that law's operation order, so the records are bit-identical to
+ * the Python loop kept as the test oracle.  Build with -ffp-contract=off and
+ * never with -ffast-math: a fused multiply-add or a reassociated sum changes
+ * the last bit.
+ */
+#include <math.h>
+#include <stdint.h>
+
+/* planner.ReachProfile; the Python side packs one row per leg */
+typedef struct {
+    double t0, duration, dist, omega, target[3], unit[3];
+} Leg;
+
+/* dynamics.plant_constants */
+typedef struct {
+    double inertia[9], inv[9], mass, com[3], gravity[3];
+} Body;
+
+/* what the closed loop reads at every stage; the branch state is frozen
+   inside a substep */
+typedef struct {
+    const Leg *leg;
+    const Body *body;
+    double stiffness, cr, sr, peak;
+    int diverging;
+} Loop;
+
+/* planner.ReachProfile.position */
+static void leg_position(const Leg *leg, double t, double p[3])
+{
+    double rel = t - leg->t0;
+    if (rel >= leg->duration) {
+        p[0] = leg->target[0];
+        p[1] = leg->target[1];
+        p[2] = leg->target[2];
+        return;
+    }
+    if (rel < 0.0)
+        rel = 0.0;
+    double rem = 0.5 * leg->dist * (1.0 + cos(leg->omega * rel));
+    p[0] = leg->target[0] - rem * leg->unit[0];
+    p[1] = leg->target[1] - rem * leg->unit[1];
+    p[2] = leg->target[2] - rem * leg->unit[2];
+}
+
+/* rotations.pointing_quat */
+static void pointing_quat(const double p[3], double cr, double sr, double q[4])
+{
+    double norm = sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2]);
+    double rx = p[0] / norm, ry = p[1] / norm, rz = p[2] / norm;
+    double w0 = 1.0 + rx, a, b, c;
+    if (w0 <= 1e-15) {
+        a = 0.0;
+        b = 0.0;
+        c = 1.0;
+    } else {
+        double m = sqrt(w0 * w0 + rz * rz + ry * ry);
+        a = w0 / m;
+        b = -rz / m;
+        c = ry / m;
+    }
+    q[0] = a * cr;
+    q[1] = a * sr;
+    q[2] = b * cr + c * sr;
+    q[3] = c * cr - b * sr;
+    if (q[0] < 0.0)
+        for (int i = 0; i < 4; i++)
+            q[i] = -q[i];
+}
+
+/* fic.branch_step */
+static void branch_step(int *diverging, double *peak, double disp, double rate)
+{
+    if (!*diverging && disp <= 1e-6) { /* fic.DEADBAND */
+        *diverging = 1;
+        *peak = 0.0;
+    } else if (rate > 0.0 || disp > *peak) {
+        if (!*diverging || disp > *peak)
+            *peak = disp;
+        *diverging = 1;
+    } else {
+        *diverging = 0;
+    }
+}
+
+/* fic.branch_force */
+static double branch_force(double disp, double stiffness, int diverging, double peak)
+{
+    if (diverging)
+        return stiffness * disp;
+    if (peak > 0.0)
+        return 2.0 * (stiffness * peak) / peak * (disp - 0.5 * peak);
+    return 0.0;
+}
+
+/* fic.branch_torque: out = (tx, ty, tz, angle) */
+static void branch_torque(const double q[4], const double d[4], double stiffness,
+                          int diverging, double peak, double out[4])
+{
+    double ew = d[0] * q[0] + d[1] * q[1] + d[2] * q[2] + d[3] * q[3];
+    double ex = d[1] * q[0] - d[0] * q[1] - d[2] * q[3] + d[3] * q[2];
+    double ey = d[1] * q[3] - d[0] * q[2] + d[2] * q[0] - d[3] * q[1];
+    double ez = -d[0] * q[3] - d[1] * q[2] + d[2] * q[1] + d[3] * q[0];
+    double vn = sqrt(ex * ex + ey * ey + ez * ez);
+    out[3] = 2.0 * atan2(vn, ew);
+    if (vn < 1e-15) {
+        out[0] = out[1] = out[2] = 0.0;
+        return;
+    }
+    double sign = ew > 0.0 ? 1.0 : (ew < 0.0 ? -1.0 : 0.0);
+    double scale = sign * branch_force(out[3], stiffness, diverging, peak) / vn;
+    out[0] = scale * ex;
+    out[1] = scale * ey;
+    out[2] = scale * ez;
+}
+
+/* rotations.to_body */
+static void to_body(const double q[4], double vx, double vy, double vz, double out[3])
+{
+    double tx = 2.0 * (vy * q[3] - vz * q[2]);
+    double ty = 2.0 * (vz * q[1] - vx * q[3]);
+    double tz = 2.0 * (vx * q[2] - vy * q[1]);
+    out[0] = vx + q[0] * tx - q[2] * tz + q[3] * ty;
+    out[1] = vy + q[0] * ty - q[3] * tx + q[1] * tz;
+    out[2] = vz + q[0] * tz - q[1] * ty + q[2] * tx;
+}
+
+/* dynamics.plant, with dynamics.gravity_moment */
+static void plant(const Body *b, const double y[7], const double tau[3], double dy[7])
+{
+    const double *I = b->inertia, *J = b->inv, *c = b->com, *w = y + 4;
+    double tb[3], gb[3], l[3];
+    to_body(y, tau[0], tau[1], tau[2], tb);
+    to_body(y, b->gravity[0], b->gravity[1], b->gravity[2], gb);
+    double mgx = b->mass * gb[0], mgy = b->mass * gb[1], mgz = b->mass * gb[2];
+    tb[0] += c[1] * mgz - c[2] * mgy;
+    tb[1] += c[2] * mgx - c[0] * mgz;
+    tb[2] += c[0] * mgy - c[1] * mgx;
+    for (int i = 0; i < 3; i++)
+        l[i] = I[3 * i] * w[0] + I[3 * i + 1] * w[1] + I[3 * i + 2] * w[2];
+    tb[0] -= w[1] * l[2] - w[2] * l[1];
+    tb[1] -= w[2] * l[0] - w[0] * l[2];
+    tb[2] -= w[0] * l[1] - w[1] * l[0];
+    dy[0] = 0.5 * (-y[1] * w[0] - y[2] * w[1] - y[3] * w[2]);
+    dy[1] = 0.5 * (y[0] * w[0] + y[2] * w[2] - y[3] * w[1]);
+    dy[2] = 0.5 * (y[0] * w[1] - y[1] * w[2] + y[3] * w[0]);
+    dy[3] = 0.5 * (y[0] * w[2] + y[1] * w[1] - y[2] * w[0]);
+    for (int i = 0; i < 3; i++)
+        dy[4 + i] = J[3 * i] * tb[0] + J[3 * i + 1] * tb[1] + J[3 * i + 2] * tb[2];
+}
+
+/* the closed_loop right-hand side of the Python kernel */
+static void closed_loop(const Loop *s, const double y[7], double t, double dy[7])
+{
+    double p[3], d[4], tau[4];
+    leg_position(s->leg, t, p);
+    pointing_quat(p, s->cr, s->sr, d);
+    branch_torque(y, d, s->stiffness, s->diverging, s->peak, tau);
+    plant(s->body, y, tau, dy);
+}
+
+/* dynamics.rk4_step, then dynamics.unit_quat_state */
+static void rk4_step(const Loop *s, double y[7], double t, double h)
+{
+    double half = 0.5 * h, sixth = h / 6.0;
+    double k1[7], k2[7], k3[7], k4[7], ys[7];
+    closed_loop(s, y, t, k1);
+    for (int i = 0; i < 7; i++)
+        ys[i] = y[i] + half * k1[i];
+    closed_loop(s, ys, t + half, k2);
+    for (int i = 0; i < 7; i++)
+        ys[i] = y[i] + half * k2[i];
+    closed_loop(s, ys, t + half, k3);
+    for (int i = 0; i < 7; i++)
+        ys[i] = y[i] + h * k3[i];
+    closed_loop(s, ys, t + h, k4);
+    for (int i = 0; i < 7; i++)
+        y[i] = y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+    double n = sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]);
+    for (int i = 0; i < 4; i++)
+        y[i] = y[i] / n;
+}
+
+/*
+ * Run samples 0..n from the state y (modified in place).  Leg j takes over
+ * at sample leg_start[j] (leg 0 is active from the start) and resets the
+ * branch machine.  Per sample k the streams give the time, the stiffness
+ * and the cosine and sine of half the torsion.  Returns -1, or the first
+ * sample whose state is not finite; the records are then filled up to the
+ * sample before it.
+ */
+int64_t wristsim_simulate(int64_t n, int64_t substeps, double h,
+                          const double *times, const double *stiff,
+                          const double *cr, const double *sr,
+                          int64_t n_legs, const int64_t *leg_start, const Leg *legs,
+                          const Body *body, double y[7],
+                          double *plan_pos, double *quat_des, double *quat,
+                          double *omega, double *tau_cmd, double *err_angle,
+                          double *disp_max)
+{
+    Loop s = {legs, body, 0.0, 1.0, 0.0, 0.0, 1};
+    int64_t next = 1;
+    double prev = 0.0, p[3], d[4], tq[4];
+
+    for (int64_t k = 0; k <= n; k++) {
+        double t_k = times[k];
+        if (next < n_legs && leg_start[next] == k) {
+            s.leg = &legs[next++];
+            s.diverging = 1;
+            s.peak = 0.0;
+            prev = 0.0;
+        }
+        s.stiffness = stiff[k];
+        s.cr = cr[k];
+        s.sr = sr[k];
+
+        /* a sum of finite values is finite unless the state has already
+           diverged far enough to overflow */
+        double sum = 0.0;
+        for (int i = 0; i < 7; i++)
+            sum += y[i];
+        if (!isfinite(sum))
+            return k;
+
+        for (int64_t i = 0; i < substeps; i++) {
+            double t_sub = t_k + (double)i * h;
+            /* controller tick at the substep boundary */
+            leg_position(s.leg, t_sub, p);
+            pointing_quat(p, s.cr, s.sr, d);
+            branch_torque(y, d, s.stiffness, s.diverging, s.peak, tq);
+            double angle = tq[3];
+            branch_step(&s.diverging, &s.peak, angle, angle - prev);
+            prev = angle;
+            if (i == 0) { /* record the sample at the first tick of its interval */
+                branch_torque(y, d, s.stiffness, s.diverging, s.peak, tq);
+                for (int j = 0; j < 3; j++) {
+                    plan_pos[3 * k + j] = p[j];
+                    omega[3 * k + j] = y[4 + j];
+                    tau_cmd[3 * k + j] = tq[j];
+                }
+                for (int j = 0; j < 4; j++) {
+                    quat_des[4 * k + j] = d[j];
+                    quat[4 * k + j] = y[j];
+                }
+                err_angle[k] = angle;
+                disp_max[k] = s.peak;
+                if (k == n) /* the last sample is recorded, not integrated */
+                    break;
+            }
+            rk4_step(&s, y, t_sub, h);
+        }
+    }
+    return -1;
+}

@@ -1,0 +1,151 @@
+"""Build, load and call the compiled trial kernel, ``_kernel.c``.
+
+The shared library is compiled on first use with the C compiler Python was
+built with (``sysconfig``'s ``CC``) and cached under
+``${XDG_CACHE_HOME:-~/.cache}/wristsim``.  The cache file name carries the
+CRC-32 of the compiler flags and the source plus the source length, and a
+copy of the source sits next to each library: a library is loaded only when
+that copy matches the packaged source byte for byte, and is rebuilt
+otherwise.  The compiler writes to a temporary file that is then moved into
+place, so concurrent first runs are safe.  ``subprocess`` and ``sysconfig``
+are imported only to build.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+
+#: strict IEEE double arithmetic: no fused multiply-add, never -ffast-math
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: per leg: t0, duration, dist, omega, target (3), unit (3)
+LEG_FIELDS = 10
+#: :func:`~.dynamics.plant_constants`
+BODY_FIELDS = 25
+
+
+class KernelCompileError(RuntimeError):
+    """Raised when the trial kernel cannot be compiled: no C compiler was
+    found, or the compiler failed (its stderr is in the message)."""
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return Path(base) / "wristsim"
+
+
+def _cache_paths(source: bytes) -> tuple[Path, Path]:
+    """The cached library and source copy for ``source``."""
+    crc = zlib.crc32(source, zlib.crc32(" ".join(CFLAGS).encode()))
+    stem = cache_dir() / f"_kernel-{crc:08x}-{len(source)}"
+    return stem.with_suffix(".so"), stem.with_suffix(".c")
+
+
+def _compile(source: bytes, lib: Path, copy: Path) -> None:
+    """Compile ``source`` into ``lib``, then store it as ``copy``."""
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    tmp_src = tmp_lib = None
+    try:
+        with tempfile.NamedTemporaryFile("wb", suffix=".c", dir=lib.parent, delete=False) as fh:
+            tmp_src = fh.name
+            fh.write(source)
+        with tempfile.NamedTemporaryFile(suffix=".so", dir=lib.parent, delete=False) as fh:
+            tmp_lib = fh.name
+        cmd = [*cc, *CFLAGS, "-o", tmp_lib, tmp_src, "-lm"]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelCompileError(
+                f"cannot compile the trial kernel: no C compiler ({exc})"
+            ) from exc
+        if proc.returncode != 0:
+            raise KernelCompileError(
+                f"compiling the trial kernel failed: {' '.join(cmd)}\n{proc.stderr}"
+            )
+        # the library first: a source copy that matches promises a library
+        os.replace(tmp_lib, lib)
+        tmp_lib = None
+        os.replace(tmp_src, copy)
+        tmp_src = None
+    finally:
+        for path in (tmp_src, tmp_lib):
+            if path is not None:
+                os.unlink(path)
+
+
+def build() -> Path:
+    """Path of the cached library for the packaged source, compiling it
+    when the cache holds none or its source copy differs."""
+    source = SOURCE.read_bytes()
+    lib, copy = _cache_paths(source)
+    try:
+        fresh = lib.is_file() and copy.read_bytes() == source
+    except FileNotFoundError:
+        fresh = False
+    if not fresh:
+        lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        _compile(source, lib, copy)
+    return lib
+
+
+@functools.cache
+def _simulate_fn():
+    """The kernel entry point, loaded once per process."""
+    f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    fn = ctypes.CDLL(str(build())).wristsim_simulate
+    fn.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_double,      # n, substeps, h
+        f64, f64, f64, f64,                                   # times, stiff, cr, sr
+        ctypes.c_int64,                                       # legs
+        np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS"),
+        f64, f64, f64,                                        # legs, body, state
+        f64, f64, f64, f64, f64, f64, f64,                    # the seven records
+    ]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
+    """Run the compiled trial kernel over the sample grid ``times``.
+
+    ``stiff``, ``cr`` and ``sr`` are per-sample streams (stiffness and the
+    cosine and sine of half the torsion).  Leg ``j`` (a row of ``legs``)
+    takes over at sample ``leg_start[j]``; ``body`` is
+    :func:`~.dynamics.plant_constants` and ``y0`` the initial (q, omega).
+    Returns ``(failed, records)``: ``failed`` is -1 or the first sample whose
+    state is not finite, and ``records`` are plan_pos, quat_des, quat,
+    omega, tau_cmd, err_angle and disp_max.
+    """
+    n = len(times)
+    times, stiff, cr, sr, legs, body, y = (
+        np.ascontiguousarray(a, dtype=np.float64)
+        for a in (times, stiff, cr, sr, legs, body, y0)
+    )
+    leg_start = np.ascontiguousarray(leg_start, dtype=np.int64)
+    m = len(leg_start)
+    if not (n >= 1 and stiff.shape == cr.shape == sr.shape == times.shape == (n,)
+            and m >= 1 and legs.shape == (m, LEG_FIELDS)
+            and body.shape == (BODY_FIELDS,) and y.shape == (7,)):
+        raise ValueError("trial kernel inputs disagree in shape")
+    records = (
+        np.empty((n, 3)), np.empty((n, 4)), np.empty((n, 4)),
+        np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n),
+    )
+    failed = _simulate_fn()(n - 1, substeps, h, times, stiff, cr, sr,
+                            m, leg_start, legs, body, y, *records)
+    return failed, records

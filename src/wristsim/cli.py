@@ -111,7 +111,7 @@ def condition_metrics(cond: Condition, cfg, schedule, traj, measured, desired) -
     """Scalar summary of one condition; ``measured`` and ``desired`` are its
     two Listing surfaces, extracted once by the caller."""
     metrics = compute_metrics(traj)
-    rmse_ty, rmse_tz = target_rmse(traj, schedule, cfg.task)
+    rmse_ty, rmse_tz = target_rmse(traj, cfg.task)
     out = {
         "condition": cond.name,
         "kind": cond.kind,

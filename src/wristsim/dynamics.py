@@ -6,9 +6,10 @@ torque and gravity acting at the center of mass; there is no joint friction,
 so any damping must come from the controller.
 
 The plant law (:func:`plant`, :func:`gravity_moment`) and the RK4 step are
-written once on plain floats and shared by the trial kernel and
-:func:`integrate_step`; :func:`gravity_torque` feeds :func:`gravity_moment`
-the columns of a whole quaternion record.
+written once on plain floats for :func:`integrate_step`, and the compiled
+trial kernel (``_kernel.c``) repeats them operation for operation;
+:func:`gravity_torque` feeds :func:`gravity_moment` the columns of a whole
+quaternion record.
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ def gravity_torque(q: np.ndarray, body: BodyModel) -> np.ndarray:
     return np.stack(moment, axis=-1)
 
 
+def plant_constants(body: BodyModel) -> tuple:
+    """The 25 floats the plant reads: the inertia about the joint and its
+    inverse (row-major), the mass, the centre of mass and gravity."""
+    inertia = body.inertia
+    return (
+        *map(float, inertia.ravel()), *map(float, np.linalg.inv(inertia).ravel()),
+        float(body.mass), *body.com_offset, *body.gravity,
+    )
+
+
 def plant(body: BodyModel):
     """Right-hand side of the rigid plant for ``body``, on plain floats.
 
@@ -98,13 +109,9 @@ def plant(body: BodyModel):
     derivatives of the state (q, omega) under the world-frame control torque
     (tx, ty, tz); gravity and the gyroscopic term are added internally.
     """
-    inertia = body.inertia
-    ixx, ixy, ixz, iyx, iyy, iyz, izx, izy, izz = map(float, inertia.ravel())
-    inv = np.linalg.inv(inertia)
-    jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz = map(float, inv.ravel())
-    mass = float(body.mass)
-    cx, cy, cz = body.com_offset
-    gx, gy, gz = body.gravity
+    (ixx, ixy, ixz, iyx, iyy, iyz, izx, izy, izz,
+     jxx, jxy, jxz, jyx, jyy, jyz, jzx, jzy, jzz,
+     mass, cx, cy, cz, gx, gy, gz) = plant_constants(body)
 
     def rhs(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz):
         tbx, tby, tbz = to_body(qw, qx, qy, qz, tx, ty, tz)

@@ -14,8 +14,10 @@ stream never looks at the measured state: deformation under gravity or low
 stiffness is interaction, not re-planning, and the desired-pose stream is
 bit-identical across those conditions.
 
-Streams derived after the loop are computed on the whole record at once,
-except the Euler angles of :func:`extract_listing`, kept on ``math``.
+The schedules become per-sample streams with one ``searchsorted`` each, the
+closed loop runs in the compiled kernel (``_kernel.c``), and the streams
+derived after it are computed on the whole record at once, except the Euler
+angles of :func:`extract_listing`, kept on ``math``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import BodyModel, gravity_torque, plant, rk4_step, unit_quat_state
-from .fic import branch_step, branch_torque
+from . import _kernel
+from .dynamics import BodyModel, gravity_torque, plant_constants
 from .planner import BandParams, ReachProfile, reach_duration
 from .rotations import (
     GimbalLockError,
@@ -241,6 +243,9 @@ class Trajectory:
     err_angle: np.ndarray
     disp_max: np.ndarray
     stiffness: np.ndarray
+    #: scheduled target per sample: a :class:`ClockTask` index, -1 for the
+    #: center (also before the first target breakpoint)
+    target: np.ndarray
 
     def __len__(self) -> int:
         return self.t.shape[0]
@@ -260,6 +265,35 @@ def pointer_intersection(q: np.ndarray, plane_distance: float) -> np.ndarray:
     return plane_distance / ray[..., :1] * ray
 
 
+def _in_force(breaks, times) -> np.ndarray:
+    """Index of the breakpoint in force at each of ``times``, -1 before the
+    first: the ``bisect_right`` rule of :meth:`ParamSchedule._value_at`."""
+    return np.searchsorted([t for t, _ in breaks], times, side="right") - 1
+
+
+def _leg_table(times, target_break, targets, task, band):
+    """The plan's reach legs: the sample each takes over at and its row.
+
+    The first leg holds the center from the start.  A new leg starts from
+    the previous leg's planned position whenever the scheduled target
+    changes; the plan never reads the measured state.
+    """
+    leg = ReachProfile.from_rest(task.center, task.center, band, 0.0)
+    starts, legs = [0], [leg]
+    current = None
+    for k in np.flatnonzero(np.diff(target_break, prepend=-1)):
+        target = targets[target_break[k]]
+        if target == current:
+            continue
+        t_k = float(times[k])
+        leg = ReachProfile.from_rest(leg.position(t_k), task.position(target), band, t_k)
+        starts.append(k)
+        legs.append(leg)
+        current = target
+    rows = [(g.t0, g.duration, g.dist, g.omega, *g.target, *g.unit) for g in legs]
+    return starts, rows
+
+
 def run_trial(
     schedule: ParamSchedule,
     task: ClockTask,
@@ -267,18 +301,42 @@ def run_trial(
     band: BandParams,
     opts: SimOptions = SimOptions(),
 ) -> Trajectory:
-    """Simulate one scheduled trial and record it at the control rate."""
+    """Simulate one scheduled trial and record it at the control rate.
+
+    The closed loop runs in the compiled kernel (``_kernel.c``): the branch
+    machine ticks at every substep boundary and is frozen inside the RK4
+    stages, while the plan (the active leg's
+    :meth:`~.planner.ReachProfile.position`) and the desired pose are
+    evaluated at every stage time.
+    """
     if not schedule.gravity:
         body = replace(body, gravity=(0.0, 0.0, 0.0))
     n = int(round(schedule.duration / opts.dt))
     times = np.arange(n + 1) * opts.dt
     # piecewise-constant parameter streams on the sample grid
-    stiff = np.array([schedule.stiffness_at(t) for t in times])
-    torsion = np.array([schedule.torsion_at(t) for t in times])
-    idx_stream = [schedule.target_at(t) for t in times]
-    plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = _simulate(
-        times, stiff, torsion, idx_stream, task, body, band, opts
+    stiff = np.array([float(k) for _, k in schedule.stiffness_breaks])[
+        _in_force(schedule.stiffness_breaks, times)]
+    half = [0.5 * float(phi) for _, phi in schedule.torsion_breaks]
+    phi_break = _in_force(schedule.torsion_breaks, times)
+    cr = np.array([math.cos(a) for a in half])[phi_break]
+    sr = np.array([math.sin(a) for a in half])[phi_break]
+    targets = [idx for _, idx in schedule.target_breaks]
+    target_break = _in_force(schedule.target_breaks, times)
+    # break -1 (no target yet) picks the appended center
+    target = np.array([*targets, -1])[target_break]
+    leg_start, legs = _leg_table(times, target_break, targets, task, band)
+    # initial state: at the plan start pose, at rest
+    y0 = (*pointing_quat(*map(float, task.center), float(cr[0]), float(sr[0])),
+          0.0, 0.0, 0.0)
+    failed, records = _kernel.simulate(
+        times, stiff, cr, sr, leg_start, legs, plant_constants(body), y0,
+        opts.dt / opts.substeps, opts.substeps,
     )
+    if failed >= 0:
+        raise SimulationError(
+            f"non-finite state at sample {failed} (t = {times[failed]:.3f} s)"
+        )
+    plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = records
     return Trajectory(
         t=times,
         plan_pos=plan_pos,
@@ -290,93 +348,9 @@ def run_trial(
         pointer=pointer_intersection(quat, task.plane_distance),
         err_angle=err_angle,
         disp_max=disp_max,
-        stiffness=stiff.copy(),
+        stiffness=stiff,
+        target=target,
     )
-
-
-def _simulate(times, stiff, torsion, idx_stream, task, body, band, opts):
-    """The trial kernel: closed loop on plain floats, RK4 with renormalization.
-
-    The branch machine ticks at every substep boundary and is frozen inside
-    the RK4 stages; the plan (the active leg's
-    :meth:`~.planner.ReachProfile.position`) and the desired pose are
-    evaluated at every stage time.
-    """
-    n = len(times) - 1
-    plan_pos = np.empty((n + 1, 3))
-    quat_des = np.empty((n + 1, 4))
-    quat = np.empty((n + 1, 4))
-    omega_rec = np.empty((n + 1, 3))
-    tau_rec = np.empty((n + 1, 3))
-    err_rec = np.empty(n + 1)
-    dmax_rec = np.empty(n + 1)
-
-    plant_rhs = plant(body)
-    leg_position = ReachProfile.from_rest(task.center, task.center, band, 0.0).position
-
-    def closed_loop(y, t):
-        qw, qx, qy, qz, wx, wy, wz = y
-        px, py, pz = leg_position(t)
-        dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
-        tx, ty, tz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
-                                      k_now, diverging, peak)
-        return plant_rhs(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)
-
-    # initial state: at the plan start pose, at rest
-    phi0 = float(torsion[0])
-    y = (*pointing_quat(float(task.center[0]), float(task.center[1]),
-                        float(task.center[2]),
-                        math.cos(0.5 * phi0), math.sin(0.5 * phi0)),
-         0.0, 0.0, 0.0)
-    diverging, peak, prev = True, 0.0, 0.0
-    cur_idx: Optional[int] = None
-    h = opts.dt / opts.substeps
-    stiff_f = [float(v) for v in stiff]
-    torsion_f = [float(v) for v in torsion]
-    times_f = [float(v) for v in times]
-
-    for k in range(n + 1):
-        t_k = times_f[k]
-        if idx_stream[k] is not None and idx_stream[k] != cur_idx:
-            leg_position = ReachProfile.from_rest(
-                leg_position(t_k), task.position(idx_stream[k]), band, t_k
-            ).position
-            cur_idx = idx_stream[k]
-            diverging, peak, prev = True, 0.0, 0.0
-        k_now = stiff_f[k]
-        cr, sr = math.cos(0.5 * torsion_f[k]), math.sin(0.5 * torsion_f[k])
-
-        # one finiteness test per sample: a sum of finite values is finite
-        # unless the state has already diverged far enough to overflow
-        if not math.isfinite(sum(y)):
-            raise SimulationError(
-                f"non-finite state at sample {k} (t = {t_k:.3f} s)"
-            )
-        for i in range(opts.substeps):
-            t_sub = t_k + i * h
-            # controller tick at the substep boundary
-            qw, qx, qy, qz, wx, wy, wz = y
-            px, py, pz = leg_position(t_sub)
-            dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
-            angle = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
-                                  k_now, diverging, peak)[3]
-            diverging, peak = branch_step(diverging, peak, angle, angle - prev)
-            prev = angle
-            if i == 0:  # record the sample at the first tick of its interval
-                tcx, tcy, tcz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
-                                                 k_now, diverging, peak)
-                plan_pos[k] = px, py, pz
-                quat_des[k] = dw, dx, dy, dz
-                quat[k] = qw, qx, qy, qz
-                omega_rec[k] = wx, wy, wz
-                tau_rec[k] = tcx, tcy, tcz
-                err_rec[k] = angle
-                dmax_rec[k] = peak
-                if k == n:  # the last sample is recorded, not integrated
-                    break
-            y = unit_quat_state(rk4_step(closed_loop, y, t_sub, h))
-
-    return plan_pos, quat_des, quat, omega_rec, tau_rec, err_rec, dmax_rec
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +381,11 @@ def compute_metrics(traj: Trajectory) -> TrialMetrics:
     )
 
 
-def target_rmse(
-    traj: Trajectory, schedule: ParamSchedule, task: ClockTask
-) -> tuple[float, float]:
-    """Alternative error: pointer against the scheduled target position;
-    the center row of ``[targets; center]`` serves -1 and ``None``."""
+def target_rmse(traj: Trajectory, task: ClockTask) -> tuple[float, float]:
+    """Alternative error: pointer against the scheduled target position
+    (``traj.target`` indexes ``[targets; center]``)."""
     table = np.vstack([task.targets, task.center])
-    rows = [-1 if idx is None else idx for idx in map(schedule.target_at, traj.t)]
-    return _rmse_yz(traj.pointer - table[rows])
+    return _rmse_yz(traj.pointer - table[traj.target])
 
 
 @dataclass(frozen=True)

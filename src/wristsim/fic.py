@@ -11,8 +11,8 @@ times the peak displacement.
 
 The branch machine, the force law and the quaternion torque are written
 once on plain floats (:func:`branch_step`, :func:`branch_force`,
-:func:`branch_torque`); the trial kernel calls them directly and the
-dataclass-based functions wrap them.
+:func:`branch_torque`); the dataclass-based functions wrap them, and the
+compiled trial kernel (``_kernel.c``) repeats them operation for operation.
 """
 
 from __future__ import annotations

@@ -88,7 +88,8 @@ class ReachProfile:
     """One from-rest band leg in closed form (harmonic half cycle + clamp).
 
     ``target`` and ``unit`` (start -> target direction) are plain float
-    triples so :meth:`position` runs on floats inside the trial kernel.
+    triples; the trial runner packs them into the compiled kernel's leg
+    table, whose ``leg_position`` repeats :meth:`position`.
     """
 
     target: tuple

@@ -12,9 +12,10 @@ pointer (the body x axis) whose ray pierces that point, with an optional
 torsion angle about the pointer itself.
 
 The laws the trial kernel evaluates at every integrator stage
-(:func:`pointing_quat`, :func:`to_body`) are written once on plain floats;
-the numpy functions wrap them, and :func:`rotate_vec` feeds :func:`to_body`
-the columns of a whole quaternion stack.
+(:func:`pointing_quat`, :func:`to_body`) are written once on plain floats
+and repeated operation for operation in the compiled kernel
+(``_kernel.c``); the numpy functions wrap them, and :func:`rotate_vec` feeds
+:func:`to_body` the columns of a whole quaternion stack.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class GimbalLockError(ValueError):
     def __init__(self, quat):
         super().__init__(f"orientation within gimbal-lock guard band: {quat}")
         self.quat = np.asarray(quat, dtype=float)
-
-
-def identity_quat() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,15 +72,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip sign so the scalar part is non-negative (same rotation)."""
     return -np.asarray(q, dtype=float) if q[0] < 0.0 else np.asarray(q, dtype=float)
-
-
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n < 1e-12:
-        raise ValueError("rotation axis must be nonzero")
-    half = 0.5 * angle
-    return np.concatenate(([math.cos(half)], math.sin(half) / n * axis))
 
 
 def to_body(qw, qx, qy, qz, vx, vy, vz):
@@ -164,22 +152,6 @@ def project_to_sphere(point, center=(0.0, 0.0, 0.0), torsion: float = 0.0) -> np
         )
     half = 0.5 * torsion
     return np.array(pointing_quat(ox, oy, oz, math.cos(half), math.sin(half)))
-
-
-def swing_twist(q: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
-    """Split q into swing * twist, with twist a rotation about ``axis``.
-
-    ``axis`` must be a unit 3-vector expressed in the body frame.
-    """
-    axis = np.asarray(axis, dtype=float)
-    proj = q[1] * axis[0] + q[2] * axis[1] + q[3] * axis[2]
-    twist = np.concatenate(([q[0]], proj * axis))
-    n = quat_norm(twist)
-    if n < 1e-12:
-        # pure 180-degree swing orthogonal to the axis: twist is identity
-        return np.asarray(q, dtype=float), identity_quat()
-    twist /= n
-    return quat_mul(q, quat_conj(twist)), twist
 
 
 def torsion_about_pointer(q: np.ndarray) -> float:

@@ -1,8 +1,12 @@
 """Slow reference implementations that the shipped code is checked against.
 
+* :func:`simulate_scalar` is the trial loop on plain floats through the
+  package's float laws (``pointing_quat``, ``branch_step``,
+  ``branch_torque``, ``plant``, ``rk4_step``); the compiled kernel must
+  reproduce its records bit for bit.
 * :func:`simulate_reference` is the trial loop written against the public
   numpy API (projection, controller tick, one-substep ``integrate_step``);
-  the package's scalar kernel must reproduce it to float rounding.
+  the compiled kernel must reproduce it to float rounding.
 * :func:`dp45_step` is an embedded Dormand-Prince 4(5) step with error
   control on the same plant, the cross-check for the fixed-step RK4.
 """
@@ -14,10 +18,104 @@ from typing import Optional
 
 import numpy as np
 
-from wristsim.dynamics import WristState, integrate_step, plant
-from wristsim.fic import FicPhase, fic_torque_quat, torque_for_phase
+from wristsim.dynamics import WristState, integrate_step, plant, rk4_step, unit_quat_state
+from wristsim.experiments import SimulationError
+from wristsim.fic import FicPhase, branch_step, branch_torque, fic_torque_quat, torque_for_phase
 from wristsim.planner import ReachProfile
-from wristsim.rotations import project_to_sphere, quat_norm
+from wristsim.rotations import pointing_quat, project_to_sphere, quat_norm
+
+
+def simulate_scalar(schedule, task, body, band, opts):
+    """Record one scheduled trial like ``run_trial``, on Python floats.
+
+    The branch machine ticks at every substep boundary and is frozen inside
+    the RK4 stages; the plan (the active leg's
+    :meth:`~.planner.ReachProfile.position`) and the desired pose are
+    evaluated at every stage time.
+    """
+    if not schedule.gravity:
+        body = replace(body, gravity=(0.0, 0.0, 0.0))
+    n = int(round(schedule.duration / opts.dt))
+    times = np.arange(n + 1) * opts.dt
+    stiff_f = [float(schedule.stiffness_at(t)) for t in times]
+    torsion_f = [float(schedule.torsion_at(t)) for t in times]
+    idx_stream = [schedule.target_at(t) for t in times]
+    times_f = [float(v) for v in times]
+
+    plan_pos = np.empty((n + 1, 3))
+    quat_des = np.empty((n + 1, 4))
+    quat = np.empty((n + 1, 4))
+    omega_rec = np.empty((n + 1, 3))
+    tau_rec = np.empty((n + 1, 3))
+    err_rec = np.empty(n + 1)
+    dmax_rec = np.empty(n + 1)
+
+    plant_rhs = plant(body)
+    leg_position = ReachProfile.from_rest(task.center, task.center, band, 0.0).position
+
+    def closed_loop(y, t):
+        qw, qx, qy, qz, wx, wy, wz = y
+        px, py, pz = leg_position(t)
+        dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
+        tx, ty, tz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
+                                      k_now, diverging, peak)
+        return plant_rhs(qw, qx, qy, qz, wx, wy, wz, tx, ty, tz)
+
+    # initial state: at the plan start pose, at rest
+    phi0 = torsion_f[0]
+    y = (*pointing_quat(float(task.center[0]), float(task.center[1]),
+                        float(task.center[2]),
+                        math.cos(0.5 * phi0), math.sin(0.5 * phi0)),
+         0.0, 0.0, 0.0)
+    diverging, peak, prev = True, 0.0, 0.0
+    cur_idx: Optional[int] = None
+    h = opts.dt / opts.substeps
+
+    for k in range(n + 1):
+        t_k = times_f[k]
+        if idx_stream[k] is not None and idx_stream[k] != cur_idx:
+            leg_position = ReachProfile.from_rest(
+                leg_position(t_k), task.position(idx_stream[k]), band, t_k
+            ).position
+            cur_idx = idx_stream[k]
+            diverging, peak, prev = True, 0.0, 0.0
+        k_now = stiff_f[k]
+        cr, sr = math.cos(0.5 * torsion_f[k]), math.sin(0.5 * torsion_f[k])
+
+        # one finiteness test per sample: a sum of finite values is finite
+        # unless the state has already diverged far enough to overflow
+        if not math.isfinite(sum(y)):
+            raise SimulationError(
+                f"non-finite state at sample {k} (t = {t_k:.3f} s)"
+            )
+        for i in range(opts.substeps):
+            t_sub = t_k + i * h
+            # controller tick at the substep boundary
+            qw, qx, qy, qz, wx, wy, wz = y
+            px, py, pz = leg_position(t_sub)
+            dw, dx, dy, dz = pointing_quat(px, py, pz, cr, sr)
+            angle = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
+                                  k_now, diverging, peak)[3]
+            diverging, peak = branch_step(diverging, peak, angle, angle - prev)
+            prev = angle
+            if i == 0:  # record the sample at the first tick of its interval
+                tcx, tcy, tcz, _ = branch_torque(qw, qx, qy, qz, dw, dx, dy, dz,
+                                                 k_now, diverging, peak)
+                plan_pos[k] = px, py, pz
+                quat_des[k] = dw, dx, dy, dz
+                quat[k] = qw, qx, qy, qz
+                omega_rec[k] = wx, wy, wz
+                tau_rec[k] = tcx, tcy, tcz
+                err_rec[k] = angle
+                dmax_rec[k] = peak
+                if k == n:  # the last sample is recorded, not integrated
+                    break
+            y = unit_quat_state(rk4_step(closed_loop, y, t_sub, h))
+
+    return SimpleNamespace(
+        plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,
+        tau_cmd=tau_rec, err_angle=err_rec, disp_max=dmax_rec,
+    )
 
 
 def simulate_reference(schedule, task, body, band, opts):

