@@ -64,8 +64,7 @@ def condition_schedule(cond: Condition, cfg: ExperimentConfig):
 
 def simulate_condition(cond: Condition, cfg: ExperimentConfig):
     schedule = condition_schedule(cond, cfg)
-    traj = run_trial(schedule, cfg.task, cfg.body, cfg.band, cfg.sim)
-    return schedule, traj
+    return run_trial(schedule, cfg.task, cfg.body, cfg.band, cfg.sim)
 
 
 def trajectory_table(traj: Trajectory) -> np.ndarray:
@@ -107,7 +106,7 @@ def _plane_dict(fit) -> dict:
     }
 
 
-def condition_metrics(cond: Condition, cfg, schedule, traj, measured, desired) -> dict:
+def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:
     """Scalar summary of one condition; ``measured`` and ``desired`` are its
     two Listing surfaces, extracted once by the caller."""
     metrics = compute_metrics(traj)
@@ -147,7 +146,7 @@ def write_json(path: Path, data) -> None:
 
 def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path) -> dict:
     try:
-        schedule, traj = simulate_condition(cond, cfg)
+        traj = simulate_condition(cond, cfg)
     except SimulationError as exc:
         raise SimulationError(f"{cond.name}: {exc}") from exc
     cond_dir = out_root / cond.name
@@ -156,7 +155,7 @@ def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path) -> di
     measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
     write_listing(cond_dir / "listing_measured.csv", measured)
     write_listing(cond_dir / "listing_desired.csv", desired)
-    metrics = condition_metrics(cond, cfg, schedule, traj, measured, desired)
+    metrics = condition_metrics(cond, cfg, traj, measured, desired)
     write_json(cond_dir / "metrics.json", metrics)
     return metrics
 

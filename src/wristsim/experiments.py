@@ -16,8 +16,7 @@ bit-identical across those conditions.
 
 The schedules become per-sample streams with one ``searchsorted`` each, the
 closed loop runs in the compiled kernel (``_kernel.c``), and the streams
-derived after it are computed on the whole record at once, except the Euler
-angles of :func:`extract_listing`, kept on ``math``.
+derived after it are computed on the whole record at once.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ import numpy as np
 from . import _kernel
 from .dynamics import BodyModel, gravity_torque, plant_constants
 from .planner import BandParams, ReachProfile, reach_duration
-from .rotations import (
-    GimbalLockError,
-    X_AXIS,
-    euler_xyz_from_quat,
-    pointing_quat,
-    rotate_vec,
-)
+from .rotations import X_AXIS, euler_xyz_from_quat, pointing_quat, rotate_vec
 
 
 class PointerParallelError(ValueError):
@@ -411,18 +404,12 @@ def extract_listing(quats: np.ndarray) -> ListingSurface:
 
     Samples inside the gimbal-lock guard band are excluded and counted.
     """
-    angles, excluded = [], 0  # one flat list: a tuple per sample costs more memory
-    for q in quats:
-        try:
-            angles.extend(euler_xyz_from_quat(q))
-        except GimbalLockError:
-            excluded += 1
-    if not angles:
+    angles, locked = euler_xyz_from_quat(quats)
+    theta_x, theta_y, theta_z = angles[~locked].T
+    if not theta_x.size:
         raise ValueError("no usable samples outside the gimbal guard band")
-    theta_x, theta_y, theta_z = np.reshape(angles, (-1, 3)).T
-    return ListingSurface(
-        theta_y=theta_y, theta_z=theta_z, theta_x=theta_x, n_excluded=excluded
-    )
+    return ListingSurface(theta_y=theta_y, theta_z=theta_z, theta_x=theta_x,
+                          n_excluded=int(np.count_nonzero(locked)))
 
 
 def fit_plane(surface: ListingSurface) -> PlaneFit:

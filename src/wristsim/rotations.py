@@ -14,8 +14,9 @@ torsion angle about the pointer itself.
 The laws the trial kernel evaluates at every integrator stage
 (:func:`pointing_quat`, :func:`to_body`) are written once on plain floats
 and repeated operation for operation in the compiled kernel
-(``_kernel.c``); the numpy functions wrap them, and :func:`rotate_vec` feeds
-:func:`to_body` the columns of a whole quaternion stack.
+(``_kernel.c``).  The other quaternion functions take one quaternion or an
+(n, 4) stack through one body, with transcendentals on libm: numpy's own
+``arcsin``/``arctan2`` differ from it in the last ulp on some inputs.
 """
 
 from __future__ import annotations
@@ -31,42 +32,46 @@ class DegeneratePointingError(ValueError):
     """Raised when a pointing target coincides with the projection center."""
 
 
-class GimbalLockError(ValueError):
-    """Raised when an Euler decomposition is evaluated too close to lock."""
+def _libm(fn, nin):
+    """``fn`` from ``math`` element-wise; a scalar stays a scalar."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)[()]
 
-    def __init__(self, quat):
-        super().__init__(f"orientation within gimbal-lock guard band: {quat}")
-        self.quat = np.asarray(quat, dtype=float)
+
+_asin, _atan2 = _libm(math.asin, 1), _libm(math.atan2, 2)
+_cos, _sin = _libm(math.cos, 1), _libm(math.sin, 1)
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a*b."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product a*b; either factor may be a stack."""
+    aw, ax, ay, az = np.asarray(a, dtype=float).T
+    bw, bx, by, bz = np.asarray(b, dtype=float).T
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
 
 
-def quat_norm(q: np.ndarray) -> float:
+def quat_norm(q: np.ndarray):
+    w, x, y, z = np.asarray(q, dtype=float).T
     # multiplication, not **2: libm pow can land one ulp off an exact square
-    return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return np.sqrt(w * w + x * x + y * y + z * z)
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     n = quat_norm(q)
-    if n < 1e-12:
+    if np.any(n < 1e-12):
         raise ValueError("cannot normalize a near-zero quaternion")
-    return np.asarray(q, dtype=float) / n
+    return np.asarray(q, dtype=float) / n[..., None]
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
@@ -99,14 +104,14 @@ def rotate_vec(q: np.ndarray, v) -> np.ndarray:
     return np.stack(to_body(w, -x, -y, -z, *map(float, v)), axis=-1)
 
 
-def quat_angle(q: np.ndarray) -> float:
+def quat_angle(q: np.ndarray):
     """Rotation angle in [0, pi] represented by q (sign-insensitive)."""
-    vn = math.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    return 2.0 * math.atan2(vn, abs(q[0]))
+    w, x, y, z = np.asarray(q, dtype=float).T
+    return 2.0 * _atan2(np.sqrt(x * x + y * y + z * z), np.abs(w))
 
 
-def quat_angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative rotation angle between two unit quaternions."""
+def quat_angle_between(a: np.ndarray, b: np.ndarray):
+    """Relative rotation angle between two unit quaternions (or stacks)."""
     return quat_angle(quat_mul(a, quat_conj(b)))
 
 
@@ -173,26 +178,32 @@ def torsion_about_pointer(q: np.ndarray) -> float:
 GIMBAL_GUARD = 1e-6
 
 
-def euler_xyz_from_quat(q: np.ndarray) -> tuple[float, float, float]:
+def euler_xyz_from_quat(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intrinsic x-y-z Euler angles (rotate about x, then y', then z'').
 
-    The middle angle lies in (-pi/2, pi/2); poses within ``GIMBAL_GUARD``
-    radians of lock raise :class:`GimbalLockError`.
+    Returns ``(angles, locked)``: the angles as a 3-vector, or an (n, 3)
+    stack for an (n, 4) stack, and whether each pose lies within
+    ``GIMBAL_GUARD`` radians of lock, where the first and last angles are
+    not determined.  The middle angle lies in [-pi/2, pi/2].
     """
-    w, x, y, z = q
+    w, x, y, z = np.asarray(q, dtype=float).T
     r02 = 2.0 * (x * z + w * y)
-    ang_y = math.asin(max(-1.0, min(1.0, r02)))
-    if 0.5 * math.pi - abs(ang_y) < GIMBAL_GUARD:
-        raise GimbalLockError(q)
+    ang_y = _asin(np.maximum(-1.0, np.minimum(1.0, r02)))
+    locked = 0.5 * math.pi - np.abs(ang_y) < GIMBAL_GUARD
     r12 = 2.0 * (y * z - w * x)
     r22 = 1.0 - 2.0 * (x * x + y * y)
     r01 = 2.0 * (x * y - w * z)
     r00 = 1.0 - 2.0 * (y * y + z * z)
-    return math.atan2(-r12, r22), ang_y, math.atan2(-r01, r00)
+    angles = np.stack([_atan2(-r12, r22), ang_y, _atan2(-r01, r00)], axis=-1)
+    return angles, locked
 
 
-def quat_from_euler_xyz(ang_x: float, ang_y: float, ang_z: float) -> np.ndarray:
-    qx = np.array([math.cos(0.5 * ang_x), math.sin(0.5 * ang_x), 0.0, 0.0])
-    qy = np.array([math.cos(0.5 * ang_y), 0.0, math.sin(0.5 * ang_y), 0.0])
-    qz = np.array([math.cos(0.5 * ang_z), 0.0, 0.0, math.sin(0.5 * ang_z)])
+def quat_from_euler_xyz(ang_x, ang_y, ang_z) -> np.ndarray:
+    """Inverse of :func:`euler_xyz_from_quat`, for angles or angle arrays."""
+    hx, hy, hz = np.broadcast_arrays(*(0.5 * np.asarray(a, dtype=float)
+                                       for a in (ang_x, ang_y, ang_z)))
+    zero = np.zeros_like(hx)
+    qx = np.stack([_cos(hx), _sin(hx), zero, zero], axis=-1)
+    qy = np.stack([_cos(hy), zero, _sin(hy), zero], axis=-1)
+    qz = np.stack([_cos(hz), zero, zero, _sin(hz)], axis=-1)
     return quat_mul(qx, quat_mul(qy, qz))

@@ -9,6 +9,8 @@
   the compiled kernel must reproduce it to float rounding.
 * :func:`dp45_step` is an embedded Dormand-Prince 4(5) step with error
   control on the same plant, the cross-check for the fixed-step RK4.
+* :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
+  ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
 """
 
 import math
@@ -22,7 +24,7 @@ from wristsim.dynamics import WristState, integrate_step, plant, rk4_step, unit_
 from wristsim.experiments import SimulationError
 from wristsim.fic import FicPhase, branch_step, branch_torque, fic_torque_quat, torque_for_phase
 from wristsim.planner import ReachProfile
-from wristsim.rotations import pointing_quat, project_to_sphere, quat_norm
+from wristsim.rotations import GIMBAL_GUARD, pointing_quat, project_to_sphere, quat_norm
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -242,3 +244,17 @@ def dp45_step(state, controller, body, dt=1e-3, rtol=1e-8, atol=1e-12):
             )
     y[:4] /= quat_norm(y[:4])
     return WristState(q=y[:4], omega=y[4:], t=t0 + dt)
+
+
+def euler_xyz_scalar(q):
+    """Intrinsic x-y-z Euler angles of one quaternion, on Python floats,
+    and whether the pose lies within ``GIMBAL_GUARD`` of lock."""
+    w, x, y, z = map(float, q)
+    r02 = 2.0 * (x * z + w * y)
+    ang_y = math.asin(max(-1.0, min(1.0, r02)))
+    locked = 0.5 * math.pi - abs(ang_y) < GIMBAL_GUARD
+    r12 = 2.0 * (y * z - w * x)
+    r22 = 1.0 - 2.0 * (x * x + y * y)
+    r01 = 2.0 * (x * y - w * z)
+    r00 = 1.0 - 2.0 * (y * y + z * z)
+    return (math.atan2(-r12, r22), ang_y, math.atan2(-r01, r00)), locked

@@ -10,9 +10,12 @@ Known reds (measured honestly, not tuned away):
 * A1 — the effort band assumes a controller that keeps spending torque
   after convergence; this implementation tracks so tightly without gravity
   that mean effort sits at ~0.011 N·m, below the 0.05 N·m floor.
-* A4 — the plane fit absorbs the near-uniform gravity sag into its offset
-  and tilt, so the rigid-stiffness residual with gravity on is not
-  measurably larger than with gravity off (difference ~ -7e-13 rad).
+* A4 — the plane is fitted on intrinsic x-y-z Euler angles, whose image of
+  Listing's law is curved, so the residual (~1.18e-2 rad) is almost all
+  coordinate curvature: the desired stream, which has no sag, reads
+  1.181235463e-02 rad.  At K = 10k the gravity-on residual
+  (1.181242313e-02) sits below the gravity-off one (1.181242380e-02), a
+  difference of ~ -6.7e-10 rad.
 """
 
 import math

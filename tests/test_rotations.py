@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import euler_xyz_scalar
+from wristsim.cli import simulate_condition
+from wristsim.config import ExperimentConfig
 from wristsim.rotations import (
     DegeneratePointingError,
-    GimbalLockError,
     euler_xyz_from_quat,
     project_to_sphere,
     quat_angle_between,
@@ -44,6 +46,7 @@ def test_mul_identity():
 
 
 def test_mul_matches_rotation_composition(rng):
+    pairs = []
     for _ in range(20):
         a = quat_normalize(rng.normal(size=4))
         b = quat_normalize(rng.normal(size=4))
@@ -52,6 +55,15 @@ def test_mul_matches_rotation_composition(rng):
             rotate_vec(quat_mul(a, b), v), rotate_vec(a, rotate_vec(b, v)),
             atol=1e-12,
         )
+        pairs.append((a, b))
+    # stacks give, row for row, exactly the single-quaternion results
+    a, b = (np.array(col) for col in zip(*pairs))
+    np.testing.assert_array_equal(
+        quat_mul(a, b), [quat_mul(*pair) for pair in pairs]
+    )
+    np.testing.assert_array_equal(
+        quat_angle_between(a, b), [quat_angle_between(*pair) for pair in pairs]
+    )
 
 
 @given(unit_quats)
@@ -131,7 +143,7 @@ def test_euler_xyz_oracle():
     # single-axis rotations decompose onto their own angle
     for k, axis in enumerate(np.eye(3)):
         q = quat_from_axis_angle(axis, 0.3)
-        ang = euler_xyz_from_quat(q)
+        ang, _ = euler_xyz_from_quat(q)
         expect = [0.0, 0.0, 0.0]
         expect[k] = 0.3
         np.testing.assert_allclose(ang, expect, atol=1e-12)
@@ -139,9 +151,8 @@ def test_euler_xyz_oracle():
 
 @given(unit_quats)
 def test_euler_round_trip(q):
-    try:
-        ax, ay, az = euler_xyz_from_quat(q)
-    except GimbalLockError:
+    (ax, ay, az), locked = euler_xyz_from_quat(q)
+    if locked:
         return
     q2 = quat_from_euler_xyz(ax, ay, az)
     assert quat_angle_between(q, q2) < 1e-9
@@ -149,8 +160,36 @@ def test_euler_round_trip(q):
 
 def test_euler_gimbal_guard():
     q = quat_from_axis_angle(np.array([0.0, 1.0, 0.0]), math.pi / 2)
-    with pytest.raises(GimbalLockError):
-        euler_xyz_from_quat(q)
+    _, locked = euler_xyz_from_quat(q)
+    assert locked
+
+
+def test_euler_stack_matches_scalar_oracle(rng):
+    """The stack law reproduces the per-sample libm law bit for bit, lock
+    flags included, and its inverse reproduces the per-sample inverse."""
+    random = quat_normalize(rng.normal(size=(10_000, 4)))
+    traj = simulate_condition(
+        ExperimentConfig().condition("online_single_target"), ExperimentConfig()
+    )
+    # poses at exactly +-90 deg pitch, within 1e-7 rad of it, and just
+    # outside the guard band
+    pitch = [s * (0.5 * math.pi - d) for s in (1.0, -1.0)
+             for d in (0.0, 1e-7, -1e-7, 3e-8, 2e-6)]
+    near_lock = np.array([quat_from_euler_xyz(0.3, p, -0.2) for p in pitch])
+    exact = math.sqrt(0.5)
+    near_lock = np.vstack([near_lock, [[exact, 0.0, exact, 0.0],
+                                       [exact, 0.0, -exact, 0.0]]])
+    for quats in (random, traj.quat, traj.quat_des, near_lock):
+        angles, locked = euler_xyz_from_quat(quats)
+        rows = [euler_xyz_scalar(q) for q in quats]
+        expect = np.array([ang for ang, _ in rows])
+        np.testing.assert_array_equal(locked, [lock for _, lock in rows])
+        assert np.array_equal(angles[~locked], expect[~locked])
+        np.testing.assert_array_equal(
+            quat_from_euler_xyz(*angles.T),
+            [quat_from_euler_xyz(*ang) for ang in angles],
+        )
+    assert np.count_nonzero(euler_xyz_from_quat(near_lock)[1]) == 10
 
 
 def test_canonical_sign():
