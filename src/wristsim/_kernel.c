@@ -9,9 +9,14 @@
  * the Python loop kept as the test oracle.  Build with -ffp-contract=off and
  * never with -ffast-math: a fused multiply-add or a reassociated sum changes
  * the last bit.
+ *
+ * The second entry point, wristsim_format_rows, writes the CSV rows of
+ * wristsim.cli.write_csv with the bytes of printf's "%.17g".
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* planner.ReachProfile; the Python side packs one row per leg */
 typedef struct {
@@ -258,4 +263,149 @@ int64_t wristsim_simulate(int64_t n, int64_t substeps, double h,
         }
     }
     return -1;
+}
+
+/* Bytes one value may take with its separator: a sign, 17 digits, the
+   point and "e-308" make 24; the Python side sizes its buffer from this. */
+#define FIELD_MAX 32
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {
+    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL,
+    390625ULL, 1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL,
+    1220703125ULL, 6103515625ULL, 30517578125ULL, 152587890625ULL,
+    762939453125ULL, 3814697265625ULL, 19073486328125ULL,
+    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
+    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
+    1490116119384765625ULL, 7450580596923828125ULL,
+};
+
+#define E16 10000000000000000ULL
+#define E17 100000000000000000ULL
+
+/*
+ * The 17 significant digits of ax, a positive normal double, rounded half
+ * to even from its exact value, and its decimal exponent e.  With
+ * ax = m 2^q and k = 16 - e, the digits are m 5^k 2^(q + k): m < 2^53 and
+ * 5^k < 2^63, so the product is exact in 128 bits.  Returns 0, for the
+ * caller to fall back on snprintf, when k falls outside the table.
+ */
+static int digits17(double ax, uint64_t *digits, int *exp10)
+{
+    uint64_t bits;
+    memcpy(&bits, &ax, sizeof bits);
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int q = (int)(bits >> 52) - 1075;
+    /* 2^(q + 52) <= ax, so this is floor(log10 ax) or one less */
+    int e = (int)floor((q + 52) * 0.30102999566398120);
+    for (;;) {
+        int k = 16 - e;
+        if (k < 0 || k > 27)
+            return 0;
+        u128 n = (u128)m * POW5[k];
+        int s = q + k;
+        u128 v = s >= 0 ? n << s : n >> -s; /* the digits, truncated */
+        if (v < E16) {
+            e--;
+            continue;
+        }
+        if (v >= E17) {
+            e++;
+            continue;
+        }
+        if (s < 0) {
+            u128 rem = n & (((u128)1 << -s) - 1), half = (u128)1 << (-s - 1);
+            if (rem > half || (rem == half && (v & 1)))
+                v++;
+        }
+        /* a carry into the next decade needs a double within 5e-18 below
+           a power of ten; none lies inside the gate, so it only guards */
+        if (v == E17)
+            return 0;
+        *digits = (uint64_t)v;
+        *exp10 = e;
+        return 1;
+    }
+}
+#endif
+
+/* printf's "%.17g" of the finite x at p; returns the end of the text */
+static char *put_g17(double x, char *p)
+{
+    if (x == 0.0) {
+        if (signbit(x))
+            *p++ = '-';
+        *p++ = '0';
+        return p;
+    }
+#ifdef __SIZEOF_INT128__
+    double ax = fabs(x);
+    uint64_t v;
+    int e;
+    if (ax >= 1e-11 && ax < 1e17 && digits17(ax, &v, &e)) {
+        char d[17];
+        for (int i = 16; i >= 0; i--, v /= 10)
+            d[i] = (char)('0' + v % 10);
+        int last = 16; /* the last digit kept: %g drops trailing zeros */
+        while (last > 0 && d[last] == '0')
+            last--;
+        if (x < 0.0)
+            *p++ = '-';
+        if (e < -4) { /* d.ddde-XX; here e >= -11 */
+            *p++ = d[0];
+            if (last > 0) {
+                *p++ = '.';
+                memcpy(p, d + 1, last);
+                p += last;
+            }
+            *p++ = 'e';
+            *p++ = '-';
+            *p++ = (char)('0' - e / 10);
+            *p++ = (char)('0' - e % 10);
+        } else if (e < 0) { /* 0.000ddd */
+            *p++ = '0';
+            *p++ = '.';
+            for (int i = -1; i > e; i--)
+                *p++ = '0';
+            memcpy(p, d, last + 1);
+            p += last + 1;
+        } else { /* ddd.ddd; e <= 16 */
+            memcpy(p, d, e + 1);
+            p += e + 1;
+            if (last > e) {
+                *p++ = '.';
+                memcpy(p, d + e + 1, last - e);
+                p += last - e;
+            }
+        }
+        return p;
+    }
+#endif
+    return p + snprintf(p, FIELD_MAX, "%.17g", x);
+}
+
+/*
+ * Write the n rows of k doubles at x (row-major) into buf as "%.17g"
+ * values joined by ',' and ended by '\n'.  Returns the number of bytes
+ * written, -1 when a value is not finite, or -2 when cap is below
+ * n * k * FIELD_MAX.
+ */
+int64_t wristsim_format_rows(int64_t n, int64_t k, const double *x,
+                             char *buf, int64_t cap)
+{
+    if (n < 0 || k < 1 || cap / FIELD_MAX / k < n)
+        return -2;
+    char *p = buf;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < k; j++) {
+            double v = *x++;
+            if (!isfinite(v))
+                return -1;
+            p = put_g17(v, p);
+            *p++ = j + 1 < k ? ',' : '\n';
+        }
+    }
+    return p - buf;
 }

@@ -1,4 +1,8 @@
-"""Build, load and call the compiled trial kernel, ``_kernel.c``.
+"""Build, load and call the compiled library, ``_kernel.c``.
+
+It has two entry points: ``wristsim_simulate``, the trial kernel behind
+:func:`simulate`, and ``wristsim_format_rows``, the exact ``%.17g`` CSV
+formatter behind :func:`write_rows`.
 
 The shared library is compiled on first use with the C compiler Python was
 built with (``sysconfig``'s ``CC``) and cached under
@@ -30,6 +34,11 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 LEG_FIELDS = 10
 #: :func:`~.dynamics.plant_constants`
 BODY_FIELDS = 25
+#: bytes the formatter may use per value, separator included (FIELD_MAX)
+FIELD_BYTES = 32
+#: rows formatted per call, and the cap on the reused text buffer
+BLOCK_ROWS = 1024
+BLOCK_BYTES = 1 << 20
 
 
 class KernelCompileError(RuntimeError):
@@ -104,11 +113,11 @@ def build() -> Path:
 
 
 @functools.cache
-def _simulate_fn():
-    """The kernel entry point, loaded once per process."""
+def _library():
+    """The library with both entry points declared, loaded once per process."""
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    fn = ctypes.CDLL(str(build())).wristsim_simulate
-    fn.argtypes = [
+    lib = ctypes.CDLL(str(build()))
+    lib.wristsim_simulate.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_double,      # n, substeps, h
         f64, f64, f64, f64,                                   # times, stiff, cr, sr
         ctypes.c_int64,                                       # legs
@@ -116,8 +125,14 @@ def _simulate_fn():
         f64, f64, f64,                                        # legs, body, state
         f64, f64, f64, f64, f64, f64, f64,                    # the seven records
     ]
-    fn.restype = ctypes.c_int64
-    return fn
+    lib.wristsim_simulate.restype = ctypes.c_int64
+    lib.wristsim_format_rows.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, f64,                  # n, k, rows
+        np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS"),
+        ctypes.c_int64,                                       # buffer capacity
+    ]
+    lib.wristsim_format_rows.restype = ctypes.c_int64
+    return lib
 
 
 def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
@@ -146,6 +161,34 @@ def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
         np.empty((n, 3)), np.empty((n, 4)), np.empty((n, 4)),
         np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n),
     )
-    failed = _simulate_fn()(n - 1, substeps, h, times, stiff, cr, sr,
-                            m, leg_start, legs, body, y, *records)
+    failed = _library().wristsim_simulate(n - 1, substeps, h, times, stiff, cr, sr,
+                                          m, leg_start, legs, body, y, *records)
     return failed, records
+
+
+def write_rows(fh, table) -> None:
+    """Write the rows of the 2-D ``table`` to the binary file ``fh``, each
+    value as ``'%.17g' % value``, joined by ``,`` and ended by ``\n``.
+
+    Blocks of at most :data:`BLOCK_ROWS` rows go through one reused buffer,
+    so the text of the whole table is never held in memory.  Raises
+    ``ValueError`` on a value that is not finite; the rows before its block
+    are already written.
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError(f"expected a 2-D table with columns, got shape {table.shape}")
+    n, k = table.shape
+    rows = max(1, min(n, BLOCK_ROWS, BLOCK_BYTES // (k * FIELD_BYTES)))
+    buf = np.empty(rows * k * FIELD_BYTES, dtype=np.uint8)
+    fmt = _library().wristsim_format_rows
+    for start in range(0, n, rows):
+        block = table[start:start + rows]
+        size = fmt(len(block), k, block, buf, buf.size)
+        if size == -1:
+            raise ValueError(
+                f"rows {start}..{start + len(block) - 1} hold a value that is not finite"
+            )
+        if size < 0:
+            raise RuntimeError("the CSV formatter's buffer is too small")
+        fh.write(buf[:size])

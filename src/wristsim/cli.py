@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._kernel import write_rows
 from .checks import run_checks
 from .config import Condition, ConfigError, ExperimentConfig, load_config
 from .experiments import (
@@ -76,25 +77,30 @@ def trajectory_table(traj: Trajectory) -> np.ndarray:
     )
 
 
+def write_csv(path: Path, columns, table: np.ndarray) -> None:
+    """Write ``table`` under a header line of ``columns``, each value as
+    ``%.17g``.  A table with a value that is not finite is refused before
+    the file is opened."""
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"{path}: row {int(np.argmax(bad))} holds a value that is not finite; "
+            "nothing written"
+        )
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode())
+        write_rows(fh, table)
+
+
 def write_trajectory(path: Path, traj: Trajectory) -> None:
-    np.savetxt(
-        path,
-        trajectory_table(traj),
-        fmt="%.17g",
-        delimiter=",",
-        header=",".join(TRAJECTORY_COLUMNS),
-        comments="",
-    )
+    write_csv(path, TRAJECTORY_COLUMNS, trajectory_table(traj))
 
 
 def write_listing(path: Path, surface) -> None:
     cloud = np.degrees(
         np.column_stack([surface.theta_y, surface.theta_z, surface.theta_x])
     )
-    np.savetxt(
-        path, cloud, fmt="%.17g", delimiter=",",
-        header=",".join(LISTING_COLUMNS), comments="",
-    )
+    write_csv(path, LISTING_COLUMNS, cloud)
 
 
 def _plane_dict(fit) -> dict:

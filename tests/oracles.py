@@ -11,6 +11,8 @@
   control on the same plant, the cross-check for the fixed-step RK4.
 * :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
   ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
+* :func:`savetxt` is the CSV writer through ``np.savetxt``; ``write_csv``
+  must reproduce its bytes.
 """
 
 import math
@@ -258,3 +260,9 @@ def euler_xyz_scalar(q):
     r01 = 2.0 * (x * y - w * z)
     r00 = 1.0 - 2.0 * (y * y + z * z)
     return (math.atan2(-r12, r22), ang_y, math.atan2(-r01, r00)), locked
+
+
+def savetxt(path, columns, table):
+    """``table`` under a header of ``columns``, each value as ``%.17g``."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(columns), comments="")

@@ -361,6 +361,26 @@ def test_unstable_run_exits_1_without_outputs(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_non_finite_table_exits_1_without_the_file(tmp_path, capsys, monkeypatch):
+    """A table with a value that is not finite is refused before its file
+    is opened, naming the file and the row."""
+    import wristsim.cli as cli
+
+    table = cli.trajectory_table
+
+    def poisoned(traj):
+        out = table(traj)
+        out[7, 2] = np.inf
+        return out
+
+    monkeypatch.setattr(cli, "trajectory_table", poisoned)
+    cfg = write(tmp_path, QUICK)
+    out = tmp_path / "res"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "trajectory.csv: row 7 " in capsys.readouterr().err
+    assert not (out / "quick" / "trajectory.csv").exists()
+
+
 def test_cli_check_flag_runs_invariant_suite(capsys):
     assert main(["run", "--check"]) == 0
     printed = capsys.readouterr().out

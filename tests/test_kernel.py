@@ -1,14 +1,19 @@
-"""The compiled trial kernel: bit-identical to the Python loop, and its build
-cache."""
+"""The compiled library: the trial kernel bit-identical to the Python loop,
+the CSV formatter byte-identical to ``%.17g``, and its build cache."""
 
+import dataclasses
+import io
 import math
+import shlex
+import subprocess
 import sysconfig
 
 import numpy as np
 import pytest
 
-from oracles import simulate_scalar
+from oracles import savetxt, simulate_scalar
 from wristsim import _kernel
+from wristsim.cli import TRAJECTORY_COLUMNS, trajectory_table, write_csv, write_trajectory
 from wristsim.experiments import (
     ClockTask,
     ParamSchedule,
@@ -80,3 +85,99 @@ def test_stale_source_copy_is_rebuilt(tmp_path, monkeypatch):
     assert lib.stat().st_ino != built
     assert copy.read_bytes() == source
     assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, copy.name])
+
+
+def test_source_compiles_without_warnings():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    proc = subprocess.run(
+        [*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_kernel.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def formatted(values):
+    """The formatter's text of ``values``, one per line."""
+    fh = io.BytesIO()
+    _kernel.write_rows(fh, np.asarray(values, dtype=float).reshape(-1, 1))
+    return fh.getvalue().decode().splitlines()
+
+
+def assert_g17(values):
+    values = np.asarray(values, dtype=float).ravel()
+    got = formatted(values)
+    assert len(got) == len(values)
+    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
+    assert not bad, bad[:5]
+
+
+def neighbours(x, steps=3):
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_formatter_edge_values():
+    tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
+    edges = [0.0, 5e-324, 2.5e-323, 1e-310, tiny, np.nextafter(tiny, 0.0), huge, 0.5, 0.1]
+    edges += neighbours(1e-11) + neighbours(1e17)
+    edges += [v for k in range(-30, 31) for v in neighbours(10.0 ** k)]
+    # just below a power of ten, where rounding up would carry into a new decade
+    edges += [9.9999999999999995e-05, 0.99999999999999994, 9999999999999999.5,
+              99999999999999984.0]
+    edges = np.array(edges)
+    assert_g17(np.concatenate([edges, -edges]))
+    assert formatted([0.0, -0.0]) == ["0", "-0"]
+    assert formatted([1234567890123456.75]) == ["1234567890123456.8"]
+
+
+def test_formatter_ties_and_integers(rng):
+    # x + j/4 in [2^50, 2^51) has 18 significant digits: j = 1 and 3 are
+    # exact ties at the 17th
+    ints = 2.0 ** 50 + rng.integers(0, 2 ** 50, 50_000)
+    assert_g17(ints[:, None] + np.arange(4) / 4)
+    assert_g17(np.arange(2 ** 53 - 20_000, 2 ** 53 + 1, dtype=float))
+    assert_g17(np.arange(-20_000, 20_000, dtype=float))
+
+
+def test_formatter_random_values():
+    rng = np.random.default_rng(20261018)
+    n = 1_000_000
+    values = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-40, 41, n)
+    assert_g17(np.where(rng.random(n) < 0.5, -values, values))
+
+
+def test_formatter_refuses_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            _kernel.write_rows(io.BytesIO(), np.array([[1.0, 2.0], [bad, 3.0]]))
+
+
+def short_trajectory(task, body, band, opts, n):
+    """The first ``n`` samples of a retune trial."""
+    traj = run_trial(build_retune_schedule(task, band), task, body, band, opts)
+    assert len(traj) >= n
+    return dataclasses.replace(traj, **{
+        f.name: getattr(traj, f.name)[:n] for f in dataclasses.fields(traj)
+    })
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025])
+def test_write_trajectory_matches_savetxt(tmp_path, task, body, band, opts, rows):
+    traj = short_trajectory(task, body, band, opts, rows)
+    write_trajectory(tmp_path / "got.csv", traj)
+    savetxt(tmp_path / "want.csv", TRAJECTORY_COLUMNS, trajectory_table(traj))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.count(b"\n") == rows + 1
+
+
+def test_write_csv_refuses_non_finite_before_opening(tmp_path):
+    table = np.zeros((5, 2))
+    table[3, 1] = np.nan
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=r"out\.csv: row 3 "):
+        write_csv(path, ("a", "b"), table)
+    assert not path.exists()
