@@ -16,7 +16,7 @@ from .rotations import (
     torsion_about_pointer,
 )
 from .fic import FicParams, FicPhase, fic_torque_quat, simulate_release, vdp_equivalent_mu
-from .dynamics import BodyModel, WristState, gravity_torque, integrate_step
+from .dynamics import BodyModel, gravity_torque, integrate_step
 from .planner import BandParams, ElasticBand, plan_reach, reach_duration
 from .experiments import (
     ClockTask,
@@ -48,7 +48,6 @@ __all__ = [
     "ParamSchedule",
     "SimOptions",
     "Trajectory",
-    "WristState",
     "build_clock_schedule",
     "build_retune_schedule",
     "compute_metrics",

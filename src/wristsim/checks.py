@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BodyModel, WristState, integrate_step, plant, rk4_step, unit_quat_state
+from .dynamics import BodyModel, integrate_step, plant, unit_quat_state
 from .fic import branch_torque
 from .rotations import (
     X_AXIS,
@@ -80,7 +80,7 @@ def check_euler_round_trip(rng, n=100_000, tol=1e-9) -> CheckResult:
     kept = 0
     raw = rng.standard_normal((n, 4))
     # blocks of about 1,000 rows: the whole stack at once raises peak memory
-    # by some 30 MB (the libm calls go through object arrays), a block ~1 MB
+    # by some 30 MB (the libm asin/atan2 go through object arrays), a block ~1 MB
     for block in np.array_split(raw, max(1, n // 1000)):
         q = quat_normalize(block)
         angles, locked = euler_xyz_from_quat(q)
@@ -94,28 +94,24 @@ def check_euler_round_trip(rng, n=100_000, tol=1e-9) -> CheckResult:
     )
 
 
-def _smooth_torque(q, omega, t):
-    return np.array(
-        [0.2 * math.sin(3.0 * t), 0.15 * math.cos(5.0 * t), 0.1 * math.sin(2.0 * t + 1.0)]
-    )
+def _smooth_torque(t):
+    return 0.2 * math.sin(3.0 * t), 0.15 * math.cos(5.0 * t), 0.1 * math.sin(2.0 * t + 1.0)
 
 
 def check_integrator_order(ratio_lo=10.0, ratio_hi=24.0) -> CheckResult:
     """Halving the step shrinks the global error ~16x (4th order)."""
-    body = BodyModel(gravity=(0.0, 0.0, 0.0))
+    rhs_plant = plant(BodyModel(gravity=(0.0, 0.0, 0.0)))
+
+    def rhs(y, t):
+        return rhs_plant(*y, *_smooth_torque(t))
+
     q0 = quat_normalize(np.array([0.9, 0.1, -0.2, 0.15]))
-    start = WristState(q=q0, omega=np.array([0.4, -0.3, 0.2]), t=0.0)
+    start = (*map(float, q0), 0.4, -0.3, 0.2)
 
     def endpoint(substeps):
-        s = integrate_step(
-            WristState(q=start.q.copy(), omega=start.omega.copy(), t=0.0),
-            _smooth_torque,
-            body,
-            dt=0.2,
-            substeps=substeps,
-            renormalize=False,
+        return np.array(
+            integrate_step(rhs, start, 0.0, dt=0.2, substeps=substeps, renormalize=False)
         )
-        return np.concatenate((s.q, s.omega))
 
     ref = endpoint(1600)
     err_h = float(np.linalg.norm(endpoint(50) - ref))
@@ -142,12 +138,9 @@ def check_quat_norm_drift(tol=1e-9, steps=500) -> CheckResult:
     # start close enough that the spring torque stays at task scale
     q0 = project_to_sphere(np.array([0.3, 0.0005, 0.1002]))
     y = (*map(float, q0), 0.05, -1.2, 0.8)
-    substeps = 10
-    h = 1e-3 / substeps
     worst = 0.0
     for step in range(steps):
-        for i in range(substeps):
-            y = rk4_step(rhs, y, step * 1e-3 + i * h, h)
+        y = integrate_step(rhs, y, step * 1e-3, dt=1e-3, substeps=10, renormalize=False)
         qw, qx, qy, qz = y[:4]
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         worst = max(worst, abs(norm - 1.0))

@@ -1,13 +1,16 @@
 """Rigid-body wrist plant: a box on an ideal spherical joint at the origin.
 
-State is the body orientation quaternion (body -> world) plus the body-frame
-angular velocity.  The only torques are the commanded world-frame control
-torque and gravity acting at the center of mass; there is no joint friction,
-so any damping must come from the controller.
+State is the float tuple ``(qw, qx, qy, qz, wx, wy, wz)``: the body
+orientation quaternion (body -> world) and the body-frame angular velocity.
+The only torques are the commanded world-frame control torque and gravity
+acting at the center of mass; there is no joint friction, so any damping
+must come from the controller.
 
-The plant law (:func:`plant`, :func:`gravity_moment`) and the RK4 step are
-written once on plain floats for :func:`integrate_step`, and the compiled
-trial kernel (``_kernel.c``) repeats them operation for operation;
+The plant law (:func:`plant`, :func:`gravity_moment`), the RK4 step and
+:func:`integrate_step`, the one Python stepper, are written once on plain
+floats; the compiled trial kernel (``_kernel.c``) repeats them operation for
+operation.  They use arithmetic and ``math.sqrt`` only, both correctly
+rounded in C and Python, so no transcendental stands between the two.
 :func:`gravity_torque` feeds :func:`gravity_moment` the columns of a whole
 quaternion record.
 """
@@ -15,8 +18,7 @@ quaternion record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +70,6 @@ class BodyModel:
         return inertia_box(
             self.mass, self.length, self.width, self.thickness, self.com_offset
         )
-
-
-@dataclass
-class WristState:
-    q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
-    omega: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    t: float = 0.0
 
 
 def gravity_moment(qw, qx, qy, qz, mass, cx, cy, cz, gx, gy, gz):
@@ -164,32 +159,20 @@ def unit_quat_state(y):
     return qw / n, qx / n, qy / n, qz / n, wx, wy, wz
 
 
-def integrate_step(
-    state: WristState,
-    controller: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-    body: BodyModel,
-    dt: float = 1e-3,
-    substeps: int = 5,
-    renormalize: bool = True,
-) -> WristState:
-    """Advance plant plus controller closure by one control interval.
+def integrate_step(rhs, y, t, dt=1e-3, substeps=5, renormalize=True):
+    """Advance the state tuple ``y`` of a closed loop by one control interval.
 
-    ``controller(q, omega, t)`` returns the commanded world-frame torque and
-    is re-evaluated at every integrator stage, so the feedback is continuous
-    within the step.  The step is split into ``substeps`` classical RK4
-    substeps (the stiffest torsional mode at clock-task stiffness sits
-    outside the RK4 stability region at the full control interval).
+    ``rhs(y, t)`` is the loop's right-hand side on floats, for example
+    :func:`plant` composed with a torque law, so the feedback is re-evaluated
+    at every RK4 stage.  The interval is split into ``substeps`` classical
+    RK4 substeps starting at ``t + i * dt / substeps`` (the stiffest
+    torsional mode at clock-task stiffness sits outside the RK4 stability
+    region at the full control interval), each followed by
+    :func:`unit_quat_state` unless ``renormalize`` is false.
     """
-    plant_rhs = plant(body)
-
-    def rhs(y, t):
-        tau = controller(np.array(y[:4]), np.array(y[4:]), t)
-        return plant_rhs(*y, *map(float, tau))
-
-    y = (*map(float, state.q), *map(float, state.omega))
     h = dt / substeps
     for i in range(substeps):
-        y = rk4_step(rhs, y, state.t + i * h, h)
+        y = rk4_step(rhs, y, t + i * h, h)
         if renormalize:
             y = unit_quat_state(y)
-    return WristState(q=np.array(y[:4]), omega=np.array(y[4:]), t=state.t + dt)
+    return y

@@ -22,9 +22,7 @@ derived after it are computed on the whole record at once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,6 +95,12 @@ class ClockTask:
         return self.targets[index]
 
 
+def _in_force(breaks, times):
+    """Index of the breakpoint in force at each of ``times`` (a time or an
+    array of times), -1 before the first."""
+    return np.searchsorted([t for t, _ in breaks], times, side="right") - 1
+
+
 @dataclass(frozen=True)
 class ParamSchedule:
     """Piecewise-constant controller parameters and target sequence.
@@ -132,8 +136,8 @@ class ParamSchedule:
 
     @staticmethod
     def _value_at(breaks, t, default):
-        i = bisect_right(breaks, t, key=itemgetter(0))
-        return breaks[i - 1][1] if i else default
+        i = _in_force(breaks, t)
+        return breaks[i][1] if i >= 0 else default
 
     def stiffness_at(self, t: float) -> float:
         return self._value_at(self.stiffness_breaks, t, self.stiffness_breaks[0][1])
@@ -256,12 +260,6 @@ def pointer_intersection(q: np.ndarray, plane_distance: float) -> np.ndarray:
             "is parallel to the target plane"
         )
     return plane_distance / ray[..., :1] * ray
-
-
-def _in_force(breaks, times) -> np.ndarray:
-    """Index of the breakpoint in force at each of ``times``, -1 before the
-    first: the ``bisect_right`` rule of :meth:`ParamSchedule._value_at`."""
-    return np.searchsorted([t for t, _ in breaks], times, side="right") - 1
 
 
 def _leg_table(times, target_break, targets, task, band):

@@ -15,8 +15,11 @@ The laws the trial kernel evaluates at every integrator stage
 (:func:`pointing_quat`, :func:`to_body`) are written once on plain floats
 and repeated operation for operation in the compiled kernel
 (``_kernel.c``).  The other quaternion functions take one quaternion or an
-(n, 4) stack through one body, with transcendentals on libm: numpy's own
-``arcsin``/``arctan2`` differ from it in the last ulp on some inputs.
+(n, 4) stack through one body.  The ``asin``/``atan2`` of the Euler and
+angle laws stay on libm, element by element: they produce the bytes of the
+listing CSVs, and numpy's own ``arcsin``/``arctan2`` differ from libm in
+the last ulp on some inputs.  :func:`quat_from_euler_xyz` feeds no output
+file and uses numpy's ``cos``/``sin``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ def _libm(fn, nin):
 
 
 _asin, _atan2 = _libm(math.asin, 1), _libm(math.atan2, 2)
-_cos, _sin = _libm(math.cos, 1), _libm(math.sin, 1)
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,7 +205,7 @@ def quat_from_euler_xyz(ang_x, ang_y, ang_z) -> np.ndarray:
     hx, hy, hz = np.broadcast_arrays(*(0.5 * np.asarray(a, dtype=float)
                                        for a in (ang_x, ang_y, ang_z)))
     zero = np.zeros_like(hx)
-    qx = np.stack([_cos(hx), _sin(hx), zero, zero], axis=-1)
-    qy = np.stack([_cos(hy), zero, _sin(hy), zero], axis=-1)
-    qz = np.stack([_cos(hz), zero, zero, _sin(hz)], axis=-1)
+    qx = np.stack([np.cos(hx), np.sin(hx), zero, zero], axis=-1)
+    qy = np.stack([np.cos(hy), zero, np.sin(hy), zero], axis=-1)
+    qz = np.stack([np.cos(hz), zero, zero, np.sin(hz)], axis=-1)
     return quat_mul(qx, quat_mul(qy, qz))

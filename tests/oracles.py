@@ -1,14 +1,21 @@
 """Slow reference implementations that the shipped code is checked against.
 
+The two trial loops and :func:`dp45_step` step a float state tuple
+``(qw, qx, qy, qz, wx, wy, wz)`` with a float right-hand side ``rhs(y, t)``,
+as the package's one stepper, ``dynamics.integrate_step``, does.
+
 * :func:`simulate_scalar` is the trial loop on plain floats through the
   package's float laws (``pointing_quat``, ``branch_step``,
-  ``branch_torque``, ``plant``, ``rk4_step``); the compiled kernel must
-  reproduce its records bit for bit.
+  ``branch_torque``, ``plant``, one-substep ``integrate_step``); the
+  compiled kernel must reproduce its records bit for bit.
 * :func:`simulate_reference` is the trial loop written against the public
-  numpy API (projection, controller tick, one-substep ``integrate_step``);
-  the compiled kernel must reproduce it to float rounding.
+  API (``project_to_sphere``, the controller tick ``fic_torque_quat`` and
+  its frozen-branch torque ``torque_for_phase``, one-substep
+  ``integrate_step``); the compiled kernel must reproduce it to float
+  rounding.
 * :func:`dp45_step` is an embedded Dormand-Prince 4(5) step with error
-  control on the same plant, the cross-check for the fixed-step RK4.
+  control, called like ``integrate_step``; the cross-check for the
+  fixed-step RK4.
 * :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
   ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
 * :func:`savetxt` is the CSV writer through ``np.savetxt``; ``write_csv``
@@ -22,11 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from wristsim.dynamics import WristState, integrate_step, plant, rk4_step, unit_quat_state
+from wristsim.dynamics import integrate_step, plant, unit_quat_state
 from wristsim.experiments import SimulationError
 from wristsim.fic import FicPhase, branch_step, branch_torque, fic_torque_quat, torque_for_phase
 from wristsim.planner import ReachProfile
-from wristsim.rotations import GIMBAL_GUARD, pointing_quat, project_to_sphere, quat_norm
+from wristsim.rotations import GIMBAL_GUARD, pointing_quat, project_to_sphere
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -114,7 +121,7 @@ def simulate_scalar(schedule, task, body, band, opts):
                 dmax_rec[k] = peak
                 if k == n:  # the last sample is recorded, not integrated
                     break
-            y = unit_quat_state(rk4_step(closed_loop, y, t_sub, h))
+            y = integrate_step(closed_loop, y, t_sub, h, 1)
 
     return SimpleNamespace(
         plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,
@@ -139,10 +146,9 @@ def simulate_reference(schedule, task, body, band, opts):
     profile = ReachProfile.from_rest(task.center, task.center, band, 0.0)
     cur_idx: Optional[int] = None
     phase = FicPhase()
-    state = WristState(
-        q=project_to_sphere(task.center, torsion=schedule.torsion_at(0.0)),
-        omega=np.zeros(3),
-    )
+    plant_rhs = plant(body)
+    y = (*map(float, project_to_sphere(task.center, torsion=schedule.torsion_at(0.0))),
+         0.0, 0.0, 0.0)
     h = opts.dt / opts.substeps
     for k in range(n + 1):
         t_k = times[k]
@@ -158,11 +164,11 @@ def simulate_reference(schedule, task, body, band, opts):
             return project_to_sphere(profile.sample(t)[0], torsion=phi_now)
 
         q_des_k = desired(t_k)
-        tau_k, angle_k, phase = fic_torque_quat(state.q, q_des_k, k_now, phase)
+        tau_k, angle_k, phase = fic_torque_quat(y[:4], q_des_k, k_now, phase)
         plan_pos[k] = profile.sample(t_k)[0]
         quat_des[k] = q_des_k
-        quat[k] = state.q
-        omega_rec[k] = state.omega
+        quat[k] = y[:4]
+        omega_rec[k] = y[4:]
         tau_rec[k] = tau_k
         err_rec[k] = angle_k
         dmax_rec[k] = phase.disp_max
@@ -171,14 +177,15 @@ def simulate_reference(schedule, task, body, band, opts):
         for i in range(opts.substeps):
             t_sub = t_k + i * h
             if i > 0:
-                _, _, phase = fic_torque_quat(state.q, desired(t_sub), k_now, phase)
+                _, _, phase = fic_torque_quat(y[:4], desired(t_sub), k_now, phase)
 
-            def controller(q, w, t, _frozen=phase):
-                return torque_for_phase(q, desired(t), k_now, _frozen)[0]
+            def closed_loop(y, t, _frozen=phase):
+                tau = torque_for_phase(y[:4], desired(t), k_now, _frozen)[0]
+                return plant_rhs(*y, *map(float, tau))
 
-            # pin the clock so stage times do not accumulate rounding
-            state = WristState(q=state.q, omega=state.omega, t=t_sub)
-            state = integrate_step(state, controller, body, dt=h, substeps=1)
+            # each substep starts at its own time: stage times do not
+            # accumulate rounding
+            y = integrate_step(closed_loop, y, t_sub, h, 1)
     return SimpleNamespace(
         plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,
         tau_cmd=tau_rec, err_angle=err_rec, disp_max=dmax_rec,
@@ -214,29 +221,23 @@ class IntegrationError(RuntimeError):
     """Raised when the adaptive integrator cannot meet its tolerance."""
 
 
-def dp45_step(state, controller, body, dt=1e-3, rtol=1e-8, atol=1e-12):
+def dp45_step(rhs, y, t, dt=1e-3, rtol=1e-8, atol=1e-12):
     """Advance like ``integrate_step`` with adaptive Dormand-Prince 4(5)."""
-    plant_rhs = plant(body)
-
-    def rhs(y, t):
-        return np.array(plant_rhs(*y, *controller(y[:4], y[4:], t)))
-
-    y = np.concatenate((state.q, state.omega)).astype(float)
-    t0 = state.t
-    t = 0.0
+    y = np.array(y, dtype=float)
+    elapsed = 0.0
     h = dt
-    while t < dt - 1e-15:
-        h = min(h, dt - t)
-        k = [rhs(y, t0 + t)]
+    while elapsed < dt - 1e-15:
+        h = min(h, dt - elapsed)
+        k = [np.array(rhs(y, t + elapsed))]
         for row, c in zip(_DP_A[1:], _DP_C[1:]):
             y_stage = y + h * sum(a * ki for a, ki in zip(row, k))
-            k.append(rhs(y_stage, t0 + t + c * h))
+            k.append(np.array(rhs(y_stage, t + elapsed + c * h)))
         y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
         y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
         if err <= 1.0:
-            t += h
+            elapsed += h
             y = y5
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
@@ -244,8 +245,7 @@ def dp45_step(state, controller, body, dt=1e-3, rtol=1e-8, atol=1e-12):
             raise IntegrationError(
                 f"stiff dynamics: adaptive step collapsed below {MIN_ADAPTIVE_STEP}"
             )
-    y[:4] /= quat_norm(y[:4])
-    return WristState(q=y[:4], omega=y[4:], t=t0 + dt)
+    return unit_quat_state(tuple(map(float, y)))
 
 
 def euler_xyz_scalar(q):

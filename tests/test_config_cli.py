@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,8 +384,45 @@ def test_non_finite_table_exits_1_without_the_file(tmp_path, capsys, monkeypatch
     assert not (out / "quick" / "trajectory.csv").exists()
 
 
+CHECK_LINES_SEED_0 = [
+    "[PASS] torsion equivariance: worst deviation 2.719e-16 (tol 1e-12, 2000 samples)",
+    "[PASS] pointing consistency: worst round trip 2.238e-16 m (tol 1e-10, 2000 samples)",
+    "[PASS] euler round trip: worst angle 7.961e-14 rad over 100000 of 100000 samples"
+    " (tol 1e-09)",
+    "[PASS] integrator order: error ratio 16.12 for step halving (expect ~16)",
+    "[PASS] quat norm drift: worst per-step drift 1.480e-11 (tol 1e-09, 500 steps)",
+    "5/5 checks passed",
+]
+
+
 def test_cli_check_flag_runs_invariant_suite(capsys):
+    # the default seed is 0; every figure the suite prints is pinned
     assert main(["run", "--check"]) == 0
-    printed = capsys.readouterr().out
-    assert "5/5 checks passed" in printed
-    assert printed.count("[PASS]") == 5
+    assert capsys.readouterr().out.splitlines() == CHECK_LINES_SEED_0
+
+
+def test_trace_cli_wraps_the_check_suite(tmp_path):
+    """The out-of-package tracer finds every name it wraps and attributes
+    the check suite's layers: one span per check and every stepper call."""
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(trace),
+         "run", "--check"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == CHECK_LINES_SEED_0
+    data = json.loads(trace.read_text())
+    checks = [span[0] for span in data["spans"] if span[0].startswith("checks.")]
+    assert checks == [
+        "checks.torsion_equivariance",
+        "checks.pointing_consistency",
+        "checks.euler_round_trip",
+        "checks.integrator_order",
+        "checks.quat_norm_drift",
+    ]
+    steps = sum(count for _, name, count, *_ in data["tallies"]
+                if name == "dynamics.integrate_step")
+    assert steps == 3 + 500  # the order check's three runs, the drift check's steps

@@ -5,11 +5,11 @@ import pytest
 
 from wristsim.dynamics import (
     BodyModel,
-    WristState,
     gravity_moment,
     gravity_torque,
     inertia_box,
     integrate_step,
+    plant,
 )
 from wristsim.rotations import quat_angle_between, quat_norm, quat_normalize, rotate_vec
 from oracles import dp45_step
@@ -68,58 +68,64 @@ def test_gravity_torque_bounded_by_lever(body, rng):
         assert np.linalg.norm(gravity_torque(q, body)) <= lever * (1 + 1e-12)
 
 
-def zero_torque(q, omega, t):
-    return np.zeros(3)
+def torque_free(body):
+    plant_rhs = plant(body)
+    return lambda y, t: plant_rhs(*y, 0.0, 0.0, 0.0)
 
 
 def test_free_tumble_conserves_energy_and_momentum(body):
     """Torque-free anisotropic tumble keeps E and world momentum fixed."""
     free = BodyModel(gravity=(0.0, 0.0, 0.0))
     inertia = free.inertia
-    state = WristState(omega=np.array([2.0, 3.0, -1.0]))
-    e0 = 0.5 * state.omega @ inertia @ state.omega
-    l0 = rotate_vec(state.q, inertia @ state.omega)
-    for _ in range(2000):
-        state = integrate_step(state, zero_torque, free, dt=1e-3, substeps=4)
-    e1 = 0.5 * state.omega @ inertia @ state.omega
-    l1 = rotate_vec(state.q, inertia @ state.omega)
+    rhs = torque_free(free)
+    y = (1.0, 0.0, 0.0, 0.0, 2.0, 3.0, -1.0)
+    omega = np.array(y[4:])
+    e0 = 0.5 * omega @ inertia @ omega
+    l0 = rotate_vec(y[:4], inertia @ omega)
+    for k in range(2000):
+        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=4)
+    omega = np.array(y[4:])
+    e1 = 0.5 * omega @ inertia @ omega
+    l1 = rotate_vec(y[:4], inertia @ omega)
     assert e1 == pytest.approx(e0, rel=1e-9)
     np.testing.assert_allclose(l1, l0, rtol=1e-8)
 
 
 def test_renormalized_quaternion_stays_unit(body):
-    state = WristState(omega=np.array([1.0, -2.0, 0.5]))
-    for _ in range(500):
-        state = integrate_step(state, zero_torque, body, dt=1e-3)
-        assert abs(quat_norm(state.q) - 1.0) < 1e-12
+    rhs = torque_free(body)
+    y = (1.0, 0.0, 0.0, 0.0, 1.0, -2.0, 0.5)
+    for k in range(500):
+        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3)
+        assert abs(quat_norm(y[:4]) - 1.0) < 1e-12
 
 
 def test_unrenormalized_drift_stays_tiny(body):
     # raw RK4 drift per step is far below the 1e-9 budget
-    state = WristState(omega=np.array([1.0, -2.0, 0.5]))
+    rhs = torque_free(body)
+    y = (1.0, 0.0, 0.0, 0.0, 1.0, -2.0, 0.5)
     worst = 0.0
-    for _ in range(200):
-        prev = quat_norm(state.q)
-        state = integrate_step(
-            state, zero_torque, body, dt=1e-3, renormalize=False
-        )
-        worst = max(worst, abs(quat_norm(state.q) - prev))
+    for k in range(200):
+        prev = quat_norm(y[:4])
+        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3, renormalize=False)
+        worst = max(worst, abs(quat_norm(y[:4]) - prev))
     assert worst <= 1e-9
 
 
 def test_adaptive_matches_fixed_step(body):
-    def spring(q, omega, t):
+    plant_rhs = plant(body)
+
+    def spring(y, t):
         # mild attitude spring toward identity, world frame
+        q = np.array(y[:4])
         angle = 2.0 * math.atan2(np.linalg.norm(q[1:]), q[0])
         if angle < 1e-12:
-            return np.zeros(3)
+            return plant_rhs(*y, 0.0, 0.0, 0.0)
         axis = q[1:] / np.linalg.norm(q[1:])
-        return -5.0 * angle * axis
+        return plant_rhs(*y, *map(float, -5.0 * angle * axis))
 
-    a = WristState(omega=np.array([0.3, -0.4, 0.2]))
-    b = WristState(omega=np.array([0.3, -0.4, 0.2]))
-    for _ in range(200):
-        a = integrate_step(a, spring, body, dt=1e-3, substeps=10)
-        b = dp45_step(b, spring, body, dt=1e-3, rtol=1e-10)
-    assert quat_angle_between(a.q, b.q) < 1e-7
-    np.testing.assert_allclose(a.omega, b.omega, atol=1e-6)
+    a = b = (1.0, 0.0, 0.0, 0.0, 0.3, -0.4, 0.2)
+    for k in range(200):
+        a = integrate_step(spring, a, k * 1e-3, dt=1e-3, substeps=10)
+        b = dp45_step(spring, b, k * 1e-3, dt=1e-3, rtol=1e-10)
+    assert quat_angle_between(a[:4], b[:4]) < 1e-7
+    np.testing.assert_allclose(a[4:], b[4:], atol=1e-6)
