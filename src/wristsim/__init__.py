@@ -15,7 +15,7 @@ from .rotations import (
     quat_from_euler_xyz,
     torsion_about_pointer,
 )
-from .fic import FicParams, FicPhase, fic_torque_quat, simulate_release, vdp_equivalent_mu
+from .fic import FicPhase, fic_torque_quat, simulate_release, vdp_equivalent_mu
 from .dynamics import BodyModel, gravity_torque, integrate_step
 from .planner import BandParams, ElasticBand, plan_reach, reach_duration
 from .experiments import (
@@ -43,7 +43,6 @@ __all__ = [
     "Condition",
     "ElasticBand",
     "ExperimentConfig",
-    "FicParams",
     "FicPhase",
     "ParamSchedule",
     "SimOptions",

@@ -224,6 +224,14 @@ class SimOptions:
     #: the only integrator; each substep evaluates the right-hand side 4 times
     method = "rk4"
 
+    def __post_init__(self):
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
+        if type(self.substeps) is not int or self.substeps < 1:
+            raise ValueError(
+                f"substeps must be a positive integer, got {self.substeps!r}"
+            )
+
 
 @dataclass
 class Trajectory:

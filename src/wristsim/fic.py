@@ -9,15 +9,17 @@ therefore dissipates the energy it stored, without any explicit damping
 term, while the instantaneous output torque stays bounded by the stiffness
 times the peak displacement.
 
-The branch machine, the force law and the quaternion torque are written
-once on plain floats (:func:`branch_step`, :func:`branch_force`,
-:func:`branch_torque`); the dataclass-based functions wrap them, and the
-compiled trial kernel (``_kernel.c``) repeats them operation for operation.
+The controller state is the pair ``(diverging, peak)``: the branch flag and
+the recorded peak displacement.  The four laws are written once on plain
+floats: the branch machine :func:`branch_step`, the force
+:func:`branch_force`, its potential :func:`branch_potential` and the
+quaternion torque :func:`branch_torque`.  The compiled trial kernel
+(``_kernel.c``) repeats the machine, the force and the torque operation for
+operation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,33 +32,17 @@ from .dynamics import rk4_step
 DEADBAND = 1e-6
 
 
-class Mode(enum.Enum):
-    DIVERGENCE = "divergence"
-    CONVERGENCE = "convergence"
-
-
 @dataclass(frozen=True)
 class FicPhase:
-    """Controller memory: branch selector and the peak displacement seen.
+    """Controller memory: branch flag and the peak displacement seen.
 
     ``disp_prev`` only feeds the displacement-rate estimate of
     :func:`fic_torque_quat`; it carries no control authority of its own.
     """
 
-    mode: Mode = Mode.DIVERGENCE
+    diverging: bool = True
     disp_max: float = 0.0
     disp_prev: float = 0.0
-
-
-@dataclass(frozen=True)
-class FicParams:
-    """Stiffness of the divergence branch (a linear spring)."""
-
-    stiffness: float
-
-    def __post_init__(self):
-        if not self.stiffness > 0.0:
-            raise ValueError(f"stiffness must be positive, got {self.stiffness}")
 
 
 def branch_step(diverging, peak, disp, rate, deadband=DEADBAND):
@@ -97,6 +83,22 @@ def branch_force(disp, stiffness, diverging, peak):
     return 0.0
 
 
+def branch_potential(disp, stiffness, diverging, peak):
+    """Potential of :func:`branch_force`, continuous at the switch.
+
+    Along either branch the sum of kinetic energy and this potential is an
+    invariant of the autonomous motion; the discrete branch events can only
+    remove energy from the ledger.
+    """
+    if diverging:
+        return 0.5 * stiffness * disp * disp
+    if peak <= 0.0:
+        return 0.0
+    gain = 2.0 * (stiffness * peak) / peak
+    offset = 0.5 * stiffness * peak * peak - 0.5 * gain * (0.5 * peak) ** 2
+    return 0.5 * gain * (disp - 0.5 * peak) ** 2 + offset
+
+
 def branch_torque(qw, qx, qy, qz, dw, dx, dy, dz, stiffness, diverging, peak):
     """World torque pulling q toward the desired d; returns (tx, ty, tz, angle).
 
@@ -127,35 +129,9 @@ def update_phase(
     """
     if disp < 0.0:
         raise ValueError("displacement must be non-negative")
-    diverging, peak = branch_step(
-        phase.mode is Mode.DIVERGENCE, phase.disp_max, disp, disp_rate, deadband
+    return FicPhase(
+        *branch_step(phase.diverging, phase.disp_max, disp, disp_rate, deadband), disp
     )
-    return FicPhase(Mode.DIVERGENCE if diverging else Mode.CONVERGENCE, peak, disp)
-
-
-def fic_force_linear(disp: float, params: FicParams, phase: FicPhase) -> float:
-    """Restoring force toward the goal (positive pulls the error down)."""
-    return branch_force(
-        disp, params.stiffness, phase.mode is Mode.DIVERGENCE, phase.disp_max
-    )
-
-
-def fic_potential_energy(disp: float, params: FicParams, phase: FicPhase) -> float:
-    """Potential consistent with the branch force, continuous at the switch.
-
-    Along either branch the sum of kinetic energy and this potential is an
-    invariant of the autonomous motion; the discrete branch events can only
-    remove energy from the ledger.
-    """
-    k = params.stiffness
-    if phase.mode is Mode.DIVERGENCE:
-        return 0.5 * k * disp * disp
-    peak = phase.disp_max
-    if peak <= 0.0:
-        return 0.0
-    gain = 2.0 * (k * peak) / peak
-    offset = 0.5 * k * peak * peak - 0.5 * gain * (0.5 * peak) ** 2
-    return 0.5 * gain * (disp - 0.5 * peak) ** 2 + offset
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +147,7 @@ def torque_for_phase(
     See :func:`branch_torque`.
     """
     *torque, angle = branch_torque(
-        *map(float, q), *map(float, q_des), stiffness,
-        phase.mode is Mode.DIVERGENCE, phase.disp_max,
+        *map(float, q), *map(float, q_des), stiffness, phase.diverging, phase.disp_max
     )
     return np.array(torque), angle
 
@@ -197,7 +172,7 @@ def fic_torque_quat(
 
 
 def simulate_release(
-    params: FicParams,
+    stiffness: float,
     mass: float,
     start_disp: float,
     dt: Optional[float] = None,
@@ -214,13 +189,14 @@ def simulate_release(
     Returns ``(t, disp, vel, t_arrive)`` with sample arrays ending at the
     arrival state.
     """
-    omega = math.sqrt(2.0 * params.stiffness / mass)
+    if not stiffness > 0.0:
+        raise ValueError(f"stiffness must be positive, got {stiffness}")
+    omega = math.sqrt(2.0 * stiffness / mass)
     if dt is None:
         dt = (math.pi / omega) / 4000.0
-    phase = FicPhase(Mode.CONVERGENCE, start_disp)
 
     def rhs(y, t):
-        return y[1], -fic_force_linear(y[0], params, phase) / mass
+        return y[1], -branch_force(y[0], stiffness, False, start_disp) / mass
 
     ts, xs, vs = [0.0], [start_disp], [0.0]
     t, x, v = 0.0, start_disp, 0.0
@@ -251,7 +227,7 @@ def simulate_release(
 
 def vdp_equivalent_mu(
     peak_disp: float,
-    params: FicParams,
+    stiffness: float,
     mass: float,
     extra_energy: float = 0.0,
     dt: Optional[float] = None,
@@ -268,11 +244,12 @@ def vdp_equivalent_mu(
     """
     if peak_disp <= 0.0:
         raise ValueError("peak displacement must be positive")
-    ts, xs, vs, _ = simulate_release(params, mass, peak_disp, dt=dt)
+    ts, xs, vs, _ = simulate_release(stiffness, mass, peak_disp, dt=dt)
     damping_work = float(np.trapezoid((1.0 - xs**2) * vs**2, ts))
     if damping_work < 1e-12:
         raise ValueError("degenerate damping integral along the release path")
-    k = params.stiffness
-    natural_freq_sq = k / (2.0 * mass)
-    numerator = mass * natural_freq_sq * peak_disp**2 + k * peak_disp**2 + extra_energy
+    natural_freq_sq = stiffness / (2.0 * mass)
+    numerator = (
+        mass * natural_freq_sq * peak_disp**2 + stiffness * peak_disp**2 + extra_energy
+    )
     return numerator / (2.0 * damping_work)

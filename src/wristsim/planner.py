@@ -10,7 +10,9 @@ independently of reach length.
 
 :class:`ReachProfile` is that from-rest leg in closed form and is the plan
 the trial kernel follows; :class:`ElasticBand` integrates the same band
-step by step, so a reach can be retargeted mid-flight.
+step by step, so a reach can be retargeted mid-flight.  The band carries the
+controller state ``(diverging, peak)`` and steps it with the float laws
+:func:`~wristsim.fic.branch_step` and :func:`~wristsim.fic.branch_force`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import rk4_step
-from .fic import FicParams, FicPhase, Mode, fic_force_linear, update_phase
+from .fic import branch_force, branch_step
 
 #: distance at which a reach is considered complete and the plan clamps
 ARRIVAL_TOL = 1e-6
@@ -143,11 +145,11 @@ class ReachProfile:
 class ElasticBand:
     """Stateful desired-position generator stepped at a fixed rate.
 
-    The band integrates its own point-mass dynamics under the branch force,
-    so retargeting mid-flight keeps position and velocity continuous (only
-    the acceleration jumps).  When the remaining distance drops inside
-    ``arrival_tol`` the state snaps exactly onto the target and stays
-    clamped there.
+    The band integrates its own point-mass dynamics under the branch force
+    of its state ``(diverging, peak)``, so retargeting mid-flight keeps
+    position and velocity continuous (only the acceleration jumps).  When
+    the remaining distance drops inside ``arrival_tol`` the state snaps
+    exactly onto the target and stays clamped there.
     """
 
     def __init__(
@@ -164,7 +166,7 @@ class ElasticBand:
         self.pos = np.asarray(start, dtype=float).copy()
         self.vel = np.zeros(3)
         self.target = self.pos.copy()
-        self.phase = FicPhase()
+        self.diverging, self.peak = True, 0.0
         self.reach_stiffness = None
         self.snap_tol = arrival_tol
         self.arrived = True
@@ -182,7 +184,7 @@ class ElasticBand:
         # must scale with the deceleration there or long reaches bounce
         touchdown_accel = self.reach_stiffness * dist / self.params.virtual_mass
         self.snap_tol = max(self.arrival_tol, touchdown_accel * self.dt**2)
-        self.phase = FicPhase(Mode.CONVERGENCE, dist, dist)
+        self.diverging, self.peak = False, dist
         self.arrived = False
 
     def _snap(self):
@@ -190,26 +192,24 @@ class ElasticBand:
         self.vel = np.zeros(3)
         self.arrived = True
 
-    def _accel(self, pos, phase) -> np.ndarray:
+    def _accel(self, pos) -> np.ndarray:
         offset = self.target - pos
         dist = float(np.linalg.norm(offset))
         if dist < 1e-15:
             return np.zeros(3)
-        force = fic_force_linear(dist, FicParams(self.reach_stiffness), phase)
+        force = branch_force(dist, self.reach_stiffness, self.diverging, self.peak)
         return force / self.params.virtual_mass / dist * offset
 
     def sample(self) -> PlanSample:
         """Current state as a plan sample (no time advance)."""
-        acc = np.zeros(3) if self.arrived else self._accel(self.pos, self.phase)
+        acc = np.zeros(3) if self.arrived else self._accel(self.pos)
         return PlanSample(self.t, self.pos.copy(), self.vel.copy(), acc)
 
     def step(self) -> PlanSample:
         """Advance one tick and return the new sample."""
         if not self.arrived:
-            phase = self.phase
-
             def rhs(y, t):
-                return y[1], self._accel(y[0], phase)
+                return y[1], self._accel(y[0])
 
             dist_prev = float(np.linalg.norm(self.target - self.pos))
             self.pos, self.vel = rk4_step(rhs, (self.pos, self.vel), self.t, self.dt)
@@ -217,8 +217,8 @@ class ElasticBand:
             if dist <= self.snap_tol:
                 self._snap()
             else:
-                self.phase = update_phase(
-                    self.phase, dist, dist - dist_prev, self.snap_tol
+                self.diverging, self.peak = branch_step(
+                    self.diverging, self.peak, dist, dist - dist_prev, self.snap_tol
                 )
         self.t += self.dt
         return self.sample()

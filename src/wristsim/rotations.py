@@ -78,7 +78,8 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip sign so the scalar part is non-negative (same rotation)."""
-    return -np.asarray(q, dtype=float) if q[0] < 0.0 else np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def to_body(qw, qx, qy, qz, vx, vy, vz):
@@ -161,16 +162,16 @@ def project_to_sphere(point, center=(0.0, 0.0, 0.0), torsion: float = 0.0) -> np
     return np.array(pointing_quat(ox, oy, oz, math.cos(half), math.sin(half)))
 
 
-def torsion_about_pointer(q: np.ndarray) -> float:
+def torsion_about_pointer(q: np.ndarray):
     """Signed roll of the body about its own x axis, in (-pi, pi].
 
     This is the twist angle of the swing-twist split about +x, which the
     pointing projection composes last; pure swing rotations return 0.
+    ``q`` is one quaternion or an (n, 4) stack.
     """
-    q = quat_canonical(q)
-    if abs(q[0]) < 1e-15 and abs(q[1]) < 1e-15:
-        return 0.0
-    return 2.0 * math.atan2(q[1], q[0])
+    w, x, _, _ = quat_canonical(q).T
+    pure_swing = (np.abs(w) < 1e-15) & (np.abs(x) < 1e-15)
+    return np.where(pure_swing, 0.0, 2.0 * _atan2(x, w))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -36,14 +36,7 @@ from wristsim.experiments import (
     fit_plane,
     run_trial,
 )
-from wristsim.fic import (
-    FicParams,
-    FicPhase,
-    Mode,
-    fic_potential_energy,
-    simulate_release,
-    vdp_equivalent_mu,
-)
+from wristsim.fic import branch_potential, simulate_release, vdp_equivalent_mu
 from wristsim.rotations import quat_angle_between, quat_mul, torsion_about_pointer
 
 CLOCK_SPECS = {
@@ -197,9 +190,7 @@ def test_a5_constant_torsion_offset(battery):
         0.5 * (base.metrics.effort_std**2 + offset.metrics.effort_std**2)
     )
     d_effort = abs(offset.metrics.effort_mean - base.metrics.effort_mean)
-    twists = np.array(
-        [torsion_about_pointer(q) for q in offset.traj.quat_des]
-    )
+    twists = torsion_about_pointer(offset.traj.quat_des)
     twist_dev = float(np.max(np.abs(twists - phi)))
     roll = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi), 0.0, 0.0])
     pair_dev = max(
@@ -283,14 +274,12 @@ def test_a6_online_retuning_stability(battery):
 def test_a7_autonomous_release(battery):
     clauses = []
     for mass, k, x0 in ((1.0, 10000.0, 0.3), (0.5, 250.0, 0.1), (2.0, 5000.0, 0.4)):
-        params = FicParams(stiffness=k)
-        ts, xs, vs, t_arrive = simulate_release(params, mass, x0)
+        ts, xs, vs, t_arrive = simulate_release(k, mass, x0)
         ideal = math.pi * math.sqrt(mass / (2.0 * k))
         t_err = abs(t_arrive - ideal) / ideal
         v_ratio = abs(vs[-1]) / np.max(np.abs(vs))
-        phase = FicPhase(Mode.CONVERGENCE, x0, x0)
         energy = 0.5 * mass * vs**2 + np.array(
-            [fic_potential_energy(x, params, phase) for x in xs]
+            [branch_potential(x, k, False, x0) for x in xs]
         )
         e_drift = float(np.ptp(energy) / energy[0])
         clauses.append(
@@ -304,17 +293,14 @@ def test_a7_autonomous_release(battery):
         )
     # branch potentials must agree where the controller switches
     switch_dev = 0.0
-    params = FicParams(stiffness=10000.0)
     for dmax in (1e-3, 0.1, 0.4363, 1.2):
-        div = fic_potential_energy(dmax, params, FicPhase(Mode.DIVERGENCE, dmax, dmax))
-        conv = fic_potential_energy(
-            dmax, params, FicPhase(Mode.CONVERGENCE, dmax, dmax)
-        )
+        div = branch_potential(dmax, 10000.0, True, dmax)
+        conv = branch_potential(dmax, 10000.0, False, dmax)
         switch_dev = max(switch_dev, abs(div - conv) / div)
     clauses.append(
         (switch_dev <= 1e-9, f"switch energy dev={switch_dev:.2e} (<=1e-9 rel)")
     )
-    mu = vdp_equivalent_mu(0.3, FicParams(stiffness=10000.0), 1.0, extra_energy=0.0)
+    mu = vdp_equivalent_mu(0.3, 10000.0, 1.0, extra_energy=0.0)
     clauses.append(
         (math.isfinite(mu) and mu > 0.0, f"equivalent mu={mu:.4f} finite and positive")
     )

@@ -63,6 +63,16 @@ def test_task_validation():
         ClockTask(dwell=-0.1)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(dt=0.0), dict(dt=-1e-3), dict(dt=math.inf), dict(dt=math.nan),
+    dict(substeps=0), dict(substeps=-2), dict(substeps=2.0), dict(substeps=True),
+])
+def test_sim_options_validation(fields):
+    """A bad step fails at construction, not as an arithmetic error mid-trial."""
+    with pytest.raises(ValueError, match="dt must|substeps must"):
+        SimOptions(**fields)
+
+
 # ---------------------------------------------------------------------------
 # parameter schedules
 # ---------------------------------------------------------------------------
@@ -248,8 +258,7 @@ def test_desired_stream_ignores_plant_conditions(task, body, band, opts):
 def test_desired_stream_carries_scheduled_torsion(task, body, band, opts):
     phi = math.radians(-25.0)
     traj = run_trial(short_schedule(torsion=phi), task, body, band, opts)
-    twists = np.array([torsion_about_pointer(q) for q in traj.quat_des])
-    np.testing.assert_allclose(twists, phi, atol=1e-8)
+    np.testing.assert_allclose(torsion_about_pointer(traj.quat_des), phi, atol=1e-8)
 
 
 def test_engines_agree(task, body, band):

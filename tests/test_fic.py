@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from wristsim.fic import (
     DEADBAND,
-    FicParams,
     FicPhase,
-    Mode,
-    fic_force_linear,
-    fic_potential_energy,
+    branch_force,
+    branch_potential,
     fic_torque_quat,
     simulate_release,
     update_phase,
@@ -22,7 +20,7 @@ from wristsim.rotations import project_to_sphere
 
 def test_params_reject_nonpositive_stiffness():
     with pytest.raises(ValueError):
-        FicParams(stiffness=0.0)
+        simulate_release(0.0, mass=1.0, start_disp=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -34,21 +32,21 @@ def test_phase_tracks_growing_displacement():
     ph = FicPhase()
     for d in (0.1, 0.2, 0.35):
         ph = update_phase(ph, d, 1.0)
-        assert ph.mode is Mode.DIVERGENCE
+        assert ph.diverging is True
     assert ph.disp_max == 0.35
 
 
 def test_phase_switches_at_peak():
     ph = update_phase(FicPhase(), 0.4, 1.0)
     ph = update_phase(ph, 0.4, 0.0)
-    assert ph.mode is Mode.CONVERGENCE
+    assert ph.diverging is False
     assert ph.disp_max == 0.4
 
 
 def test_phase_resets_at_goal():
-    ph = FicPhase(Mode.CONVERGENCE, 0.4, 0.01)
+    ph = FicPhase(False, 0.4, 0.01)
     ph = update_phase(ph, 0.5 * DEADBAND, -1.0)
-    assert ph.mode is Mode.DIVERGENCE
+    assert ph.diverging is True
     assert ph.disp_max == 0.0
 
 
@@ -60,9 +58,9 @@ def test_phase_reanchors_on_aborted_convergence():
     """
     ph = update_phase(FicPhase(), 1.0, 1.0)
     ph = update_phase(ph, 0.6, -1.0)
-    assert ph.mode is Mode.CONVERGENCE and ph.disp_max == 1.0
+    assert ph.diverging is False and ph.disp_max == 1.0
     ph = update_phase(ph, 0.61, 1.0)
-    assert ph.mode is Mode.DIVERGENCE
+    assert ph.diverging is True
     assert ph.disp_max == 0.61
 
 
@@ -75,12 +73,12 @@ def test_phase_rejects_negative_displacement():
     st.floats(0.0, 2.0),
     st.floats(-3.0, 3.0),
     st.floats(0.0, 2.0),
-    st.sampled_from([Mode.DIVERGENCE, Mode.CONVERGENCE]),
+    st.booleans(),
 )
-def test_phase_invariants(disp, rate, dmax, mode):
-    ph = update_phase(FicPhase(mode, dmax, 0.0), disp, rate)
+def test_phase_invariants(disp, rate, dmax, diverging):
+    ph = update_phase(FicPhase(diverging, dmax, 0.0), disp, rate)
     assert ph.disp_prev == disp
-    if ph.mode is Mode.DIVERGENCE:
+    if ph.diverging:
         # the recorded peak covers the current sample (up to the reset band)
         assert ph.disp_max >= disp - DEADBAND
     else:
@@ -93,33 +91,25 @@ def test_phase_invariants(disp, rate, dmax, mode):
 
 
 def test_force_divergence_is_linear_spring():
-    p = FicParams(stiffness=1000.0)
-    ph = FicPhase(Mode.DIVERGENCE, 0.2, 0.2)
-    assert fic_force_linear(0.2, p, ph) == pytest.approx(200.0)
+    assert branch_force(0.2, 1000.0, True, 0.2) == pytest.approx(200.0)
 
 
 def test_force_continuous_at_switch():
-    p = FicParams(stiffness=1000.0)
-    div = FicPhase(Mode.DIVERGENCE, 0.2, 0.2)
-    conv = FicPhase(Mode.CONVERGENCE, 0.2, 0.2)
-    assert fic_force_linear(0.2, p, div) == pytest.approx(
-        fic_force_linear(0.2, p, conv), rel=1e-12
+    assert branch_force(0.2, 1000.0, True, 0.2) == pytest.approx(
+        branch_force(0.2, 1000.0, False, 0.2), rel=1e-12
     )
 
 
 def test_force_convergence_antirestoring_inner_half():
-    p = FicParams(stiffness=1000.0)
-    conv = FicPhase(Mode.CONVERGENCE, 0.2, 0.1)
-    assert fic_force_linear(0.05, p, conv) < 0.0
-    assert fic_force_linear(0.15, p, conv) > 0.0
-    assert fic_force_linear(0.1, p, conv) == pytest.approx(0.0, abs=1e-12)
+    assert branch_force(0.05, 1000.0, False, 0.2) < 0.0
+    assert branch_force(0.15, 1000.0, False, 0.2) > 0.0
+    assert branch_force(0.1, 1000.0, False, 0.2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_conserved_at_switch():
-    p = FicParams(stiffness=8000.0)
     for dmax in (1e-3, 0.1, 0.4363, 1.2):
-        e_div = fic_potential_energy(dmax, p, FicPhase(Mode.DIVERGENCE, dmax))
-        e_conv = fic_potential_energy(dmax, p, FicPhase(Mode.CONVERGENCE, dmax))
+        e_div = branch_potential(dmax, 8000.0, True, dmax)
+        e_conv = branch_potential(dmax, 8000.0, False, dmax)
         assert e_div == pytest.approx(e_conv, rel=1e-9)
 
 
@@ -127,19 +117,39 @@ def test_energy_conserved_at_switch():
     st.floats(1.0, 2e4),
     st.floats(1e-4, 1.5),
     st.floats(0.0, 1.5),
-    st.sampled_from([Mode.DIVERGENCE, Mode.CONVERGENCE]),
+    st.booleans(),
 )
-def test_force_bounded_by_twice_peak(K, dmax, disp, mode):
+def test_force_bounded_by_twice_peak(K, dmax, disp, diverging):
     """|force| <= 2 K theta_max for any branch state, any K step included."""
-    p = FicParams(stiffness=K)
-    ph = FicPhase(mode, dmax, disp)
     bound = 2.0 * K * max(dmax, disp)
-    assert abs(fic_force_linear(disp, p, ph)) <= bound * (1 + 1e-12)
+    assert abs(branch_force(disp, K, diverging, dmax)) <= bound * (1 + 1e-12)
+
+
+@given(
+    st.floats(1.0, 2e4),
+    st.floats(1e-3, 1.5),
+    st.floats(0.0, 1.5),
+    st.booleans(),
+)
+def test_potential_is_the_force_integral(K, dmax, disp, diverging):
+    """The central difference of the potential is the branch force.
+
+    Both branches are quadratic in the displacement, so the central
+    difference is exact but for the rounding of the potential, about
+    eps K s^2 with s = max(dmax, disp); over a step of 1e-4 s that is a
+    slope error near 1e-12 K s, well inside the 1e-9 K s tolerance.
+    """
+    scale = max(dmax, disp)
+    step = 1e-4 * scale
+    slope = (branch_potential(disp + step, K, diverging, dmax)
+             - branch_potential(disp - step, K, diverging, dmax)) / (2.0 * step)
+    assert slope == pytest.approx(
+        branch_force(disp, K, diverging, dmax), abs=1e-9 * K * scale
+    )
 
 
 def test_closed_excursion_injects_no_energy():
     """Goal -> peak -> goal: the controller only ever absorbs energy."""
-    p = FicParams(stiffness=1000.0)
     amp, omega = 0.3, 5.0
     ts = np.linspace(0.0, math.pi / omega, 20001)
     disp = amp * np.sin(omega * ts)
@@ -151,7 +161,7 @@ def test_closed_excursion_injects_no_energy():
         d = float(disp[k])
         ph = update_phase(ph, d, d - prev)
         # force on the state is the negative of the restoring pull
-        force = -fic_force_linear(d, p, ph)
+        force = -branch_force(d, 1000.0, ph.diverging, ph.disp_max)
         work += force * (d - prev)
         prev = d
     assert work <= 1e-9
@@ -173,7 +183,7 @@ def test_torque_oracle_top_target():
     assert np.linalg.norm(tau) == pytest.approx(3217.5055439664225, rel=1e-12)
     np.testing.assert_allclose(tau / np.linalg.norm(tau), [0.0, -1.0, 0.0],
                                atol=1e-12)
-    assert phase.mode is Mode.DIVERGENCE
+    assert phase.diverging is True
 
 
 def test_torque_zero_at_goal():
@@ -191,7 +201,7 @@ def test_torque_infers_rate_from_previous_sample():
     q_mid = project_to_sphere(np.array([0.3, 0.0, 0.02]))
     _, angle2, ph2 = fic_torque_quat(q_mid, q_des, 1000.0, ph)
     assert angle2 < angle
-    assert ph2.mode is Mode.CONVERGENCE
+    assert ph2.diverging is False
     assert ph2.disp_max == pytest.approx(angle)
 
 
@@ -201,8 +211,7 @@ def test_torque_infers_rate_from_previous_sample():
 
 
 def test_release_arrival_time_and_speed():
-    p = FicParams(stiffness=1000.0)
-    ts, xs, vs, t_arr = simulate_release(p, mass=1.0, start_disp=0.1)
+    ts, xs, vs, t_arr = simulate_release(1000.0, mass=1.0, start_disp=0.1)
     ideal = math.pi * math.sqrt(1.0 / 2000.0)
     assert abs(t_arr - ideal) / ideal < 1e-3
     peak = float(np.max(np.abs(vs)))
@@ -212,44 +221,39 @@ def test_release_arrival_time_and_speed():
 
 
 def test_release_energy_constant_along_branch():
-    p = FicParams(stiffness=2500.0)
-    ph = FicPhase(Mode.CONVERGENCE, 0.2)
-    ts, xs, vs, _ = simulate_release(p, mass=0.7, start_disp=0.2)
+    ts, xs, vs, _ = simulate_release(2500.0, mass=0.7, start_disp=0.2)
     e = 0.5 * 0.7 * vs**2 + np.array(
-        [fic_potential_energy(float(x), p, ph) for x in xs]
+        [branch_potential(float(x), 2500.0, False, 0.2) for x in xs]
     )
     assert np.max(np.abs(e - e[0])) <= 1e-9 * max(e[0], 1.0)
 
 
 def test_release_scaling_in_mass_and_stiffness():
     for m, k in ((0.5, 250.0), (2.0, 5000.0), (1.0, 16.0)):
-        p = FicParams(stiffness=k)
-        _, _, vs, t_arr = simulate_release(p, mass=m, start_disp=0.05)
+        _, _, vs, t_arr = simulate_release(k, mass=m, start_disp=0.05)
         ideal = math.pi * math.sqrt(m / (2.0 * k))
         assert abs(t_arr - ideal) / ideal < 1e-3
         assert abs(vs[-1]) <= 1e-6 * np.max(np.abs(vs))
 
 
 def test_vdp_mu_oracle():
-    p = FicParams(stiffness=1000.0)
-    mu = vdp_equivalent_mu(0.1, p, mass=1.0)
+    mu = vdp_equivalent_mu(0.1, 1000.0, mass=1.0)
     assert mu == pytest.approx(42.83962643764692, rel=1e-9)
 
 
 def test_vdp_mu_finite_positive_for_constant_k():
     for k in (16.0, 1000.0, 10000.0):
-        mu = vdp_equivalent_mu(0.1, FicParams(stiffness=k), mass=1.0)
+        mu = vdp_equivalent_mu(0.1, k, mass=1.0)
         assert math.isfinite(mu) and mu > 0.0
 
 
 def test_vdp_extra_energy_enters_linearly():
-    p = FicParams(stiffness=1000.0)
-    base = vdp_equivalent_mu(0.1, p, mass=1.0)
-    up1 = vdp_equivalent_mu(0.1, p, mass=1.0, extra_energy=2.0)
-    up2 = vdp_equivalent_mu(0.1, p, mass=1.0, extra_energy=4.0)
+    base = vdp_equivalent_mu(0.1, 1000.0, mass=1.0)
+    up1 = vdp_equivalent_mu(0.1, 1000.0, mass=1.0, extra_energy=2.0)
+    up2 = vdp_equivalent_mu(0.1, 1000.0, mass=1.0, extra_energy=4.0)
     assert up2 - base == pytest.approx(2.0 * (up1 - base), rel=1e-9)
 
 
 def test_vdp_degenerate_quadrature():
     with pytest.raises(ValueError, match="degenerate"):
-        vdp_equivalent_mu(1e-9, FicParams(stiffness=1.0), mass=1e6)
+        vdp_equivalent_mu(1e-9, 1.0, mass=1e6)

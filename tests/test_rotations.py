@@ -196,3 +196,23 @@ def test_canonical_sign():
     q = np.array([-0.5, 0.5, 0.5, 0.5])
     assert quat_canonical(q)[0] > 0
     np.testing.assert_allclose(quat_canonical(q), -q)
+    # a zero scalar part, of either sign, keeps the quaternion as it is
+    stack = np.array([q, -q, [0.0, -0.6, 0.0, 0.8], [-0.0, 0.6, 0.0, -0.8]])
+    expect = np.array([-q, -q, stack[2], stack[3]])
+    assert quat_canonical(stack).tobytes() == expect.tobytes()
+    for row, want in zip(stack, expect):
+        assert quat_canonical(row).tobytes() == want.tobytes()
+
+
+def test_torsion_about_pointer_takes_stacks():
+    """A stack gives the per-row angles bit for bit, signed zeros included."""
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(2000, 4))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    signed = [0.0, -0.0, 1e-16, -1e-16, 1.0, -1.0]
+    edge = np.array([[w, x, 0.6, 0.8] for w in signed for x in signed])
+    stack = np.vstack([rows, edge])
+    per_row = np.array([torsion_about_pointer(row) for row in stack])
+    assert torsion_about_pointer(stack).tobytes() == per_row.tobytes()
+    pure_swing = (np.abs(edge[:, :2]) < 1e-15).all(axis=1)
+    assert np.all(torsion_about_pointer(edge)[pure_swing] == 0.0)
