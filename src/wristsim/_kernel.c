@@ -11,7 +11,8 @@
  * the last bit.
  *
  * The second entry point, wristsim_format_rows, writes the CSV rows of
- * wristsim.cli.write_csv with the bytes of printf's "%.17g".
+ * wristsim.cli.write_csv with the bytes of printf's "%.17g".  The
+ * wristsim_law_* entry points expose single laws to the test suite only.
  */
 #include <math.h>
 #include <stdint.h>
@@ -28,14 +29,24 @@ typedef struct {
     double inertia[9], inv[9], mass, com[3], gravity[3];
 } Body;
 
-/* what the closed loop reads at every stage; the branch state is frozen
-   inside a substep */
+/* what the closed loop reads; the branch state is frozen inside a substep.
+   The desired pose is computed once per distinct plan position and
+   torsion: key holds the bits of the (p, cr, sr) that pose was made from,
+   and posed says whether it holds one yet.  The controller tick's error at
+   the start of a substep also gives the torque of RK4's first stage. */
 typedef struct {
     const Leg *leg;
     const Body *body;
     double stiffness, cr, sr, peak;
-    int diverging;
+    int diverging, posed;
+    double key[5], pose[4];
 } Loop;
+
+/* the orientation error of fic.branch_torque, which does not depend on the
+   branch state */
+typedef struct {
+    double w, x, y, z, vn, angle;
+} Error;
 
 /* planner.ReachProfile.position */
 static void leg_position(const Leg *leg, double t, double p[3])
@@ -105,25 +116,32 @@ static double branch_force(double disp, double stiffness, int diverging, double 
     return 0.0;
 }
 
-/* fic.branch_torque: out = (tx, ty, tz, angle) */
-static void branch_torque(const double q[4], const double d[4], double stiffness,
-                          int diverging, double peak, double out[4])
+/* fic.branch_torque up to its angle: the error d * q^-1, its vector norm
+   and its rotation angle */
+static void branch_error(const double q[4], const double d[4], Error *e)
 {
-    double ew = d[0] * q[0] + d[1] * q[1] + d[2] * q[2] + d[3] * q[3];
-    double ex = d[1] * q[0] - d[0] * q[1] - d[2] * q[3] + d[3] * q[2];
-    double ey = d[1] * q[3] - d[0] * q[2] + d[2] * q[0] - d[3] * q[1];
-    double ez = -d[0] * q[3] - d[1] * q[2] + d[2] * q[1] + d[3] * q[0];
-    double vn = sqrt(ex * ex + ey * ey + ez * ez);
-    out[3] = 2.0 * atan2(vn, ew);
-    if (vn < 1e-15) {
+    e->w = d[0] * q[0] + d[1] * q[1] + d[2] * q[2] + d[3] * q[3];
+    e->x = d[1] * q[0] - d[0] * q[1] - d[2] * q[3] + d[3] * q[2];
+    e->y = d[1] * q[3] - d[0] * q[2] + d[2] * q[0] - d[3] * q[1];
+    e->z = -d[0] * q[3] - d[1] * q[2] + d[2] * q[1] + d[3] * q[0];
+    e->vn = sqrt(e->x * e->x + e->y * e->y + e->z * e->z);
+    e->angle = 2.0 * atan2(e->vn, e->w);
+}
+
+/* the rest of fic.branch_torque: the world torque of the error e under the
+   branch state */
+static void branch_torque(const Error *e, double stiffness, int diverging,
+                          double peak, double out[3])
+{
+    if (e->vn < 1e-15) {
         out[0] = out[1] = out[2] = 0.0;
         return;
     }
-    double sign = ew > 0.0 ? 1.0 : (ew < 0.0 ? -1.0 : 0.0);
-    double scale = sign * branch_force(out[3], stiffness, diverging, peak) / vn;
-    out[0] = scale * ex;
-    out[1] = scale * ey;
-    out[2] = scale * ez;
+    double sign = e->w > 0.0 ? 1.0 : (e->w < 0.0 ? -1.0 : 0.0);
+    double scale = sign * branch_force(e->angle, stiffness, diverging, peak) / e->vn;
+    out[0] = scale * e->x;
+    out[1] = scale * e->y;
+    out[2] = scale * e->z;
 }
 
 /* rotations.to_body */
@@ -161,31 +179,51 @@ static void plant(const Body *b, const double y[7], const double tau[3], double 
         dy[4 + i] = J[3 * i] * tb[0] + J[3 * i + 1] * tb[1] + J[3 * i + 2] * tb[2];
 }
 
-/* the closed_loop right-hand side of the Python kernel */
-static void closed_loop(const Loop *s, const double y[7], double t, double dy[7])
+/* the plan position p at time t and its desired pose d; pointing_quat runs
+   only when (p, cr, sr) differ from the last call's.  The key compares bit
+   patterns, so -0.0 and +0.0 are different keys. */
+static void desired(Loop *s, double t, double p[3], double d[4])
 {
-    double p[3], d[4], tau[4];
     leg_position(s->leg, t, p);
-    pointing_quat(p, s->cr, s->sr, d);
-    branch_torque(y, d, s->stiffness, s->diverging, s->peak, tau);
+    double key[5] = {p[0], p[1], p[2], s->cr, s->sr};
+    if (!s->posed || memcmp(key, s->key, sizeof key) != 0) {
+        pointing_quat(p, s->cr, s->sr, s->pose);
+        memcpy(s->key, key, sizeof key);
+        s->posed = 1;
+    }
+    memcpy(d, s->pose, sizeof s->pose);
+}
+
+/* the closed_loop right-hand side of the Python kernel, for the desired
+   pose d at the stage time */
+static void closed_loop(const Loop *s, const double y[7], const double d[4], double dy[7])
+{
+    double tau[3];
+    Error e;
+    branch_error(y, d, &e);
+    branch_torque(&e, s->stiffness, s->diverging, s->peak, tau);
     plant(s->body, y, tau, dy);
 }
 
-/* dynamics.rk4_step, then dynamics.unit_quat_state */
-static void rk4_step(const Loop *s, double y[7], double t, double h)
+/* dynamics.rk4_step, then dynamics.unit_quat_state; tau1 is the torque at
+   (y, t), which the controller tick has already computed, and the two
+   midpoint stages share one desired pose */
+static void rk4_step(Loop *s, double y[7], double t, double h, const double tau1[3])
 {
     double half = 0.5 * h, sixth = h / 6.0;
-    double k1[7], k2[7], k3[7], k4[7], ys[7];
-    closed_loop(s, y, t, k1);
+    double k1[7], k2[7], k3[7], k4[7], ys[7], p[3], d[4];
+    plant(s->body, y, tau1, k1);
+    desired(s, t + half, p, d);
     for (int i = 0; i < 7; i++)
         ys[i] = y[i] + half * k1[i];
-    closed_loop(s, ys, t + half, k2);
+    closed_loop(s, ys, d, k2);
     for (int i = 0; i < 7; i++)
         ys[i] = y[i] + half * k2[i];
-    closed_loop(s, ys, t + half, k3);
+    closed_loop(s, ys, d, k3);
+    desired(s, t + h, p, d);
     for (int i = 0; i < 7; i++)
         ys[i] = y[i] + h * k3[i];
-    closed_loop(s, ys, t + h, k4);
+    closed_loop(s, ys, d, k4);
     for (int i = 0; i < 7; i++)
         y[i] = y[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     double n = sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3]);
@@ -210,9 +248,10 @@ int64_t wristsim_simulate(int64_t n, int64_t substeps, double h,
                           double *omega, double *tau_cmd, double *err_angle,
                           double *disp_max)
 {
-    Loop s = {legs, body, 0.0, 1.0, 0.0, 0.0, 1};
+    Loop s = {legs, body, 0.0, 1.0, 0.0, 0.0, 1, 0, {0.0}, {0.0}};
     int64_t next = 1;
-    double prev = 0.0, p[3], d[4], tq[4];
+    double prev = 0.0, p[3], d[4], tq[3];
+    Error e;
 
     for (int64_t k = 0; k <= n; k++) {
         double t_k = times[k];
@@ -236,15 +275,14 @@ int64_t wristsim_simulate(int64_t n, int64_t substeps, double h,
 
         for (int64_t i = 0; i < substeps; i++) {
             double t_sub = t_k + (double)i * h;
-            /* controller tick at the substep boundary */
-            leg_position(s.leg, t_sub, p);
-            pointing_quat(p, s.cr, s.sr, d);
-            branch_torque(y, d, s.stiffness, s.diverging, s.peak, tq);
-            double angle = tq[3];
-            branch_step(&s.diverging, &s.peak, angle, angle - prev);
-            prev = angle;
+            /* controller tick at the substep boundary; its error also
+               gives the torque of the record and of RK4's first stage */
+            desired(&s, t_sub, p, d);
+            branch_error(y, d, &e);
+            branch_step(&s.diverging, &s.peak, e.angle, e.angle - prev);
+            prev = e.angle;
+            branch_torque(&e, s.stiffness, s.diverging, s.peak, tq);
             if (i == 0) { /* record the sample at the first tick of its interval */
-                branch_torque(y, d, s.stiffness, s.diverging, s.peak, tq);
                 for (int j = 0; j < 3; j++) {
                     plan_pos[3 * k + j] = p[j];
                     omega[3 * k + j] = y[4 + j];
@@ -254,15 +292,49 @@ int64_t wristsim_simulate(int64_t n, int64_t substeps, double h,
                     quat_des[4 * k + j] = d[j];
                     quat[4 * k + j] = y[j];
                 }
-                err_angle[k] = angle;
+                err_angle[k] = e.angle;
                 disp_max[k] = s.peak;
                 if (k == n) /* the last sample is recorded, not integrated */
                     break;
             }
-            rk4_step(&s, y, t_sub, h);
+            rk4_step(&s, y, t_sub, h, tq);
         }
     }
     return -1;
+}
+
+/* Test entry points: one law each, for the bit-for-bit comparisons with
+   the Python float laws.  The package never calls them. */
+void wristsim_law_leg_position(const Leg *leg, double t, double p[3])
+{
+    leg_position(leg, t, p);
+}
+
+void wristsim_law_pointing_quat(const double p[3], double cr, double sr, double q[4])
+{
+    pointing_quat(p, cr, sr, q);
+}
+
+/* returns the new branch flag; the peak is updated in place */
+int wristsim_law_branch_step(int diverging, double *peak, double disp, double rate)
+{
+    branch_step(&diverging, peak, disp, rate);
+    return diverging;
+}
+
+/* out = (tx, ty, tz, angle), as fic.branch_torque returns */
+void wristsim_law_branch_torque(const double q[4], const double d[4], double stiffness,
+                                int diverging, double peak, double out[4])
+{
+    Error e;
+    branch_error(q, d, &e);
+    branch_torque(&e, stiffness, diverging, peak, out);
+    out[3] = e.angle;
+}
+
+void wristsim_law_plant(const Body *b, const double y[7], const double tau[3], double dy[7])
+{
+    plant(b, y, tau, dy);
 }
 
 /* Bytes one value may take with its separator: a sign, 17 digits, the

@@ -3,9 +3,10 @@
 A trial couples three pieces at a 1 kHz control/recording rate:
 
 * the planner's closed-form reach leg (:class:`~.planner.ReachProfile`)
-  gives the planned position, evaluated at every integrator stage time,
+  gives the planned position at the integrator's stage times,
 * the planned position is projected to a desired pointer orientation with
-  the scheduled torsion,
+  the scheduled torsion, once per distinct position and torsion (a hold
+  projects once per leg and torsion),
 * the impedance controller torque drives the rigid-body plant.
 
 Stiffness, torsion and the active target are piecewise-constant schedules,
@@ -304,9 +305,11 @@ def run_trial(
 
     The closed loop runs in the compiled kernel (``_kernel.c``): the branch
     machine ticks at every substep boundary and is frozen inside the RK4
-    stages, while the plan (the active leg's
-    :meth:`~.planner.ReachProfile.position`) and the desired pose are
-    evaluated at every stage time.
+    stages.  The plan (the active leg's
+    :meth:`~.planner.ReachProfile.position`) is evaluated at each distinct
+    stage time, and the desired pose is computed once per distinct planned
+    position and torsion.  The tick's orientation error also gives the
+    record's torque and the first RK4 stage.
     """
     if not schedule.gravity:
         body = replace(body, gravity=(0.0, 0.0, 0.0))

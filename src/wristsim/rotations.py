@@ -11,15 +11,15 @@ The projection maps a point on a planar workspace to the orientation of a
 pointer (the body x axis) whose ray pierces that point, with an optional
 torsion angle about the pointer itself.
 
-The laws the trial kernel evaluates at every integrator stage
-(:func:`pointing_quat`, :func:`to_body`) are written once on plain floats
-and repeated operation for operation in the compiled kernel
-(``_kernel.c``).  The other quaternion functions take one quaternion or an
-(n, 4) stack through one body.  The ``asin``/``atan2`` of the Euler and
-angle laws stay on libm, element by element: they produce the bytes of the
-listing CSVs, and numpy's own ``arcsin``/``arctan2`` differ from libm in
-the last ulp on some inputs.  :func:`quat_from_euler_xyz` feeds no output
-file and uses numpy's ``cos``/``sin``.
+The laws of the trial kernel (:func:`pointing_quat`, :func:`to_body`) are
+written once on plain floats and repeated operation for operation in the
+compiled kernel (``_kernel.c``).  The other quaternion functions take one
+quaternion or an (n, 4) stack through one body.  The ``asin``/``atan2`` of
+the Euler and angle laws stay on libm, element by element: they produce
+the bytes of the listing CSVs, and numpy's own ``arcsin``/``arctan2``
+differ from libm in the last ulp on some inputs.
+:func:`quat_from_euler_xyz` feeds no output file and uses numpy's
+``cos``/``sin``.
 """
 
 from __future__ import annotations
@@ -171,7 +171,10 @@ def torsion_about_pointer(q: np.ndarray):
     """
     w, x, _, _ = quat_canonical(q).T
     pure_swing = (np.abs(w) < 1e-15) & (np.abs(x) < 1e-15)
-    return np.where(pure_swing, 0.0, 2.0 * _atan2(x, w))[()]
+    angle = 2.0 * _atan2(x, w)
+    # a half turn with a zero scalar part keeps its negative x: -pi is pi
+    angle = np.where(angle == -math.pi, math.pi, angle)
+    return np.where(pure_swing, 0.0, angle)[()]
 
 
 # ---------------------------------------------------------------------------

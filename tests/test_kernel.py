@@ -1,7 +1,9 @@
 """The compiled library: the trial kernel bit-identical to the Python loop,
 the CSV formatter byte-identical to ``%.17g``, and its build cache."""
 
+import ctypes
 import dataclasses
+import functools
 import io
 import math
 import shlex
@@ -10,10 +12,13 @@ import sysconfig
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import savetxt, simulate_scalar
 from wristsim import _kernel
 from wristsim.cli import TRAJECTORY_COLUMNS, trajectory_table, write_csv, write_trajectory
+from wristsim.dynamics import BodyModel, plant, plant_constants
 from wristsim.experiments import (
     ClockTask,
     ParamSchedule,
@@ -21,6 +26,9 @@ from wristsim.experiments import (
     build_retune_schedule,
     run_trial,
 )
+from wristsim.fic import DEADBAND, branch_step, branch_torque
+from wristsim.planner import ReachProfile
+from wristsim.rotations import pointing_quat
 
 RECORDS = ("plan_pos", "quat_des", "quat", "omega", "tau_cmd", "err_angle", "disp_max")
 
@@ -37,11 +45,21 @@ def test_kernel_matches_python_oracle(task, body, band, opts):
         torsion_breaks=((0.0, 0.1), (0.15, -0.2)),
         target_breaks=((0.05, -1), (0.1, 1), (0.2, 1)),
     )
+    # torsion and stiffness step while the plan holds the center, then
+    # while it holds target 0 (its reach ends near 0.49 s); the leg to
+    # target 1 starts on that held pose
+    holds = ParamSchedule(
+        duration=0.6,
+        stiffness_breaks=((0.0, 4000.0), (0.03, 8000.0), (0.52, 2000.0)),
+        torsion_breaks=((0.0, 0.1), (0.05, -0.2), (0.51, 0.3)),
+        target_breaks=((0.1, 0), (0.55, 1)),
+    )
     cases = (
         (build_retune_schedule(task, band), task),
         (build_clock_schedule(short, band, stiffness=1000.0,
                               torsion=math.radians(-25.0)), short),
         (edges, task),
+        (holds, task),
     )
     for sched, tsk in cases:
         traj = run_trial(sched, tsk, body, band, opts)
@@ -53,6 +71,143 @@ def test_kernel_matches_python_oracle(task, body, band, opts):
         assert np.array_equal(traj.stiffness, [sched.stiffness_at(t) for t in traj.t])
         targets = [sched.target_at(t) for t in traj.t]
         assert np.array_equal(traj.target, [-1 if i is None else i for i in targets])
+
+
+# ---------------------------------------------------------------------------
+# single laws: each C law against its Python float law, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def laws():
+    """The library's test entry points ``wristsim_law_*``, declared."""
+    f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    d, i = ctypes.c_double, ctypes.c_int
+    lib = ctypes.CDLL(str(_kernel.build()))
+    for name, args, res in (
+        ("leg_position", [f64, d, f64], None),
+        ("pointing_quat", [f64, d, d, f64], None),
+        ("branch_step", [i, ctypes.POINTER(d), d, d], i),
+        ("branch_torque", [f64, f64, d, i, d, f64], None),
+        ("plant", [f64, f64, f64, f64], None),
+    ):
+        fn = getattr(lib, f"wristsim_law_{name}")
+        fn.argtypes, fn.restype = args, res
+    return lib
+
+
+#: the laws are cheap: more examples reach inputs whose rounding tells
+#: one operation order from another
+LAW_SETTINGS = settings(max_examples=200)
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+coord = st.one_of(signed_zero, st.floats(-2.0, 2.0))
+
+
+def generic(n, scale=1.0):
+    """``n`` normal floats with full-length digits, where a changed
+    operation order shows in the last bit (hypothesis favours short ones)."""
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: tuple((scale * np.random.default_rng(seed).normal(size=n)).tolist())
+    )
+
+
+unit_quat = st.one_of(st.tuples(*[st.floats(-1.0, 1.0)] * 4), generic(4)).filter(
+    lambda q: sum(c * c for c in q) > 1e-3
+).map(lambda q: tuple(c / math.sqrt(sum(c * c for c in q)) for c in q))
+
+
+@LAW_SETTINGS
+@given(
+    t0=st.floats(0.0, 10.0), rel=st.one_of(signed_zero, st.floats(-1.0, 2.0)),
+    dist=st.floats(0.0, 0.5), omega=st.floats(0.0, 20.0),
+    duration=st.one_of(signed_zero, st.floats(0.0, 1.0)),
+    target=st.tuples(coord, coord, coord), unit=st.tuples(coord, coord, coord),
+)
+def test_leg_position_law(t0, rel, dist, omega, duration, target, unit):
+    leg = ReachProfile(target, unit, t0, dist, omega, duration)
+    row = np.array([t0, duration, dist, omega, *target, *unit])
+    out = np.empty(3)
+    for t in (t0 + rel, t0, t0 + duration):
+        laws().wristsim_law_leg_position(row, t, out)
+        assert out.tobytes() == bits(leg.position(t))
+
+
+@LAW_SETTINGS
+@given(
+    p=st.one_of(
+        st.tuples(coord, coord, coord),
+        # the reversed ray and its neighbours
+        st.tuples(st.floats(-2.0, -1e-3), signed_zero, signed_zero),
+        st.tuples(st.floats(-2.0, -1e-3), st.floats(-1e-12, 1e-12), signed_zero),
+    ).filter(lambda p: math.sqrt(sum(c * c for c in p)) > 1e-6),
+    roll=st.one_of(
+        st.floats(-2.0 * math.pi, 2.0 * math.pi).map(lambda a: (math.cos(a), math.sin(a))),
+        st.tuples(st.sampled_from([1.0, -1.0, 0.0, -0.0]), signed_zero),
+        st.tuples(signed_zero, st.sampled_from([1.0, -1.0])),
+    ),
+)
+def test_pointing_quat_law(p, roll):
+    out = np.empty(4)
+    laws().wristsim_law_pointing_quat(np.array(p), *roll, out)
+    assert out.tobytes() == bits(pointing_quat(*p, *roll))
+
+
+near_deadband = st.sampled_from([0.0, DEADBAND, np.nextafter(DEADBAND, 1.0), 0.5 * DEADBAND])
+
+
+@LAW_SETTINGS
+@given(
+    diverging=st.booleans(),
+    peak=st.one_of(signed_zero, near_deadband, st.floats(0.0, 3.0)),
+    disp=st.one_of(signed_zero, near_deadband, st.floats(0.0, 3.0)),
+    rate=st.one_of(signed_zero, st.floats(-1.0, 1.0)),
+)
+# a growing -0.0 tied with a stored +0.0 keeps the stored bits; the deadband edge
+@example(diverging=True, peak=0.0, disp=-0.0, rate=1.0)
+@example(diverging=True, peak=DEADBAND, disp=DEADBAND, rate=-0.0)
+@example(diverging=False, peak=DEADBAND, disp=DEADBAND, rate=1.0)
+def test_branch_step_law(diverging, peak, disp, rate):
+    c_peak = ctypes.c_double(peak)
+    c_div = laws().wristsim_law_branch_step(int(diverging), ctypes.byref(c_peak), disp, rate)
+    py_div, py_peak = branch_step(diverging, peak, disp, rate)
+    assert (bool(c_div), bits(c_peak.value)) == (py_div, bits(py_peak))
+
+
+@LAW_SETTINGS
+@given(
+    q=unit_quat, d=unit_quat, same=st.sampled_from([None, 1.0, -1.0]),
+    stiffness=st.floats(0.0, 1e4), diverging=st.booleans(),
+    peak=st.one_of(signed_zero, st.floats(0.0, 3.0)),
+)
+def test_branch_torque_law(q, d, same, stiffness, diverging, peak):
+    if same is not None:  # no error: d is q or its antipode
+        d = tuple(same * c for c in q)
+    out = np.empty(4)
+    laws().wristsim_law_branch_torque(np.array(q), np.array(d), stiffness,
+                                      int(diverging), peak, out)
+    assert out.tobytes() == bits(branch_torque(*q, *d, stiffness, diverging, peak))
+
+
+@LAW_SETTINGS
+@given(
+    mass=st.floats(0.1, 5.0), size=st.tuples(*[st.floats(0.01, 0.3)] * 3),
+    com=st.tuples(coord, coord, coord).map(lambda c: tuple(0.1 * x for x in c)),
+    gravity=st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(*[st.floats(-10.0, 10.0)] * 3)),
+    q=unit_quat, omega=st.one_of(st.tuples(*[st.floats(-50.0, 50.0)] * 3), generic(3, 10.0)),
+    tau=st.one_of(st.tuples(*[st.one_of(signed_zero, st.floats(-5.0, 5.0))] * 3), generic(3)),
+)
+def test_plant_law(mass, size, com, gravity, q, omega, tau):
+    body = BodyModel(mass, *size, com_offset=com, gravity=gravity)
+    out = np.empty(7)
+    laws().wristsim_law_plant(np.array(plant_constants(body)), np.array([*q, *omega]),
+                              np.array(tau), out)
+    assert out.tobytes() == bits(plant(body)(*q, *omega, *tau))
 
 
 def test_missing_or_failing_compiler_raises_named_error(tmp_path, monkeypatch):

@@ -216,3 +216,11 @@ def test_torsion_about_pointer_takes_stacks():
     assert torsion_about_pointer(stack).tobytes() == per_row.tobytes()
     pure_swing = (np.abs(edge[:, :2]) < 1e-15).all(axis=1)
     assert np.all(torsion_about_pointer(edge)[pure_swing] == 0.0)
+    # half turns about the pointer read +pi, whatever the sign of x or of
+    # the zero scalar part, as project_to_sphere(p, torsion=pi) does
+    half = np.array([[0.0, -1.0, 0.0, 0.0], [-0.0, -1.0, 0.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0]])
+    assert torsion_about_pointer(half).tolist() == [math.pi] * 4
+    for row in half:
+        assert torsion_about_pointer(row) == math.pi
+    assert torsion_about_pointer(project_to_sphere([1.0, 0.0, 0.0], torsion=math.pi)) == math.pi
