@@ -354,15 +354,49 @@ static const uint64_t POW5[28] = {
     1490116119384765625ULL, 7450580596923828125ULL,
 };
 
+/* 5^(28 + i) = hi 2^64 + lo as {hi, lo}: 5^55 < 2^128 */
+static const uint64_t POW5_WIDE[28][2] = {
+    {0x2ULL, 0x4fce5e3e2502611ULL},
+    {0xaULL, 0x18f07d736b90be55ULL},
+    {0x32ULL, 0x7cb2734119d3b7a9ULL},
+    {0xfcULL, 0x6f7c40458122964dULL},
+    {0x4eeULL, 0x2d6d415b85acef81ULL},
+    {0x18a6ULL, 0xe32246c99c60ad85ULL},
+    {0x7b42ULL, 0x6fab61f00de36399ULL},
+    {0x2684cULL, 0x2e58e9b04570f1fdULL},
+    {0xc097cULL, 0xe7bc90715b34b9f1ULL},
+    {0x3c2f70ULL, 0x86aed236c807a1b5ULL},
+    {0x12ced32ULL, 0xa16a1b11e8262889ULL},
+    {0x5e0a1fdULL, 0x2712875988becaadULL},
+    {0x1d6329f1ULL, 0xc35ca4bfabb9f561ULL},
+    {0x92efd1b8ULL, 0xd0cf37be5aa1cae5ULL},
+    {0x2deaf189cULL, 0x140c16b7c528f679ULL},
+    {0xe596b7b0cULL, 0x643c7196d9ccd05dULL},
+    {0x47bf19673dULL, 0xf52e37f2410011d1ULL},
+    {0x166bb7f0435ULL, 0xc9e717bb45005915ULL},
+    {0x701a97b150cULL, 0xf18376a85901bd69ULL},
+    {0x23084f676940ULL, 0xb7915149bd08b30dULL},
+    {0xaf298d050e43ULL, 0x95d69670b12b7f41ULL},
+    {0x36bcfc1194751ULL, 0xed30f03375d97c45ULL},
+    {0x111b0ec57e6499ULL, 0xa1f4b1014d3f6d59ULL},
+    {0x558749db77f700ULL, 0x29c77506823d22bdULL},
+    {0x1aba4714957d300ULL, 0xd0e549208b31adb1ULL},
+    {0x85a36366eb71f04ULL, 0x147a6da2b7f86475ULL},
+    {0x29c30f1029939b14ULL, 0x6664242d97d9f649ULL},
+    {0xd0cf4b50cfe20765ULL, 0xfff4b4e3f741cf6dULL},
+};
+
 #define E16 10000000000000000ULL
 #define E17 100000000000000000ULL
 
 /*
  * The 17 significant digits of ax, a positive normal double, rounded half
  * to even from its exact value, and its decimal exponent e.  With
- * ax = m 2^q and k = 16 - e, the digits are m 5^k 2^(q + k): m < 2^53 and
- * 5^k < 2^63, so the product is exact in 128 bits.  Returns 0, for the
- * caller to fall back on snprintf, when k falls outside the table.
+ * ax = m 2^q and k = 16 - e, the digits are m 5^k 2^(q + k), with m < 2^53.
+ * For k <= 27, 5^k < 2^63 and the product is exact in 128 bits.  For
+ * k = 28..55, 5^k < 2^128 and the product is exact in 192 bits, made of two
+ * 64x64 -> 128 multiplies.  Returns 0, for the caller to fall back on
+ * snprintf, when k falls outside 0..55.
  */
 static int digits17(double ax, uint64_t *digits, int *exp10)
 {
@@ -374,10 +408,24 @@ static int digits17(double ax, uint64_t *digits, int *exp10)
     int e = (int)floor((q + 52) * 0.30102999566398120);
     for (;;) {
         int k = 16 - e;
-        if (k < 0 || k > 27)
+        if (k < 0 || k > 55)
             return 0;
-        u128 n = (u128)m * POW5[k];
         int s = q + k;
+        u128 n;
+        int sticky = 0; /* whether a bit below n's lowest is set */
+        if (k <= 27) {
+            n = (u128)m * POW5[k];
+        } else {
+            /* m 5^k = hi 2^64 + lo < 2^181.  As m 5^k >= 2^117 and the
+               digits stay below 10^18, s <= -58 here, so n can keep the
+               product shifted right by 56 bits and sticky whether any of
+               those 56 bits is set */
+            u128 lo = (u128)m * POW5_WIDE[k - 28][1];
+            u128 hi = (u128)m * POW5_WIDE[k - 28][0] + (lo >> 64);
+            n = (hi << 8) | ((uint64_t)lo >> 56);
+            sticky = ((uint64_t)lo << 8) != 0;
+            s += 56;
+        }
         u128 v = s >= 0 ? n << s : n >> -s; /* the digits, truncated */
         if (v < E16) {
             e--;
@@ -389,17 +437,42 @@ static int digits17(double ax, uint64_t *digits, int *exp10)
         }
         if (s < 0) {
             u128 rem = n & (((u128)1 << -s) - 1), half = (u128)1 << (-s - 1);
-            if (rem > half || (rem == half && (v & 1)))
+            if (rem > half || (rem == half && (sticky || (v & 1))))
                 v++;
         }
-        /* a carry into the next decade needs a double within 5e-18 below
-           a power of ten; none lies inside the gate, so it only guards */
-        if (v == E17)
-            return 0;
+        /* a carry into the next decade: of the doubles in the gate, only
+           the one nearest 1e-14 rounds up to a power of ten */
+        if (v == E17) {
+            v = E16;
+            e++;
+        }
         *digits = (uint64_t)v;
         *exp10 = e;
         return 1;
     }
+}
+
+/* the 200 characters "00", "01", ..., "99": the two digits of i at 2 i */
+static const char PAIRS[] =
+    "00010203040506070809"
+    "10111213141516171819"
+    "20212223242526272829"
+    "30313233343536373839"
+    "40414243444546474849"
+    "50515253545556575859"
+    "60616263646566676869"
+    "70717273747576777879"
+    "80818283848586878889"
+    "90919293949596979899";
+
+/* the 8 decimal digits of x < 10^8 at d, two at a time */
+static void put8(char *d, uint32_t x)
+{
+    uint32_t hi = x / 10000, lo = x % 10000;
+    memcpy(d, PAIRS + 2 * (hi / 100), 2);
+    memcpy(d + 2, PAIRS + 2 * (hi % 100), 2);
+    memcpy(d + 4, PAIRS + 2 * (lo / 100), 2);
+    memcpy(d + 6, PAIRS + 2 * (lo % 100), 2);
 }
 #endif
 
@@ -416,16 +489,18 @@ static char *put_g17(double x, char *p)
     double ax = fabs(x);
     uint64_t v;
     int e;
-    if (ax >= 1e-11 && ax < 1e17 && digits17(ax, &v, &e)) {
-        char d[17];
-        for (int i = 16; i >= 0; i--, v /= 10)
-            d[i] = (char)('0' + v % 10);
+    if (ax >= 1e-38 && ax < 1e17 && digits17(ax, &v, &e)) {
+        char d[17]; /* a 9-digit and an 8-digit half */
+        uint32_t top = (uint32_t)(v / 100000000);
+        d[0] = (char)('0' + top / 100000000);
+        put8(d + 1, top % 100000000);
+        put8(d + 9, (uint32_t)(v % 100000000));
         int last = 16; /* the last digit kept: %g drops trailing zeros */
         while (last > 0 && d[last] == '0')
             last--;
         if (x < 0.0)
             *p++ = '-';
-        if (e < -4) { /* d.ddde-XX; here e >= -11 */
+        if (e < -4) { /* d.ddde-XX; here e >= -38 */
             *p++ = d[0];
             if (last > 0) {
                 *p++ = '.';

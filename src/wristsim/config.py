@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import yaml
-
 from .dynamics import BodyModel
 from .experiments import ClockTask, SimOptions
 from .planner import BandParams
@@ -228,6 +226,8 @@ def _expand_sweep(node):
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a config file; empty file means all defaults."""
+    import yaml  # here, not at the top: a run without a file never needs it
+
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)

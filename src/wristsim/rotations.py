@@ -35,13 +35,19 @@ class DegeneratePointingError(ValueError):
     """Raised when a pointing target coincides with the projection center."""
 
 
-def _libm(fn, nin):
-    """``fn`` from ``math`` element-wise; a scalar stays a scalar."""
-    ufunc = np.frompyfunc(fn, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)[()]
+def _libm(fn):
+    """``fn`` from ``math`` element-wise over its broadcast arguments; a
+    scalar stays a scalar."""
+
+    def call(*args):
+        args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+        flat = map(fn, *(a.ravel().tolist() for a in args))
+        return np.fromiter(flat, float, args[0].size).reshape(args[0].shape)[()]
+
+    return call
 
 
-_asin, _atan2 = _libm(math.asin, 1), _libm(math.atan2, 2)
+_asin, _atan2 = _libm(math.asin), _libm(math.atan2)
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

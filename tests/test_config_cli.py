@@ -287,6 +287,26 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
 
 
+def test_yaml_is_imported_only_to_read_a_file(tmp_path):
+    """A run on the built-in defaults never imports the YAML parser."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import wristsim.cli\n"
+        "from wristsim.config import ExperimentConfig, load_config\n"
+        "ExperimentConfig()\n"
+        "assert 'yaml' not in sys.modules, 'yaml imported'\n"
+        "load_config(sys.argv[1])\n"
+        "assert 'yaml' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(write(tmp_path, ""))],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_trajectory_csv_layout(tmp_path):
     cfg = write(tmp_path, QUICK + "output_dir: " + str(tmp_path / "res") + "\n")
     assert main(["run", str(cfg)]) == 0

@@ -277,8 +277,8 @@ def neighbours(x, steps=3):
 def test_formatter_edge_values():
     tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
     edges = [0.0, 5e-324, 2.5e-323, 1e-310, tiny, np.nextafter(tiny, 0.0), huge, 0.5, 0.1]
-    edges += neighbours(1e-11) + neighbours(1e17)
-    edges += [v for k in range(-30, 31) for v in neighbours(10.0 ** k)]
+    edges += neighbours(1e-11) + neighbours(1e17) + neighbours(1e-38)
+    edges += [v for k in range(-38, 31) for v in neighbours(10.0 ** k)]
     # just below a power of ten, where rounding up would carry into a new decade
     edges += [9.9999999999999995e-05, 0.99999999999999994, 9999999999999999.5,
               99999999999999984.0]
@@ -286,6 +286,16 @@ def test_formatter_edge_values():
     assert_g17(np.concatenate([edges, -edges]))
     assert formatted([0.0, -0.0]) == ["0", "-0"]
     assert formatted([1234567890123456.75]) == ["1234567890123456.8"]
+
+
+def test_formatter_both_sides_of_the_wide_product(rng):
+    # 5^k needs more than 64 bits from k = 28 (|x| < 1e-11) on.  From 1e-11
+    # up to 2^-36 the first guess of the exponent is one too low, so the
+    # 192-bit product is tried before the 128-bit one; from 1e-38 up to
+    # 2^-126 the first guess is k = 55
+    for lo, hi in ((2.0 ** -38, 2.0 ** -36), (1e-38, 2.0 ** -125)):
+        values = rng.uniform(lo, hi, 100_000)
+        assert_g17(np.concatenate([values, -values]))
 
 
 def test_formatter_ties_and_integers(rng):
@@ -310,23 +320,36 @@ def test_formatter_refuses_non_finite_values():
             _kernel.write_rows(io.BytesIO(), np.array([[1.0, 2.0], [bad, 3.0]]))
 
 
-def short_trajectory(task, body, band, opts, n):
-    """The first ``n`` samples of a retune trial."""
-    traj = run_trial(build_retune_schedule(task, band), task, body, band, opts)
+def head(traj, n):
+    """The first ``n`` samples of ``traj``."""
     assert len(traj) >= n
     return dataclasses.replace(traj, **{
         f.name: getattr(traj, f.name)[:n] for f in dataclasses.fields(traj)
     })
 
 
-@pytest.mark.parametrize("rows", [1, 1024, 1025])
-def test_write_trajectory_matches_savetxt(tmp_path, task, body, band, opts, rows):
-    traj = short_trajectory(task, body, band, opts, rows)
+def assert_written_as_savetxt(tmp_path, traj):
     write_trajectory(tmp_path / "got.csv", traj)
     savetxt(tmp_path / "want.csv", TRAJECTORY_COLUMNS, trajectory_table(traj))
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
-    assert got.count(b"\n") == rows + 1
+    assert got.count(b"\n") == len(traj) + 1
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025])
+def test_write_trajectory_matches_savetxt(tmp_path, task, body, band, opts, rows):
+    traj = run_trial(build_retune_schedule(task, band), task, body, band, opts)
+    assert_written_as_savetxt(tmp_path, head(traj, rows))
+
+
+def test_write_trajectory_matches_savetxt_on_tiny_values(tmp_path, task, body, band, opts):
+    """A gravity-off clock trial starts with torsion and swing components
+    far below 1e-11, the values the 192-bit product formats."""
+    sched = build_clock_schedule(task, band, gravity=False)
+    traj = head(run_trial(sched, task, body, band, opts), 1025)
+    table = np.abs(trajectory_table(traj))
+    assert ((table >= 1e-38) & (table < 1e-11)).sum() > 5000
+    assert_written_as_savetxt(tmp_path, traj)
 
 
 def test_write_csv_refuses_non_finite_before_opening(tmp_path):

@@ -224,3 +224,32 @@ def test_torsion_about_pointer_takes_stacks():
     for row in half:
         assert torsion_about_pointer(row) == math.pi
     assert torsion_about_pointer(project_to_sphere([1.0, 0.0, 0.0], torsion=math.pi)) == math.pi
+
+
+def test_libm_wrappers_match_math_bit_for_bit():
+    """``_asin``/``_atan2`` give math's bits on stacks, broadcast or not, on
+    0-d inputs and on signed zeros; a scalar comes back as a scalar."""
+    from wristsim.rotations import _asin, _atan2
+
+    rng = np.random.default_rng(11)
+    signed = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 3000), signed]).reshape(-1, 2)
+    y = np.concatenate([rng.normal(size=3000), signed[::-1]]).reshape(-1, 2)
+
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()
+
+    assert bits(_asin(x)) == bits([[math.asin(v) for v in row] for row in x.tolist()])
+    want = [[math.atan2(a, b) for a, b in zip(r, s)] for r, s in zip(x.tolist(), y.tolist())]
+    assert bits(_atan2(x, y)) == bits(want)
+    # a row broadcast against the stack
+    want = [[math.atan2(a, b) for a, b in zip(r, y[0].tolist())] for r in x.tolist()]
+    assert bits(_atan2(x, y[0])) == bits(want)
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0, 1.0, -1.0):
+            got = _atan2(np.float64(a), b)
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+            assert bits(got) == bits(math.atan2(a, b))
+            assert bits(_atan2(np.array(a), np.array(b))) == bits(math.atan2(a, b))
+        assert bits(_asin(np.array(a))) == bits(math.asin(a))
+        assert not isinstance(_asin(a), np.ndarray)
