@@ -17,7 +17,7 @@ from .rotations import (
 )
 from .fic import FicPhase, fic_torque_quat, simulate_release, vdp_equivalent_mu
 from .dynamics import BodyModel, gravity_torque, integrate_step
-from .planner import BandParams, ElasticBand, plan_reach, reach_duration
+from .planner import BandParams, reach_duration
 from .experiments import (
     ClockTask,
     ParamSchedule,
@@ -41,7 +41,6 @@ __all__ = [
     "BodyModel",
     "ClockTask",
     "Condition",
-    "ElasticBand",
     "ExperimentConfig",
     "FicPhase",
     "ParamSchedule",
@@ -58,7 +57,6 @@ __all__ = [
     "gravity_torque",
     "integrate_step",
     "load_config",
-    "plan_reach",
     "pointer_intersection",
     "project_to_sphere",
     "quat_from_euler_xyz",

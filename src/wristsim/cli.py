@@ -227,7 +227,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.out:
+        if args.out is not None:
+            if not args.out:
+                raise ConfigError("--out: expected a non-empty directory")
             cfg = replace(cfg, output_dir=args.out)
         if args.check:
             return run_check_suite(cfg.seed)

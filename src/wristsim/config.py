@@ -41,6 +41,13 @@ class Condition:
     torsion: float = 0.0
 
     def __post_init__(self):
+        # the name is the condition's folder under output_dir
+        if (self.name in ("", ".", "..", "summary.json")
+                or any(c in self.name for c in "/\\\0")):
+            raise ConfigError(
+                f"condition {self.name!r}: name must be one path component, "
+                "not '', '.', '..' or 'summary.json', without '/', '\\' or NUL"
+            )
         if self.kind not in ("clock", "retune"):
             raise ConfigError(
                 f"condition {self.name!r}: kind must be 'clock' or 'retune', "

@@ -16,6 +16,8 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 * :func:`dp45_step` is an embedded Dormand-Prince 4(5) step with error
   control, called like ``integrate_step``; the cross-check for the
   fixed-step RK4.
+* :func:`plan_reach` is the elastic band integrated step by step from rest;
+  ``ReachProfile`` is its closed form and must match it before touchdown.
 * :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
   ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
 * :func:`savetxt` is the CSV writer through ``np.savetxt``; ``write_csv``
@@ -29,9 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from wristsim.dynamics import integrate_step, plant, unit_quat_state
+from wristsim.dynamics import integrate_step, plant, rk4_step, unit_quat_state
 from wristsim.experiments import SimulationError
-from wristsim.fic import FicPhase, branch_step, branch_torque, fic_torque_quat, torque_for_phase
+from wristsim.fic import (
+    FicPhase, branch_force, branch_step, branch_torque, fic_torque_quat, torque_for_phase,
+)
 from wristsim.planner import ReachProfile
 from wristsim.rotations import GIMBAL_GUARD, pointing_quat, project_to_sphere
 
@@ -154,18 +158,18 @@ def simulate_reference(schedule, task, body, band, opts):
         t_k = times[k]
         idx = schedule.target_at(t_k)
         if idx is not None and idx != cur_idx:
-            pos_now, _, _ = profile.sample(t_k)
-            profile = ReachProfile.from_rest(pos_now, task.position(idx), band, t_k)
+            profile = ReachProfile.from_rest(profile.position(t_k), task.position(idx),
+                                             band, t_k)
             cur_idx = idx
             phase = FicPhase()
         k_now, phi_now = schedule.stiffness_at(t_k), schedule.torsion_at(t_k)
 
         def desired(t):
-            return project_to_sphere(profile.sample(t)[0], torsion=phi_now)
+            return project_to_sphere(profile.position(t), torsion=phi_now)
 
         q_des_k = desired(t_k)
         tau_k, angle_k, phase = fic_torque_quat(y[:4], q_des_k, k_now, phase)
-        plan_pos[k] = profile.sample(t_k)[0]
+        plan_pos[k] = profile.position(t_k)
         quat_des[k] = q_des_k
         quat[k] = y[:4]
         omega_rec[k] = y[4:]
@@ -190,6 +194,48 @@ def simulate_reference(schedule, task, body, band, opts):
         plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,
         tau_cmd=tau_rec, err_angle=err_rec, disp_max=dmax_rec,
     )
+
+
+def plan_reach(start, target, params, dt=1e-3):
+    """From-rest reach of the elastic band, integrated every ``dt``.
+
+    The band is a point of mass ``params.virtual_mass`` pulled toward
+    ``target`` by ``branch_force``, stepped with RK4 and the branch machine
+    ``branch_step``.  Returns arrays ``(t, pos, vel, acc)`` from t = 0 up to
+    and including the tick that snaps onto the target at rest; a reach
+    shorter than 1e-6 is the single snapped sample.
+    """
+    target = np.asarray(target, dtype=float)
+    pos, vel, t = np.asarray(start, dtype=float), np.zeros(3), 0.0
+    dist = float(np.linalg.norm(pos - target))
+    if dist <= 1e-6:
+        return np.zeros(1), target[None].copy(), np.zeros((1, 3)), np.zeros((1, 3))
+    stiffness = params.stiffness_for(dist)
+    # the sampled touchdown can sit up to accel * dt^2 / 2 off the target
+    # (tangent approach on a discrete grid), so the snap ball must scale
+    # with the deceleration there or long reaches bounce
+    snap = max(1e-6, stiffness * dist / params.virtual_mass * dt**2)
+    diverging, peak = False, dist
+
+    def accel(p):
+        offset = target - p
+        d = float(np.linalg.norm(offset))
+        if d < 1e-15:
+            return np.zeros(3)
+        return branch_force(d, stiffness, diverging, peak) / params.virtual_mass / d * offset
+
+    rows = [(t, pos, vel, accel(pos))]
+    while True:
+        d_prev = float(np.linalg.norm(target - pos))
+        pos, vel = rk4_step(lambda y, _: (y[1], accel(y[0])), (pos, vel), t, dt)
+        t += dt
+        d = float(np.linalg.norm(target - pos))
+        if d <= snap:
+            rows.append((t, target, np.zeros(3), np.zeros(3)))
+            break
+        diverging, peak = branch_step(diverging, peak, d, d - d_prev, snap)
+        rows.append((t, pos, vel, accel(pos)))
+    return tuple(np.array(col) for col in zip(*rows))
 
 
 # Dormand-Prince embedded 4(5) tableau

@@ -287,6 +287,26 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
 
 
+@pytest.mark.parametrize(
+    "name", ["../escaped", "", ".", "..", "summary.json", "a/b", "a\\b", "a\0b"]
+)
+def test_condition_name_outside_one_folder_exits_2(tmp_path, capsys, name):
+    """A condition name is its folder under output_dir: a name that is not
+    one plain path component stops the run before any simulation."""
+    cfg = write(tmp_path, QUICK.replace("name: quick", f"name: {json.dumps(name)}"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert f"condition {name!r}: name must be one path component" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
+def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, QUICK)
+    assert main(["run", str(cfg), "--out", ""]) == 2
+    assert "--out: expected a non-empty directory" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
 def test_yaml_is_imported_only_to_read_a_file(tmp_path):
     """A run on the built-in defaults never imports the YAML parser."""
     root = Path(__file__).resolve().parents[1]

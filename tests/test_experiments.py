@@ -25,8 +25,8 @@ from wristsim.experiments import (
     run_trial,
     target_rmse,
 )
-from wristsim.planner import ReachProfile, plan_reach, reach_duration
-from oracles import simulate_reference
+from wristsim.planner import ReachProfile, reach_duration
+from oracles import plan_reach, simulate_reference
 from wristsim.rotations import (
     project_to_sphere,
     quat_norm,
@@ -171,41 +171,48 @@ def test_parallel_pointer_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _leg_rates(profile, t):
+    """Velocity and acceleration of a closed-form leg at absolute time t."""
+    rel = max(t - profile.t0, 0.0)
+    if rel >= profile.duration:
+        return np.zeros(3), np.zeros(3)
+    half, unit = 0.5 * profile.dist, np.array(profile.unit)
+    return (half * profile.omega * math.sin(profile.omega * rel) * unit,
+            half * profile.omega**2 * math.cos(profile.omega * rel) * unit)
+
+
 def test_reach_profile_matches_integrated_band(band):
     start = np.array([0.3, 0.0, 0.0])
     target = np.array([0.3, 0.0, 0.1])
     profile = ReachProfile.from_rest(start, target, band, 0.0)
-    samples = plan_reach(start, target, band)
+    t, pos, vel, _ = plan_reach(start, target, band)
     worst_pos = worst_vel = 0.0
-    for s in samples:
-        if s.t >= profile.duration - 2e-3:
+    for t_i, pos_i, vel_i in zip(t, pos, vel):
+        if t_i >= profile.duration - 2e-3:
             continue  # the band snaps its sampled touchdown; compare before it
-        pos, vel, _ = profile.sample(s.t)
-        worst_pos = max(worst_pos, float(np.linalg.norm(pos - s.pos)))
-        worst_vel = max(worst_vel, float(np.linalg.norm(vel - s.vel)))
+        worst_pos = max(worst_pos, float(np.linalg.norm(profile.position(t_i) - pos_i)))
+        worst_vel = max(worst_vel, float(np.linalg.norm(_leg_rates(profile, t_i)[0] - vel_i)))
     assert worst_pos < 1e-9
     assert worst_vel < 1e-7
-    np.testing.assert_array_equal(samples[-1].pos, target)
-    np.testing.assert_array_equal(samples[-1].vel, 0.0)
+    np.testing.assert_array_equal(pos[-1], target)
+    np.testing.assert_array_equal(vel[-1], 0.0)
 
 
 def test_reach_profile_endpoints(band):
     profile = ReachProfile.from_rest([0.3, 0.0, 0.0], [0.3, 0.0, 0.1], band, 0.2)
-    pos0, vel0, _ = profile.sample(0.2)
-    np.testing.assert_allclose(pos0, [0.3, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(vel0, 0.0, atol=1e-15)
-    pos1, vel1, acc1 = profile.sample(0.2 + profile.duration + 1.0)
-    np.testing.assert_array_equal(pos1, [0.3, 0.0, 0.1])
-    np.testing.assert_array_equal(vel1, 0.0)
-    np.testing.assert_array_equal(acc1, 0.0)
+    np.testing.assert_allclose(profile.position(0.2), [0.3, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(_leg_rates(profile, 0.2)[0], 0.0, atol=1e-15)
+    t_end = 0.2 + profile.duration + 1.0
+    np.testing.assert_array_equal(profile.position(t_end), [0.3, 0.0, 0.1])
+    np.testing.assert_array_equal(_leg_rates(profile, t_end), 0.0)
     # before t0 the profile holds the start point
-    np.testing.assert_allclose(profile.sample(0.0)[0], [0.3, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(profile.position(0.0), [0.3, 0.0, 0.0], atol=1e-15)
 
 
 def test_degenerate_reach_profile(band):
     profile = ReachProfile.from_rest([0.3, 0.0, 0.1], [0.3, 0.0, 0.1], band, 0.0)
     assert profile.duration == 0.0
-    np.testing.assert_array_equal(profile.sample(0.5)[0], [0.3, 0.0, 0.1])
+    np.testing.assert_array_equal(profile.position(0.5), [0.3, 0.0, 0.1])
 
 
 # ---------------------------------------------------------------------------
