@@ -228,8 +228,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.out is not None:
-            if not args.out:
-                raise ConfigError("--out: expected a non-empty directory")
             cfg = replace(cfg, output_dir=args.out)
         if args.check:
             return run_check_suite(cfg.seed)

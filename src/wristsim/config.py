@@ -1,8 +1,10 @@
-"""Experiment configuration: YAML parsing, validation, condition expansion.
+"""Experiment configuration: conditions, the whole config, and the YAML loader.
 
 A config file is a YAML mapping; every section is optional and an empty
 file reproduces the built-in defaults (the full eight-condition protocol).
-Unknown keys are rejected with their dotted path so typos fail loudly.
+A section's keys are its dataclass's fields, and each dataclass checks its
+own values; the loader only maps the file onto them, rejecting unknown keys
+and prefixing a field's error with its dotted path so typos fail loudly.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
@@ -12,17 +14,14 @@ file (``torsion_deg``) and carried in radians internally.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ._rules import (BOOLEAN, NON_EMPTY_STRING, NON_NEGATIVE_INT, NUMBER, POSITIVE,
+                     STRING, ConfigError, check_fields, param, rules)
 from .dynamics import BodyModel
 from .experiments import ClockTask, SimOptions
 from .planner import BandParams
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid configuration; message names the offending key."""
 
 
 @dataclass(frozen=True)
@@ -34,30 +33,23 @@ class Condition:
     stiffness and torsion step mid-reach.
     """
 
-    name: str
-    kind: str = "clock"
-    gravity: bool = True
-    stiffness: float = 10000.0
-    torsion: float = 0.0
+    name: str = param(STRING)
+    kind: str = param(STRING, "clock")
+    gravity: bool = param(BOOLEAN, True)
+    stiffness: float = param(POSITIVE, 10000.0)
+    torsion: float = param(NUMBER, 0.0)
 
     def __post_init__(self):
+        check_fields(self)
         # the name is the condition's folder under output_dir
         if (self.name in ("", ".", "..", "summary.json")
                 or any(c in self.name for c in "/\\\0")):
             raise ConfigError(
-                f"condition {self.name!r}: name must be one path component, "
-                "not '', '.', '..' or 'summary.json', without '/', '\\' or NUL"
+                "name: must be one path component, not '', '.', '..' or "
+                f"'summary.json', without '/', '\\' or NUL, got {self.name!r}"
             )
         if self.kind not in ("clock", "retune"):
-            raise ConfigError(
-                f"condition {self.name!r}: kind must be 'clock' or 'retune', "
-                f"got {self.kind!r}"
-            )
-        if not self.stiffness > 0.0:
-            raise ConfigError(
-                f"condition {self.name!r}: stiffness must be positive, "
-                f"got {self.stiffness}"
-            )
+            raise ConfigError(f"kind: must be 'clock' or 'retune', got {self.kind!r}")
 
 
 def _condition_name(gravity: bool, stiffness: float, torsion: float) -> str:
@@ -89,8 +81,15 @@ class ExperimentConfig:
     task: ClockTask = ClockTask()
     sim: SimOptions = SimOptions()
     conditions: tuple = field(default_factory=lambda: tuple(default_conditions()))
-    output_dir: str = "results"
-    seed: int = 0
+    output_dir: str = param(NON_EMPTY_STRING, "results")
+    seed: int = param(NON_NEGATIVE_INT, 0)
+
+    def __post_init__(self):
+        check_fields(self)
+        names = [c.name for c in self.conditions]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
 
     def condition(self, name: str) -> Condition:
         for cond in self.conditions:
@@ -98,6 +97,12 @@ class ExperimentConfig:
                 return cond
         known = ", ".join(c.name for c in self.conditions)
         raise ConfigError(f"unknown condition {name!r}; known: {known}")
+
+
+_SECTIONS = {"body": BodyModel, "band": BandParams, "task": ClockTask, "sim": SimOptions}
+# a condition's YAML keys: its fields, with the torsion written in degrees
+_CONDITION_KEYS = {f.name for f in fields(Condition)} - {"torsion"} | {"torsion_deg"}
+_LEAF_RULES = {**rules(Condition), "torsion_deg": NUMBER}
 
 
 def _require_mapping(node, path):
@@ -111,77 +116,12 @@ def _check_keys(node, allowed, path):
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    """An int or float whose float value is finite; bools are not numbers."""
-    # compares exactly, so inf, nan and ints past the float range all fail
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-# leaf rules: (test, what the message says when the test fails)
-_POSITIVE = (lambda v: _is_number(v) and v > 0, "must be a positive number")
-_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "must be a non-negative number")
-_COUNT = (lambda v: _is_int(v) and v > 0, "must be a positive integer")
-_VECTOR = (
-    lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
-    "expected a 3-vector of numbers",
-)
-_NUMBER = (_is_number, "expected a number")
-
-# each section: the dataclass it builds and the rule for each of its keys
-_SECTIONS = {
-    "body": (BodyModel, {
-        "mass": _POSITIVE, "length": _POSITIVE, "width": _POSITIVE,
-        "thickness": _POSITIVE, "com_offset": _VECTOR, "gravity": _VECTOR,
-    }),
-    "band": (BandParams, {
-        "virtual_mass": _POSITIVE, "max_accel": _POSITIVE,
-        "stiffness": (lambda v: v is None or _POSITIVE[0](v),
-                      "must be null or a positive number"),
-    }),
-    "task": (ClockTask, {
-        "plane_distance": _POSITIVE, "radius": _POSITIVE,
-        "n_targets": _COUNT, "dwell": _NON_NEGATIVE,
-    }),
-    "sim": (SimOptions, {"dt": _POSITIVE, "substeps": _COUNT}),
-}
-
-# condition and sweep-entry leaves
-_CONDITION_LEAVES = {
-    "name": (lambda v: isinstance(v, str), "expected a string"),
-    "gravity": (lambda v: isinstance(v, bool), "expected a boolean"),
-    "stiffness": _NUMBER,
-    "torsion_deg": _NUMBER,
-}
-_CONDITION_KEYS = {"kind", *_CONDITION_LEAVES}
-_SWEEP_KEYS = {"gravity", "stiffness", "torsion_deg"}
-
-_TOP_LEAVES = {
-    "output_dir": (lambda v: isinstance(v, str) and bool(v), "expected a non-empty string"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer"),
-}
-_TOP_KEYS = {*_SECTIONS, "conditions", "sweep", *_TOP_LEAVES}
-
-
-def _check_leaf(rule, value, path):
-    test, expected = rule
-    if not test(value):
-        raise ConfigError(f"{path}: {expected}, got {value!r}")
-
-
-def _build_section(name, node):
-    cls, leaves = _SECTIONS[name]
-    _require_mapping(node, name)
-    _check_keys(node, leaves, f"{name}.")
-    for key, value in node.items():
-        _check_leaf(leaves[key], value, f"{name}.{key}")
+def _build(cls, kwargs, path):
+    """``cls(**kwargs)``, with the dotted ``path`` prepended to a field's error."""
     try:
-        return cls(**node)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}{exc}") from None
 
 
 def _parse_condition(node, index):
@@ -190,40 +130,35 @@ def _parse_condition(node, index):
     _check_keys(node, _CONDITION_KEYS, path)
     if "name" not in node:
         raise ConfigError(f"{path}name: required")
-    for key, rule in _CONDITION_LEAVES.items():
-        if key in node:
-            _check_leaf(rule, node[key], path + key)
+    kwargs = dict(node)
+    if "torsion_deg" in kwargs:
+        _LEAF_RULES["torsion_deg"].check(kwargs["torsion_deg"], path + "torsion_deg")
+        kwargs["torsion"] = math.radians(kwargs.pop("torsion_deg"))
+    cond = _build(Condition, kwargs, path)
     for key in ("stiffness", "torsion_deg"):
-        if key in node and node.get("kind") == "retune":
+        if key in node and cond.kind == "retune":
             raise ConfigError(f"{path}{key}: a retune condition runs its fixed schedule")
-    kwargs = {k: v for k, v in node.items() if k != "torsion_deg"}
-    if "torsion_deg" in node:
-        kwargs["torsion"] = math.radians(float(node["torsion_deg"]))
-    return Condition(**kwargs)
+    return cond
 
 
 def _expand_sweep(node):
-    path = "sweep."
     _require_mapping(node, "sweep")
-    _check_keys(node, _SWEEP_KEYS, path)
-    gravities = node.get("gravity", [True])
-    stiffnesses = node.get("stiffness", [10000.0])
-    torsions_deg = node.get("torsion_deg", [0.0])
-    for key, values in (("gravity", gravities), ("stiffness", stiffnesses),
-                        ("torsion_deg", torsions_deg)):
+    _check_keys(node, ("gravity", "stiffness", "torsion_deg"), "sweep.")
+    axes = {"gravity": [True], "stiffness": [10000.0], "torsion_deg": [0.0], **node}
+    for key, values in axes.items():
         if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError(f"{path}{key}: expected a non-empty list")
+            raise ConfigError(f"sweep.{key}: expected a non-empty list")
         for j, value in enumerate(values):
-            _check_leaf(_CONDITION_LEAVES[key], value, f"{path}{key}[{j}]")
+            _LEAF_RULES[key].check(value, f"sweep.{key}[{j}]")
     out = []
-    for gravity in gravities:
-        for torsion_deg in torsions_deg:
-            for stiffness in stiffnesses:
+    for gravity in axes["gravity"]:
+        for torsion_deg in axes["torsion_deg"]:
+            for stiffness in axes["stiffness"]:
                 torsion = math.radians(float(torsion_deg))
                 out.append(
                     Condition(
-                        _condition_name(bool(gravity), float(stiffness), torsion),
-                        gravity=bool(gravity),
+                        _condition_name(gravity, float(stiffness), torsion),
+                        gravity=gravity,
                         stiffness=float(stiffness),
                         torsion=torsion,
                     )
@@ -232,7 +167,7 @@ def _expand_sweep(node):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a config file; empty file means all defaults."""
+    """Read a config file onto the dataclasses; empty file means all defaults."""
     import yaml  # here, not at the top: a run without a file never needs it
 
     text = Path(path).read_text()
@@ -243,27 +178,22 @@ def load_config(path) -> ExperimentConfig:
     if raw is None:
         return ExperimentConfig()
     _require_mapping(raw, str(path))
-    _check_keys(raw, _TOP_KEYS, "")
+    _check_keys(raw, {f.name for f in fields(ExperimentConfig)} | {"sweep"}, "")
 
-    cfg = ExperimentConfig()
-    for name in _SECTIONS:
+    kwargs = {}
+    for name, cls in _SECTIONS.items():
         if name in raw:
-            cfg = replace(cfg, **{name: _build_section(name, raw[name])})
+            _require_mapping(raw[name], name)
+            _check_keys(raw[name], {f.name for f in fields(cls)}, f"{name}.")
+            kwargs[name] = _build(cls, raw[name], f"{name}.")
     if "conditions" in raw and "sweep" in raw:
         raise ConfigError("give either 'conditions' or 'sweep', not both")
     if "conditions" in raw:
         if not isinstance(raw["conditions"], list) or not raw["conditions"]:
             raise ConfigError("conditions: expected a non-empty list")
-        conds = [_parse_condition(c, i) for i, c in enumerate(raw["conditions"])]
-        cfg = replace(cfg, conditions=tuple(conds))
+        kwargs["conditions"] = tuple(
+            _parse_condition(c, i) for i, c in enumerate(raw["conditions"]))
     elif "sweep" in raw:
-        cfg = replace(cfg, conditions=tuple(_expand_sweep(raw["sweep"])))
-    names = [c.name for c in cfg.conditions]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
-    for key, rule in _TOP_LEAVES.items():
-        if key in raw:
-            _check_leaf(rule, raw[key], key)
-            cfg = replace(cfg, **{key: raw[key]})
-    return cfg
+        kwargs["conditions"] = tuple(_expand_sweep(raw["sweep"]))
+    kwargs.update((key, raw[key]) for key in ("output_dir", "seed") if key in raw)
+    return ExperimentConfig(**kwargs)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rules import POSITIVE, VECTOR, check_fields, param
 from .rotations import to_body
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
@@ -51,17 +52,15 @@ def inertia_box(
 class BodyModel:
     """Geometry, mass properties and the ambient gravity vector."""
 
-    mass: float = 1.0
-    length: float = 0.10
-    width: float = 0.08
-    thickness: float = 0.02
-    com_offset: tuple = (0.05, 0.0, 0.0)
-    gravity: tuple = GRAVITY_DEFAULT
+    mass: float = param(POSITIVE, 1.0)
+    length: float = param(POSITIVE, 0.10)
+    width: float = param(POSITIVE, 0.08)
+    thickness: float = param(POSITIVE, 0.02)
+    com_offset: tuple = param(VECTOR, (0.05, 0.0, 0.0))
+    gravity: tuple = param(VECTOR, GRAVITY_DEFAULT)
 
     def __post_init__(self):
-        for name in ("mass", "length", "width", "thickness"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_fields(self)
         object.__setattr__(self, "com_offset", tuple(float(c) for c in self.com_offset))
         object.__setattr__(self, "gravity", tuple(float(g) for g in self.gravity))
 

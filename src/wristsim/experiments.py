@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernel
+from ._rules import COUNT, ConfigError, NON_NEGATIVE, NUMBER, POSITIVE, check_fields, param
 from .dynamics import BodyModel, gravity_torque, plant_constants
 from .planner import BandParams, ReachProfile, reach_duration
 from .rotations import X_AXIS, euler_xyz_from_quat, pointing_quat, rotate_vec
@@ -61,18 +62,13 @@ class ClockTask:
     inserted after each reach.
     """
 
-    plane_distance: float = 0.30
-    radius: float = 0.10
-    n_targets: int = 8
-    dwell: float = 0.5
+    plane_distance: float = param(POSITIVE, 0.30)
+    radius: float = param(POSITIVE, 0.10)
+    n_targets: int = param(COUNT, 8)
+    dwell: float = param(NON_NEGATIVE, 0.5)
 
     def __post_init__(self):
-        if not (self.plane_distance > 0.0 and self.radius > 0.0):
-            raise ValueError("plane distance and radius must be positive")
-        if self.n_targets < 1:
-            raise ValueError("need at least one target")
-        if self.dwell < 0.0:
-            raise ValueError("dwell must be non-negative")
+        check_fields(self)
 
     @property
     def center(self) -> np.ndarray:
@@ -112,28 +108,30 @@ class ParamSchedule:
     plan holds the center.
     """
 
-    duration: float
+    duration: float = param(POSITIVE)
     gravity: bool = True
     stiffness_breaks: tuple = ((0.0, 10000.0),)
     torsion_breaks: tuple = ((0.0, 0.0),)
     target_breaks: tuple = ()
 
     def __post_init__(self):
-        if not self.duration > 0.0:
-            raise ValueError("duration must be positive")
-        for name in ("stiffness_breaks", "torsion_breaks", "target_breaks"):
-            breaks = tuple((float(t), v) for t, v in getattr(self, name))
+        check_fields(self)
+        for name, rule in (("stiffness_breaks", POSITIVE), ("torsion_breaks", NUMBER),
+                           ("target_breaks", None)):
+            breaks = tuple(getattr(self, name))
+            for i, (t, v) in enumerate(breaks):
+                NUMBER.check(t, f"{name}[{i}] time")
+                if rule is not None:
+                    rule.check(v, f"{name}[{i}] value")
+            breaks = tuple((float(t), v) for t, v in breaks)
             object.__setattr__(self, name, breaks)
             times = [t for t, _ in breaks]
             if any(b >= a for a, b in zip(times[1:], times)):
-                raise ValueError(f"{name} times must be strictly increasing")
+                raise ConfigError(f"{name} times must be strictly increasing")
         if not self.stiffness_breaks or self.stiffness_breaks[0][0] > 0.0:
-            raise ValueError("stiffness schedule must start at t=0")
+            raise ConfigError("stiffness schedule must start at t=0")
         if not self.torsion_breaks or self.torsion_breaks[0][0] > 0.0:
-            raise ValueError("torsion schedule must start at t=0")
-        for _, k in self.stiffness_breaks:
-            if not k > 0.0:
-                raise ValueError(f"stiffness must be positive, got {k}")
+            raise ConfigError("torsion schedule must start at t=0")
 
     @staticmethod
     def _value_at(breaks, t, default):
@@ -219,19 +217,14 @@ class SimOptions:
     ring instead of draining it.
     """
 
-    dt: float = 1e-3
-    substeps: int = 10
+    dt: float = param(POSITIVE, 1e-3)
+    substeps: int = param(COUNT, 10)
 
     #: the only integrator; each substep evaluates the right-hand side 4 times
     method = "rk4"
 
     def __post_init__(self):
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
-        if type(self.substeps) is not int or self.substeps < 1:
-            raise ValueError(
-                f"substeps must be a positive integer, got {self.substeps!r}"
-            )
+        check_fields(self)
 
 
 @dataclass

@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._rules import NULL_OR_POSITIVE, POSITIVE, check_fields, param
+
 
 @dataclass(frozen=True)
 class BandParams:
@@ -29,17 +31,12 @@ class BandParams:
     start distance so the acceleration peak equals ``max_accel``.
     """
 
-    virtual_mass: float = 1.0
-    max_accel: float = 3.2
-    stiffness: Optional[float] = None
+    virtual_mass: float = param(POSITIVE, 1.0)
+    max_accel: float = param(POSITIVE, 3.2)
+    stiffness: Optional[float] = param(NULL_OR_POSITIVE, None)
 
     def __post_init__(self):
-        if not self.virtual_mass > 0.0:
-            raise ValueError(f"virtual mass must be positive, got {self.virtual_mass}")
-        if not self.max_accel > 0.0:
-            raise ValueError(f"max accel must be positive, got {self.max_accel}")
-        if self.stiffness is not None and not self.stiffness > 0.0:
-            raise ValueError(f"stiffness must be positive, got {self.stiffness}")
+        check_fields(self)
 
     def stiffness_for(self, dist: float) -> float:
         """Band stiffness of a reach over ``dist``: the fixed override if

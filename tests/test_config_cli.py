@@ -14,11 +14,15 @@ import pytest
 
 from wristsim.cli import LISTING_COLUMNS, TRAJECTORY_COLUMNS, main
 from wristsim.config import (
+    Condition,
     ConfigError,
     ExperimentConfig,
     default_conditions,
     load_config,
 )
+from wristsim.dynamics import BodyModel
+from wristsim.experiments import ClockTask, SimOptions
+from wristsim.planner import BandParams
 
 DEFAULT_NAMES = [
     "online_single_target",
@@ -76,58 +80,102 @@ def test_invalid_values_name_the_field(tmp_path):
         load_config(write(tmp_path, "body: [unclosed\n"))
 
 
+# (YAML text, the loader's message, and for a leaf that is a dataclass field
+# the same value passed straight to that dataclass)
+LEAF_CASES = (
+    ("conditions:\n  - name: a\n    stiffness: 1.0e6\n",
+     "conditions[0].stiffness: must be a positive number, got '1.0e6'",
+     (Condition, {"name": "a", "stiffness": "1.0e6"})),
+    ("conditions:\n  - name: a\n    gravity: 1\n",
+     "conditions[0].gravity: expected a boolean", (Condition, {"name": "a", "gravity": 1})),
+    ("conditions:\n  - name: a\n    kind: bogus\n",
+     "conditions[0].kind: must be 'clock' or 'retune', got 'bogus'",
+     (Condition, {"name": "a", "kind": "bogus"})),
+    ("conditions:\n  - name: a\n    torsion_deg: ten\n",
+     "conditions[0].torsion_deg: expected a number", None),
+    ("sweep:\n  stiffness: [1000.0, 1.0e6]\n",
+     "sweep.stiffness[1]: must be a positive number, got '1.0e6'",
+     (Condition, {"name": "a", "stiffness": "1.0e6"})),
+    ("sweep:\n  gravity: [true, 0]\n",
+     "sweep.gravity[1]: expected a boolean", (Condition, {"name": "a", "gravity": 0})),
+    ("sim:\n  substeps: 2.5\n",
+     "sim.substeps: must be a positive integer, got 2.5", (SimOptions, {"substeps": 2.5})),
+    ("sim:\n  substeps: 0\n",
+     "sim.substeps: must be a positive integer", (SimOptions, {"substeps": 0})),
+    ("task:\n  n_targets: 2.5\n",
+     "task.n_targets: must be a positive integer, got 2.5", (ClockTask, {"n_targets": 2.5})),
+    ("seed: -1\n", "seed: must be a non-negative integer, got -1",
+     (ExperimentConfig, {"seed": -1})),
+    ("seed: true\n", "seed: must be a non-negative integer, got True",
+     (ExperimentConfig, {"seed": True})),
+    ("body:\n  com_offset: [a, 0, 0]\n",
+     "body.com_offset: expected a 3-vector of numbers, got ['a', 0, 0]",
+     (BodyModel, {"com_offset": ["a", 0, 0]})),
+    ("body:\n  gravity: [0, 0, null]\n",
+     "body.gravity: expected a 3-vector of numbers", (BodyModel, {"gravity": [0, 0, None]})),
+    ("band:\n  stiffness: 1e3\n",
+     "band.stiffness: must be null or a positive number, got '1e3'",
+     (BandParams, {"stiffness": "1e3"})),
+    # non-finite numbers: each would otherwise fail later, as exit 1
+    ("body:\n  mass: .inf\n", "body.mass: must be a positive number, got inf",
+     (BodyModel, {"mass": math.inf})),
+    ("task:\n  dwell: .inf\n",
+     "task.dwell: must be a non-negative number, got inf", (ClockTask, {"dwell": math.inf})),
+    ("conditions:\n  - name: a\n    stiffness: .inf\n",
+     "conditions[0].stiffness: must be a positive number, got inf",
+     (Condition, {"name": "a", "stiffness": math.inf})),
+    ("sweep:\n  torsion_deg: [0.0, -.inf]\n",
+     "sweep.torsion_deg[1]: expected a number, got -inf", None),
+    ("body:\n  com_offset: [.nan, 0, 0]\n",
+     "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]",
+     (BodyModel, {"com_offset": [math.nan, 0, 0]})),
+    ("body:\n  length: 1" + "0" * 400 + "\n",  # an int past the float range
+     "body.length: must be a positive number, got 1000", (BodyModel, {"length": 10**400})),
+    # a retune condition runs a fixed schedule
+    ("conditions:\n  - name: r\n    kind: retune\n    stiffness: 500.0\n"
+     "    torsion_deg: 40.0\n",
+     "conditions[0].stiffness: a retune condition runs its fixed schedule", None),
+    ("conditions:\n  - name: r\n    kind: retune\n    torsion_deg: 40.0\n",
+     "conditions[0].torsion_deg: a retune condition runs its fixed schedule", None),
+)
+
+
 def test_leaf_types_name_the_dotted_key(tmp_path, capsys):
     """Mistyped leaves exit 2 naming the key (PyYAML reads 1.0e6 as text)."""
-    cases = (
-        ("conditions:\n  - name: a\n    stiffness: 1.0e6\n",
-         "conditions[0].stiffness: expected a number, got '1.0e6'"),
-        ("conditions:\n  - name: a\n    gravity: 1\n",
-         "conditions[0].gravity: expected a boolean"),
-        ("conditions:\n  - name: a\n    torsion_deg: ten\n",
-         "conditions[0].torsion_deg: expected a number"),
-        ("sweep:\n  stiffness: [1000.0, 1.0e6]\n",
-         "sweep.stiffness[1]: expected a number, got '1.0e6'"),
-        ("sweep:\n  gravity: [true, 0]\n",
-         "sweep.gravity[1]: expected a boolean"),
-        ("sim:\n  substeps: 2.5\n",
-         "sim.substeps: must be a positive integer, got 2.5"),
-        ("sim:\n  substeps: 0\n",
-         "sim.substeps: must be a positive integer"),
-        ("task:\n  n_targets: 2.5\n",
-         "task.n_targets: must be a positive integer, got 2.5"),
-        ("seed: -1\n", "seed: must be a non-negative integer, got -1"),
-        ("seed: true\n", "seed: must be a non-negative integer, got True"),
-        ("body:\n  com_offset: [a, 0, 0]\n",
-         "body.com_offset: expected a 3-vector of numbers, got ['a', 0, 0]"),
-        ("body:\n  gravity: [0, 0, null]\n",
-         "body.gravity: expected a 3-vector of numbers"),
-        ("band:\n  stiffness: 1e3\n",
-         "band.stiffness: must be null or a positive number, got '1e3'"),
-        # non-finite numbers: each would otherwise fail later, as exit 1
-        ("body:\n  mass: .inf\n", "body.mass: must be a positive number, got inf"),
-        ("task:\n  dwell: .inf\n",
-         "task.dwell: must be a non-negative number, got inf"),
-        ("conditions:\n  - name: a\n    stiffness: .inf\n",
-         "conditions[0].stiffness: expected a number, got inf"),
-        ("sweep:\n  torsion_deg: [0.0, -.inf]\n",
-         "sweep.torsion_deg[1]: expected a number, got -inf"),
-        ("body:\n  com_offset: [.nan, 0, 0]\n",
-         "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]"),
-        ("body:\n  length: 1" + "0" * 400 + "\n",  # an int past the float range
-         "body.length: must be a positive number, got 1000"),
-        # a retune condition runs a fixed schedule
-        ("conditions:\n  - name: r\n    kind: retune\n    stiffness: 500.0\n"
-         "    torsion_deg: 40.0\n",
-         "conditions[0].stiffness: a retune condition runs its fixed schedule"),
-        ("conditions:\n  - name: r\n    kind: retune\n    torsion_deg: 40.0\n",
-         "conditions[0].torsion_deg: a retune condition runs its fixed schedule"),
-    )
-    for text, message in cases:
+    for text, message, _ in LEAF_CASES:
         cfg = write(tmp_path, text)
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(cfg)
         assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
         assert message in capsys.readouterr().err
+
+
+def _field_message(message):
+    """The loader's message without its dotted path: 'sweep.stiffness[1]: x'
+    and 'conditions[0].stiffness: x' both become 'stiffness: x'."""
+    key, rest = message.split(":", 1)
+    return re.sub(r"\[\d+\]$", "", key.rsplit(".", 1)[-1]) + ":" + rest
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    *((*call, _field_message(message)) for _, message, call in LEAF_CASES if call),
+    # values no file can hold, or that the loader alone once refused
+    (BodyModel, {"com_offset": (1, 2)}, "com_offset: expected a 3-vector of numbers"),
+    (BodyModel, {"gravity": (0, 0)}, "gravity: expected a 3-vector of numbers"),
+    (BodyModel, {"mass": True}, "mass: must be a positive number, got True"),
+    (ClockTask, {"n_targets": True}, "n_targets: must be a positive integer, got True"),
+    (ClockTask, {"radius": math.inf}, "radius: must be a positive number, got inf"),
+    (SimOptions, {"dt": True}, "dt: must be a positive number, got True"),
+    (BandParams, {"max_accel": math.inf}, "max_accel: must be a positive number, got inf"),
+    (BandParams, {"stiffness": True}, "stiffness: must be null or a positive number, got True"),
+    (Condition, {"name": "a", "torsion": math.nan}, "torsion: expected a number, got nan"),
+    (ExperimentConfig, {"output_dir": ""}, "output_dir: expected a non-empty string, got ''"),
+])
+def test_dataclasses_reject_what_a_file_is_refused_for(cls, kwargs, message):
+    """Each parameter dataclass checks its own fields with the loader's
+    rules, so the library refuses a value at construction, not mid-trial."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cls(**kwargs)
 
 
 def test_removed_sim_keys_are_unknown(tmp_path, capsys):
@@ -295,7 +343,9 @@ def test_condition_name_outside_one_folder_exits_2(tmp_path, capsys, name):
     one plain path component stops the run before any simulation."""
     cfg = write(tmp_path, QUICK.replace("name: quick", f"name: {json.dumps(name)}"))
     assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
-    assert f"condition {name!r}: name must be one path component" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "conditions[0].name: must be one path component" in err
+    assert f"got {name!r}" in err
     assert [p for p in tmp_path.rglob("*") if p != cfg] == []
 
 
@@ -303,7 +353,7 @@ def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path, QUICK)
     assert main(["run", str(cfg), "--out", ""]) == 2
-    assert "--out: expected a non-empty directory" in capsys.readouterr().err
+    assert "output_dir: expected a non-empty string, got ''" in capsys.readouterr().err
     assert [p for p in tmp_path.rglob("*") if p != cfg] == []
 
 

@@ -1,6 +1,7 @@
 """Task geometry, schedules, the trial loop, and the summary metrics."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wristsim.config import ConfigError
 from wristsim.experiments import (
     ClockTask,
     ListingSurface,
@@ -69,7 +71,7 @@ def test_task_validation():
 ])
 def test_sim_options_validation(fields):
     """A bad step fails at construction, not as an arithmetic error mid-trial."""
-    with pytest.raises(ValueError, match="dt must|substeps must"):
+    with pytest.raises(ValueError, match="dt: must|substeps: must"):
         SimOptions(**fields)
 
 
@@ -102,6 +104,18 @@ def test_schedule_validation():
         ParamSchedule(duration=1.0, stiffness_breaks=((0.1, 1.0),))
     with pytest.raises(ValueError, match="positive"):
         ParamSchedule(duration=1.0, stiffness_breaks=((0.0, -5.0),))
+    # a non-finite or boolean value fails here, not mid-trial
+    for fields, message in (
+        (dict(torsion_breaks=((0.0, math.nan),)), "torsion_breaks[0] value: expected a number"),
+        (dict(stiffness_breaks=((0.0, 1000.0), (0.5, math.inf))),
+         "stiffness_breaks[1] value: must be a positive number, got inf"),
+        (dict(duration=math.inf), "duration: must be a positive number, got inf"),
+        (dict(stiffness_breaks=((0.0, True),)),
+         "stiffness_breaks[0] value: must be a positive number, got True"),
+        (dict(target_breaks=((math.inf, 0),)), "target_breaks[0] time: expected a number"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ParamSchedule(**{"duration": 1.0, **fields})
 
 
 def test_clock_schedule_walks_out_and_back(task, band):
