@@ -42,6 +42,7 @@ NON_NEGATIVE = Rule(lambda v: _is_number(v) and v >= 0, "must be a non-negative 
 NULL_OR_POSITIVE = Rule(lambda v: v is None or POSITIVE.test(v), "must be null or a positive number")
 COUNT = Rule(lambda v: _is_int(v) and v > 0, "must be a positive integer")
 NON_NEGATIVE_INT = Rule(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+TARGET_INDEX = Rule(lambda v: _is_int(v) and v >= -1, "must be a target index (an integer >= -1)")
 VECTOR = Rule(
     lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v)),
     "expected a 3-vector of numbers",

@@ -80,7 +80,8 @@ def check_euler_round_trip(rng, n=100_000, tol=1e-9) -> CheckResult:
     kept = 0
     raw = rng.standard_normal((n, 4))
     # blocks of about 1,000 rows: the whole stack at once raises peak memory
-    # by some 30 MB (the libm asin/atan2 go through object arrays), a block ~1 MB
+    # by some 30 MB (the libm wrappers' .tolist() Python floats and the
+    # stack's temporaries), a block ~1 MB
     for block in np.array_split(raw, max(1, n // 1000)):
         q = quat_normalize(block)
         angles, locked = euler_xyz_from_quat(q)

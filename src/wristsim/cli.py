@@ -56,7 +56,7 @@ LISTING_COLUMNS = ("theta_y_deg", "theta_z_deg", "theta_x_deg")
 
 def condition_schedule(cond: Condition, cfg: ExperimentConfig):
     if cond.kind == "retune":
-        return build_retune_schedule(cfg.task, cfg.band, gravity=cond.gravity)
+        return build_retune_schedule(gravity=cond.gravity)
     return build_clock_schedule(
         cfg.task, cfg.band,
         stiffness=cond.stiffness, torsion=cond.torsion, gravity=cond.gravity,

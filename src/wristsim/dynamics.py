@@ -158,7 +158,7 @@ def unit_quat_state(y):
     return qw / n, qx / n, qy / n, qz / n, wx, wy, wz
 
 
-def integrate_step(rhs, y, t, dt=1e-3, substeps=5, renormalize=True):
+def integrate_step(rhs, y, t, dt, substeps, renormalize=True):
     """Advance the state tuple ``y`` of a closed loop by one control interval.
 
     ``rhs(y, t)`` is the loop's right-hand side on floats, for example

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import _kernel
-from ._rules import COUNT, ConfigError, NON_NEGATIVE, NUMBER, POSITIVE, check_fields, param
+from ._rules import (COUNT, ConfigError, NON_NEGATIVE, NUMBER, POSITIVE, TARGET_INDEX,
+                     check_fields, param)
 from .dynamics import BodyModel, gravity_torque, plant_constants
 from .planner import BandParams, ReachProfile, reach_duration
 from .rotations import X_AXIS, euler_xyz_from_quat, pointing_quat, rotate_vec
@@ -87,6 +88,8 @@ class ClockTask:
 
     def position(self, index: int) -> np.ndarray:
         """Target position by index; -1 addresses the circle center."""
+        if not -1 <= index < self.n_targets:
+            raise ConfigError(f"target index {index} out of range for {self.n_targets} targets")
         if index < 0:
             return self.center
         return self.targets[index]
@@ -117,12 +120,11 @@ class ParamSchedule:
     def __post_init__(self):
         check_fields(self)
         for name, rule in (("stiffness_breaks", POSITIVE), ("torsion_breaks", NUMBER),
-                           ("target_breaks", None)):
+                           ("target_breaks", TARGET_INDEX)):
             breaks = tuple(getattr(self, name))
             for i, (t, v) in enumerate(breaks):
                 NUMBER.check(t, f"{name}[{i}] time")
-                if rule is not None:
-                    rule.check(v, f"{name}[{i}] value")
+                rule.check(v, f"{name}[{i}] value")
             breaks = tuple((float(t), v) for t, v in breaks)
             object.__setattr__(self, name, breaks)
             times = [t for t, _ in breaks]
@@ -174,29 +176,25 @@ def build_clock_schedule(
     )
 
 
-def build_retune_schedule(
-    task: ClockTask,
-    band: BandParams,
-    stiffness_breaks: Sequence = ((0.0, 10000.0), (0.2, 8000.0), (0.3, 1000.0)),
-    torsion_breaks: Sequence = ((0.0, 0.0), (0.35, math.radians(-25.0))),
-    gravity: bool = True,
-    target: int = 0,
-    reach_start: float = 0.05,
-    return_start: float = 1.5,
-    duration: float = 2.5,
-) -> ParamSchedule:
-    """Out-and-back reach to one target with K and phi stepped mid-flight.
+def build_retune_schedule(gravity: bool = True) -> ParamSchedule:
+    """Out-and-back reach to target 0 with K and phi stepped mid-flight.
 
-    Both parameter steps land inside the outgoing leg; the return leg runs
-    entirely under the final (K, phi) pair, so its measured speed profile
-    shows the recovered bell shape.
+    The reach starts at 0.05 s and the return at 1.5 s; K steps 10000 ->
+    8000 -> 1000 N*m/rad at 0.2 and 0.3 s and phi 0 -> -25 deg at 0.35 s.
+    The return leg runs entirely under the final (K, phi) pair, so its
+    measured speed profile shows the recovered bell shape.
+
+    The step times are absolute, so they land inside the outgoing reach
+    only while it lasts more than 0.30 s: at ``max_accel`` 3.2 m/s^2 that
+    needs ``task.radius`` above about 0.0584 m.  The default reach lasts
+    0.3927 s and ends at 0.4427 s.
     """
     return ParamSchedule(
-        duration=duration,
+        duration=2.5,
         gravity=gravity,
-        stiffness_breaks=tuple(stiffness_breaks),
-        torsion_breaks=tuple(torsion_breaks),
-        target_breaks=((reach_start, target), (return_start, -1)),
+        stiffness_breaks=((0.0, 10000.0), (0.2, 8000.0), (0.3, 1000.0)),
+        torsion_breaks=((0.0, 0.0), (0.35, math.radians(-25.0))),
+        target_breaks=((0.05, 0), (1.5, -1)),
     )
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -120,9 +119,7 @@ def branch_torque(qw, qx, qy, qz, dw, dx, dy, dz, stiffness, diverging, peak):
     return scale * ex, scale * ey, scale * ez, angle
 
 
-def update_phase(
-    phase: FicPhase, disp: float, disp_rate: float, deadband: float = DEADBAND
-) -> FicPhase:
+def update_phase(phase: FicPhase, disp: float, disp_rate: float) -> FicPhase:
     """Advance the branch machine for the current displacement sample.
 
     See :func:`branch_step`.
@@ -130,7 +127,7 @@ def update_phase(
     if disp < 0.0:
         raise ValueError("displacement must be non-negative")
     return FicPhase(
-        *branch_step(phase.diverging, phase.disp_max, disp, disp_rate, deadband), disp
+        *branch_step(phase.diverging, phase.disp_max, disp, disp_rate), disp
     )
 
 
@@ -171,18 +168,13 @@ def fic_torque_quat(
 # ---------------------------------------------------------------------------
 
 
-def simulate_release(
-    stiffness: float,
-    mass: float,
-    start_disp: float,
-    dt: Optional[float] = None,
-    max_cycles: float = 2.0,
-):
+def simulate_release(stiffness: float, mass: float, start_disp: float):
     """Integrate the autonomous point-mass release from rest at ``start_disp``.
 
     The state starts on the convergence branch with the peak at the release
     displacement, mirroring the end of a divergence stroke.  Integration is
-    classical RK4 and stops when the displacement first crosses zero; the
+    classical RK4 at 4000 steps per half period and stops when the
+    displacement first crosses zero, giving up after two half periods; the
     crossing time is refined by linear interpolation and a final partial
     step lands the record exactly on it.
 
@@ -192,15 +184,14 @@ def simulate_release(
     if not stiffness > 0.0:
         raise ValueError(f"stiffness must be positive, got {stiffness}")
     omega = math.sqrt(2.0 * stiffness / mass)
-    if dt is None:
-        dt = (math.pi / omega) / 4000.0
+    dt = (math.pi / omega) / 4000.0
 
     def rhs(y, t):
         return y[1], -branch_force(y[0], stiffness, False, start_disp) / mass
 
     ts, xs, vs = [0.0], [start_disp], [0.0]
     t, x, v = 0.0, start_disp, 0.0
-    t_end = max_cycles * math.pi / omega
+    t_end = 2.0 * math.pi / omega
     while t < t_end:
         x_new, v_new = rk4_step(rhs, (x, v), t, dt)
         t += dt
@@ -225,13 +216,7 @@ def simulate_release(
     raise RuntimeError("release trajectory failed to reach the goal")
 
 
-def vdp_equivalent_mu(
-    peak_disp: float,
-    stiffness: float,
-    mass: float,
-    extra_energy: float = 0.0,
-    dt: Optional[float] = None,
-) -> float:
+def vdp_equivalent_mu(peak_disp: float, stiffness: float, mass: float) -> float:
     """Damping coefficient of the van der Pol oscillator matched to the FIC.
 
     Matches the energy the controller sheds over one excursion of amplitude
@@ -239,17 +224,14 @@ def vdp_equivalent_mu(
     performs along the same trajectory.  The work integral is evaluated by
     trapezoidal quadrature over the simulated autonomous release (the
     differential form collapses to ``(1 - x^2) x'^2 dt`` along the path).
-    ``extra_energy`` adds any stiffness-variation energy; zero for the
-    constant-stiffness profile used here.
+    The stiffness is constant, so no stiffness-variation energy enters.
     """
     if peak_disp <= 0.0:
         raise ValueError("peak displacement must be positive")
-    ts, xs, vs, _ = simulate_release(stiffness, mass, peak_disp, dt=dt)
+    ts, xs, vs, _ = simulate_release(stiffness, mass, peak_disp)
     damping_work = float(np.trapezoid((1.0 - xs**2) * vs**2, ts))
     if damping_work < 1e-12:
         raise ValueError("degenerate damping integral along the release path")
     natural_freq_sq = stiffness / (2.0 * mass)
-    numerator = (
-        mass * natural_freq_sq * peak_disp**2 + stiffness * peak_disp**2 + extra_energy
-    )
+    numerator = mass * natural_freq_sq * peak_disp**2 + stiffness * peak_disp**2
     return numerator / (2.0 * damping_work)

@@ -152,14 +152,14 @@ def pointing_quat(px, py, pz, cr, sr):
     return qw, qx, qy, qz
 
 
-def project_to_sphere(point, center=(0.0, 0.0, 0.0), torsion: float = 0.0) -> np.ndarray:
+def project_to_sphere(point, torsion: float = 0.0) -> np.ndarray:
     """Orientation that points the body x axis at ``point``.
 
-    The pointer ray runs from ``center`` to ``point``; ``torsion`` rolls
-    the body about it, so ``torsion_about_pointer`` recovers the angle
-    exactly.  See :func:`pointing_quat`.
+    The pointer ray runs from the joint (the origin) to ``point``;
+    ``torsion`` rolls the body about it, so ``torsion_about_pointer``
+    recovers the angle exactly.  See :func:`pointing_quat`.
     """
-    ox, oy, oz = (float(p) - float(c) for p, c in zip(point, center))
+    ox, oy, oz = map(float, point)
     if math.sqrt(ox * ox + oy * oy + oz * oz) <= 1e-9:
         raise DegeneratePointingError(
             f"pointing target {point} coincides with projection center"

@@ -66,7 +66,7 @@ def battery(body, band, task, opts):
         tic = time.perf_counter()
         traj = run_trial(sched, task, body, band, opts)
         runs[name] = Run(sched, traj, compute_metrics(traj), time.perf_counter() - tic)
-    sched = build_retune_schedule(task, band)
+    sched = build_retune_schedule()
     tic = time.perf_counter()
     traj = run_trial(sched, task, body, band, opts)
     runs["retune"] = Run(sched, traj, compute_metrics(traj), time.perf_counter() - tic)
@@ -300,7 +300,7 @@ def test_a7_autonomous_release(battery):
     clauses.append(
         (switch_dev <= 1e-9, f"switch energy dev={switch_dev:.2e} (<=1e-9 rel)")
     )
-    mu = vdp_equivalent_mu(0.3, 10000.0, 1.0, extra_energy=0.0)
+    mu = vdp_equivalent_mu(0.3, 10000.0, 1.0)
     clauses.append(
         (math.isfinite(mu) and mu > 0.0, f"equivalent mu={mu:.4f} finite and positive")
     )

@@ -118,6 +118,25 @@ def test_schedule_validation():
             ParamSchedule(**{"duration": 1.0, **fields})
 
 
+NOT_AN_INDEX = "target_breaks[0] value: must be a target index (an integer >= -1), got "
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.5, NOT_AN_INDEX + "1.5"),
+    (-5, NOT_AN_INDEX + "-5"),
+    (True, NOT_AN_INDEX + "True"),
+    ("0", NOT_AN_INDEX + "'0'"),
+    (8, "target index 8 out of range for 8 targets"),
+    (99, "target index 99 out of range for 8 targets"),
+], ids=["float", "below-center", "bool", "str", "n_targets", "99"])
+def test_bad_target_index_is_a_config_error(task, body, band, opts, value, message):
+    """A target the task does not have fails with its index, not as a numpy
+    IndexError mid-trial or a silent center hold."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        sched = ParamSchedule(duration=0.01, target_breaks=((0.0, value),))
+        run_trial(sched, task, body, band, opts)
+
+
 def test_clock_schedule_walks_out_and_back(task, band):
     sched = build_clock_schedule(task, band, gravity=False)
     leg = reach_duration(task.radius, band) + task.dwell
@@ -131,16 +150,17 @@ def test_clock_schedule_walks_out_and_back(task, band):
 
 
 def test_retune_schedule_steps_inside_outgoing_leg(task, band):
-    sched = build_retune_schedule(task, band)
+    sched = build_retune_schedule()
     assert sched.target_at(0.0) is None
     assert sched.target_at(0.05) == 0
     assert sched.target_at(1.5) == -1
     assert [k for _, k in sched.stiffness_breaks] == [10000.0, 8000.0, 1000.0]
     assert sched.torsion_at(0.35) == pytest.approx(math.radians(-25.0))
-    # both steps land while the outgoing reach is still in flight
+    # both steps land while the outgoing reach to the default task's target
+    # is still in flight
     t_steps = [t for t, _ in sched.stiffness_breaks[1:]]
     t_steps.append(sched.torsion_breaks[-1][0])
-    assert all(0.05 < t < 1.5 for t in t_steps)
+    assert all(0.05 < t < 0.05 + reach_duration(task.radius, band) for t in t_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +306,7 @@ def test_engines_agree(task, body, band):
     """The scalar kernel reproduces the reference loop in tests/oracles.py
     through K and torsion steps (tolerances far above the observed
     float-rounding gap)."""
-    sched = build_retune_schedule(task, band, duration=0.5, gravity=True)
+    sched = replace(build_retune_schedule(), duration=0.5)
     fast = run_trial(sched, task, body, band, SimOptions())
     ref = simulate_reference(sched, task, body, band, SimOptions())
     np.testing.assert_array_equal(fast.plan_pos, ref.plan_pos)

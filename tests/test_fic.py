@@ -247,13 +247,6 @@ def test_vdp_mu_finite_positive_for_constant_k():
         assert math.isfinite(mu) and mu > 0.0
 
 
-def test_vdp_extra_energy_enters_linearly():
-    base = vdp_equivalent_mu(0.1, 1000.0, mass=1.0)
-    up1 = vdp_equivalent_mu(0.1, 1000.0, mass=1.0, extra_energy=2.0)
-    up2 = vdp_equivalent_mu(0.1, 1000.0, mass=1.0, extra_energy=4.0)
-    assert up2 - base == pytest.approx(2.0 * (up1 - base), rel=1e-9)
-
-
 def test_vdp_degenerate_quadrature():
     with pytest.raises(ValueError, match="degenerate"):
         vdp_equivalent_mu(1e-9, 1.0, mass=1e6)

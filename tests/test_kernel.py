@@ -55,7 +55,7 @@ def test_kernel_matches_python_oracle(task, body, band, opts):
         target_breaks=((0.1, 0), (0.55, 1)),
     )
     cases = (
-        (build_retune_schedule(task, band), task),
+        (build_retune_schedule(), task),
         (build_clock_schedule(short, band, stiffness=1000.0,
                               torsion=math.radians(-25.0)), short),
         (edges, task),
@@ -338,7 +338,7 @@ def assert_written_as_savetxt(tmp_path, traj):
 
 @pytest.mark.parametrize("rows", [1, 1024, 1025])
 def test_write_trajectory_matches_savetxt(tmp_path, task, body, band, opts, rows):
-    traj = run_trial(build_retune_schedule(task, band), task, body, band, opts)
+    traj = run_trial(build_retune_schedule(), task, body, band, opts)
     assert_written_as_savetxt(tmp_path, head(traj, rows))
 
 

@@ -92,12 +92,6 @@ def test_projection_points_x_axis_at_target(task):
         )
 
 
-def test_projection_center_argument():
-    q0 = project_to_sphere(np.array([0.5, 0.2, -0.1]))
-    q1 = project_to_sphere(np.array([1.5, 1.2, 0.9]), center=(1.0, 1.0, 1.0))
-    np.testing.assert_allclose(q0, q1, atol=1e-15)
-
-
 def test_projection_degenerate_target():
     with pytest.raises(DegeneratePointingError):
         project_to_sphere(np.zeros(3))
