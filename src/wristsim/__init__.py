@@ -15,7 +15,7 @@ from .rotations import (
     quat_from_euler_xyz,
     torsion_about_pointer,
 )
-from .fic import FicPhase, fic_torque_quat, simulate_release, vdp_equivalent_mu
+from .fic import FicPhase, fic_torque_quat
 from .dynamics import BodyModel, gravity_torque, integrate_step
 from .planner import BandParams, reach_duration
 from .experiments import (
@@ -63,8 +63,6 @@ __all__ = [
     "reach_duration",
     "run_checks",
     "run_trial",
-    "simulate_release",
     "torsion_about_pointer",
-    "vdp_equivalent_mu",
     "__version__",
 ]

@@ -39,7 +39,6 @@ def _is_number(value):
 NUMBER = Rule(_is_number, "expected a number")
 POSITIVE = Rule(lambda v: _is_number(v) and v > 0, "must be a positive number")
 NON_NEGATIVE = Rule(lambda v: _is_number(v) and v >= 0, "must be a non-negative number")
-NULL_OR_POSITIVE = Rule(lambda v: v is None or POSITIVE.test(v), "must be null or a positive number")
 COUNT = Rule(lambda v: _is_int(v) and v > 0, "must be a positive integer")
 NON_NEGATIVE_INT = Rule(lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
 TARGET_INDEX = Rule(lambda v: _is_int(v) and v >= -1, "must be a target index (an integer >= -1)")

@@ -56,16 +56,16 @@ LISTING_COLUMNS = ("theta_y_deg", "theta_z_deg", "theta_x_deg")
 
 def condition_schedule(cond: Condition, cfg: ExperimentConfig):
     if cond.kind == "retune":
-        return build_retune_schedule(gravity=cond.gravity)
+        return build_retune_schedule()
     return build_clock_schedule(
-        cfg.task, cfg.band,
-        stiffness=cond.stiffness, torsion=cond.torsion, gravity=cond.gravity,
+        cfg.task, cfg.band, stiffness=cond.stiffness, torsion=cond.torsion,
     )
 
 
 def simulate_condition(cond: Condition, cfg: ExperimentConfig):
     schedule = condition_schedule(cond, cfg)
-    return run_trial(schedule, cfg.task, cfg.body, cfg.band, cfg.sim)
+    body = cfg.body if cond.gravity else replace(cfg.body, gravity=(0.0, 0.0, 0.0))
+    return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim)
 
 
 def trajectory_table(traj: Trajectory) -> np.ndarray:

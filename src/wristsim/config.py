@@ -20,8 +20,8 @@ from pathlib import Path
 from ._rules import (BOOLEAN, NON_EMPTY_STRING, NON_NEGATIVE_INT, NUMBER, POSITIVE,
                      STRING, ConfigError, check_fields, param, rules)
 from .dynamics import BodyModel
-from .experiments import ClockTask, SimOptions
-from .planner import BandParams
+from .experiments import ClockTask, SimOptions, build_retune_schedule
+from .planner import BandParams, reach_duration
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class Condition:
 
     ``kind="clock"`` runs the full eight-target protocol at fixed stiffness
     and torsion; ``kind="retune"`` runs the single-target trial whose
-    stiffness and torsion step mid-reach.
+    stiffness and torsion step mid-reach, and refuses a stiffness or torsion
+    other than the defaults.
     """
 
     name: str = param(STRING)
@@ -50,6 +51,10 @@ class Condition:
             )
         if self.kind not in ("clock", "retune"):
             raise ConfigError(f"kind: must be 'clock' or 'retune', got {self.kind!r}")
+        if self.kind == "retune":
+            for f in fields(self):
+                if f.name in ("stiffness", "torsion") and getattr(self, f.name) != f.default:
+                    raise ConfigError(f"{f.name}: a retune condition runs its fixed schedule")
 
 
 def _condition_name(gravity: bool, stiffness: float, torsion: float) -> str:
@@ -90,6 +95,19 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
+        retune = [c.name for c in self.conditions if c.kind == "retune"]
+        if retune:
+            # the retune steps must land while the reach to target 0 is in flight
+            sched = build_retune_schedule()
+            last_step = max(sched.stiffness_breaks[-1][0], sched.torsion_breaks[-1][0])
+            end = sched.target_breaks[0][0] + reach_duration(self.task.radius, self.band)
+            if end <= last_step:
+                raise ConfigError(
+                    f"retune condition {retune[0]!r}: the reach to target 0 ends at "
+                    f"{end:.3f} s, at or before the last stiffness/torsion step at "
+                    f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
+                    f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
+                )
 
     def condition(self, name: str) -> Condition:
         for cond in self.conditions:
@@ -130,15 +148,14 @@ def _parse_condition(node, index):
     _check_keys(node, _CONDITION_KEYS, path)
     if "name" not in node:
         raise ConfigError(f"{path}name: required")
+    for key in ("stiffness", "torsion_deg"):
+        if key in node and node.get("kind") == "retune":
+            raise ConfigError(f"{path}{key}: a retune condition runs its fixed schedule")
     kwargs = dict(node)
     if "torsion_deg" in kwargs:
         _LEAF_RULES["torsion_deg"].check(kwargs["torsion_deg"], path + "torsion_deg")
         kwargs["torsion"] = math.radians(kwargs.pop("torsion_deg"))
-    cond = _build(Condition, kwargs, path)
-    for key in ("stiffness", "torsion_deg"):
-        if key in node and cond.kind == "retune":
-            raise ConfigError(f"{path}{key}: a retune condition runs its fixed schedule")
-    return cond
+    return _build(Condition, kwargs, path)
 
 
 def _expand_sweep(node):

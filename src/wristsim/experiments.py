@@ -23,7 +23,7 @@ derived after it are computed on the whole record at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -112,7 +112,6 @@ class ParamSchedule:
     """
 
     duration: float = param(POSITIVE)
-    gravity: bool = True
     stiffness_breaks: tuple = ((0.0, 10000.0),)
     torsion_breaks: tuple = ((0.0, 0.0),)
     target_breaks: tuple = ()
@@ -155,7 +154,6 @@ def build_clock_schedule(
     band: BandParams,
     stiffness: float = 10000.0,
     torsion: float = 0.0,
-    gravity: bool = True,
 ) -> ParamSchedule:
     """Center-out-and-back visit of every clock target in order.
 
@@ -169,14 +167,13 @@ def build_clock_schedule(
         breaks.append(((2 * k + 1) * leg, -1))
     return ParamSchedule(
         duration=2 * task.n_targets * leg,
-        gravity=gravity,
         stiffness_breaks=((0.0, stiffness),),
         torsion_breaks=((0.0, torsion),),
         target_breaks=tuple(breaks),
     )
 
 
-def build_retune_schedule(gravity: bool = True) -> ParamSchedule:
+def build_retune_schedule() -> ParamSchedule:
     """Out-and-back reach to target 0 with K and phi stepped mid-flight.
 
     The reach starts at 0.05 s and the return at 1.5 s; K steps 10000 ->
@@ -185,13 +182,13 @@ def build_retune_schedule(gravity: bool = True) -> ParamSchedule:
     measured speed profile shows the recovered bell shape.
 
     The step times are absolute, so they land inside the outgoing reach
-    only while it lasts more than 0.30 s: at ``max_accel`` 3.2 m/s^2 that
-    needs ``task.radius`` above about 0.0584 m.  The default reach lasts
-    0.3927 s and ends at 0.4427 s.
+    only while it ends after the last of them;
+    :class:`~.config.ExperimentConfig` refuses a ``task.radius`` and
+    ``band.max_accel`` whose reach ends at or before it.  The default reach
+    lasts 0.3927 s and ends at 0.4427 s.
     """
     return ParamSchedule(
         duration=2.5,
-        gravity=gravity,
         stiffness_breaks=((0.0, 10000.0), (0.2, 8000.0), (0.3, 1000.0)),
         torsion_breaks=((0.0, 0.0), (0.35, math.radians(-25.0))),
         target_breaks=((0.05, 0), (1.5, -1)),
@@ -302,8 +299,6 @@ def run_trial(
     position and torsion.  The tick's orientation error also gives the
     record's torque and the first RK4 stage.
     """
-    if not schedule.gravity:
-        body = replace(body, gravity=(0.0, 0.0, 0.0))
     n = int(round(schedule.duration / opts.dt))
     times = np.arange(n + 1) * opts.dt
     # piecewise-constant parameter streams on the sample grid

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rk4_step
-
 #: displacement below which a converged excursion is considered closed
 DEADBAND = 1e-6
 
@@ -44,13 +42,13 @@ class FicPhase:
     disp_prev: float = 0.0
 
 
-def branch_step(diverging, peak, disp, rate, deadband=DEADBAND):
+def branch_step(diverging, peak, disp, rate):
     """Advance the branch machine; returns ``(diverging, peak)``.
 
     Divergence holds while the displacement grows and records its running
     peak; the first non-growing sample hands over to convergence with the
     peak frozen.  Convergence resets to a fresh divergence once the
-    displacement closes to within ``deadband`` of the goal.
+    displacement closes to within :data:`DEADBAND` of the goal.
 
     A divergence re-opened mid-convergence (the descent stalled or was
     disturbed before reaching the goal) tracks its own peak from the point
@@ -60,7 +58,7 @@ def branch_step(diverging, peak, disp, rate, deadband=DEADBAND):
     in a sustained limit cycle; re-anchoring makes every aborted descent
     shed its energy mismatch instead.
     """
-    if not diverging and disp <= deadband:
+    if not diverging and disp <= DEADBAND:
         return True, 0.0
     if rate > 0.0 or disp > peak:
         if diverging:
@@ -161,77 +159,3 @@ def fic_torque_quat(
     new_phase = update_phase(phase, angle, angle - phase.disp_prev)
     torque, _ = torque_for_phase(q, q_des, stiffness, new_phase)
     return torque, angle, new_phase
-
-
-# ---------------------------------------------------------------------------
-# autonomous behaviour and the van der Pol equivalence
-# ---------------------------------------------------------------------------
-
-
-def simulate_release(stiffness: float, mass: float, start_disp: float):
-    """Integrate the autonomous point-mass release from rest at ``start_disp``.
-
-    The state starts on the convergence branch with the peak at the release
-    displacement, mirroring the end of a divergence stroke.  Integration is
-    classical RK4 at 4000 steps per half period and stops when the
-    displacement first crosses zero, giving up after two half periods; the
-    crossing time is refined by linear interpolation and a final partial
-    step lands the record exactly on it.
-
-    Returns ``(t, disp, vel, t_arrive)`` with sample arrays ending at the
-    arrival state.
-    """
-    if not stiffness > 0.0:
-        raise ValueError(f"stiffness must be positive, got {stiffness}")
-    omega = math.sqrt(2.0 * stiffness / mass)
-    dt = (math.pi / omega) / 4000.0
-
-    def rhs(y, t):
-        return y[1], -branch_force(y[0], stiffness, False, start_disp) / mass
-
-    ts, xs, vs = [0.0], [start_disp], [0.0]
-    t, x, v = 0.0, start_disp, 0.0
-    t_end = 2.0 * math.pi / omega
-    while t < t_end:
-        x_new, v_new = rk4_step(rhs, (x, v), t, dt)
-        t += dt
-        # arrival is a tangent touchdown: displacement reaches zero exactly
-        # as the velocity does, so whichever numerical crossing shows first
-        # locates it
-        if x_new <= 0.0 or v < 0.0 <= v_new:
-            if x_new <= 0.0:
-                frac = x / (x - x_new)
-            else:
-                frac = v / (v - v_new)
-            t_arrive = t - dt + frac * dt
-            x_arr, v_arr = rk4_step(rhs, (x, v), t - dt, frac * dt)
-            ts.append(t_arrive)
-            xs.append(x_arr)
-            vs.append(v_arr)
-            return np.array(ts), np.array(xs), np.array(vs), t_arrive
-        x, v = x_new, v_new
-        ts.append(t)
-        xs.append(x)
-        vs.append(v)
-    raise RuntimeError("release trajectory failed to reach the goal")
-
-
-def vdp_equivalent_mu(peak_disp: float, stiffness: float, mass: float) -> float:
-    """Damping coefficient of the van der Pol oscillator matched to the FIC.
-
-    Matches the energy the controller sheds over one excursion of amplitude
-    ``peak_disp`` against the work a Lienard damping term ``(1 - x^2) x'``
-    performs along the same trajectory.  The work integral is evaluated by
-    trapezoidal quadrature over the simulated autonomous release (the
-    differential form collapses to ``(1 - x^2) x'^2 dt`` along the path).
-    The stiffness is constant, so no stiffness-variation energy enters.
-    """
-    if peak_disp <= 0.0:
-        raise ValueError("peak displacement must be positive")
-    ts, xs, vs, _ = simulate_release(stiffness, mass, peak_disp)
-    damping_work = float(np.trapezoid((1.0 - xs**2) * vs**2, ts))
-    if damping_work < 1e-12:
-        raise ValueError("degenerate damping integral along the release path")
-    natural_freq_sq = stiffness / (2.0 * mass)
-    numerator = mass * natural_freq_sq * peak_disp**2 + stiffness * peak_disp**2
-    return numerator / (2.0 * damping_work)

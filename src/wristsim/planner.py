@@ -1,12 +1,12 @@
 """Elastic-band reach planner.
 
-Desired positions evolve as a unit-mass particle attracted to the target by
-the impedance controller's convergence branch.  A reach released from rest
-at distance d0 is then a single harmonic half cycle: a bell-shaped speed
-profile that arrives at the target at rest after pi/omega seconds, with
-omega^2 = 2 * stiffness / mass.  Choosing the band stiffness as
-``mass * max_accel / d0`` caps the path acceleration at ``max_accel``
-independently of reach length.
+Desired positions evolve as a particle of unit virtual mass attracted to the
+target by the impedance controller's convergence branch.  A reach released
+from rest at distance d0 is then a single harmonic half cycle: a
+bell-shaped speed profile that arrives at the target at rest after
+pi/omega seconds, with omega^2 = 2 * stiffness.  The band stiffness
+``max_accel / d0`` caps the path acceleration at ``max_accel`` independently
+of reach length, so omega = sqrt(2 * max_accel / d0).
 
 :class:`ReachProfile` is that from-rest leg in closed form, and each leg of
 the trial kernel's plan is one of them.
@@ -16,42 +16,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ._rules import NULL_OR_POSITIVE, POSITIVE, check_fields, param
+from ._rules import POSITIVE, check_fields, param
 
 
 @dataclass(frozen=True)
 class BandParams:
-    """Virtual mass, acceleration budget and optional fixed stiffness.
+    """Acceleration budget: every reach peaks at ``max_accel`` (m/s^2)."""
 
-    With ``stiffness=None`` each reach derives its own stiffness from the
-    start distance so the acceleration peak equals ``max_accel``.
-    """
-
-    virtual_mass: float = param(POSITIVE, 1.0)
     max_accel: float = param(POSITIVE, 3.2)
-    stiffness: Optional[float] = param(NULL_OR_POSITIVE, None)
 
     def __post_init__(self):
         check_fields(self)
 
-    def stiffness_for(self, dist: float) -> float:
-        """Band stiffness of a reach over ``dist``: the fixed override if
-        set, else the stiffness whose stroke peaks at ``max_accel``."""
-        if self.stiffness is not None:
-            return self.stiffness
-        # the half cycle's acceleration peaks at K * dist / mass
-        if dist <= 0.0:
-            raise ValueError("band is already at the target; no stiffness defined")
-        return self.virtual_mass * self.max_accel / dist
-
 
 def _half_cycle_rate(dist: float, params: BandParams) -> float:
-    """Angular rate omega = sqrt(2 K / m) of a from-rest reach over ``dist``."""
-    return math.sqrt(2.0 * params.stiffness_for(dist) / params.virtual_mass)
+    """Angular rate omega = sqrt(2 K) of a from-rest reach over ``dist`` > 0,
+    with the band stiffness K = ``max_accel / dist``."""
+    return math.sqrt(2.0 * (params.max_accel / dist))
 
 
 def reach_duration(dist: float, params: BandParams) -> float:

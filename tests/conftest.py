@@ -21,6 +21,12 @@ def body():
 
 
 @pytest.fixture(scope="session")
+def weightless():
+    """The default body with gravity switched off."""
+    return BodyModel(gravity=(0.0, 0.0, 0.0))
+
+
+@pytest.fixture(scope="session")
 def band():
     return BandParams()
 

@@ -18,6 +18,9 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
   fixed-step RK4.
 * :func:`plan_reach` is the elastic band integrated step by step from rest;
   ``ReachProfile`` is its closed form and must match it before touchdown.
+* :func:`simulate_release` integrates the controller's autonomous release
+  on a point mass, and :func:`vdp_equivalent_mu` matches it to a van der
+  Pol oscillator; the release analysis of the acceptance criterion A7.
 * :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
   ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
 * :func:`savetxt` is the CSV writer through ``np.savetxt``; ``write_csv``
@@ -25,7 +28,6 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 """
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import Optional
 
@@ -48,8 +50,6 @@ def simulate_scalar(schedule, task, body, band, opts):
     :meth:`~.planner.ReachProfile.position`) and the desired pose are
     evaluated at every stage time.
     """
-    if not schedule.gravity:
-        body = replace(body, gravity=(0.0, 0.0, 0.0))
     n = int(round(schedule.duration / opts.dt))
     times = np.arange(n + 1) * opts.dt
     stiff_f = [float(schedule.stiffness_at(t)) for t in times]
@@ -135,8 +135,6 @@ def simulate_scalar(schedule, task, body, band, opts):
 
 def simulate_reference(schedule, task, body, band, opts):
     """Record one scheduled trial like ``run_trial``, without its kernel."""
-    if not schedule.gravity:
-        body = replace(body, gravity=(0.0, 0.0, 0.0))
     n = int(round(schedule.duration / opts.dt))
     times = np.arange(n + 1) * opts.dt
     plan_pos = np.empty((n + 1, 3))
@@ -199,9 +197,9 @@ def simulate_reference(schedule, task, body, band, opts):
 def plan_reach(start, target, params, dt=1e-3):
     """From-rest reach of the elastic band, integrated every ``dt``.
 
-    The band is a point of mass ``params.virtual_mass`` pulled toward
-    ``target`` by ``branch_force``, stepped with RK4 and the branch machine
-    ``branch_step``.  Returns arrays ``(t, pos, vel, acc)`` from t = 0 up to
+    The band is a point of unit mass pulled toward ``target`` by
+    ``branch_force`` at stiffness ``params.max_accel / dist``, stepped with
+    RK4 and the branch machine ``branch_step``.  Returns arrays ``(t, pos, vel, acc)`` from t = 0 up to
     and including the tick that snaps onto the target at rest; a reach
     shorter than 1e-6 is the single snapped sample.
     """
@@ -210,11 +208,11 @@ def plan_reach(start, target, params, dt=1e-3):
     dist = float(np.linalg.norm(pos - target))
     if dist <= 1e-6:
         return np.zeros(1), target[None].copy(), np.zeros((1, 3)), np.zeros((1, 3))
-    stiffness = params.stiffness_for(dist)
+    stiffness = params.max_accel / dist
     # the sampled touchdown can sit up to accel * dt^2 / 2 off the target
     # (tangent approach on a discrete grid), so the snap ball must scale
     # with the deceleration there or long reaches bounce
-    snap = max(1e-6, stiffness * dist / params.virtual_mass * dt**2)
+    snap = max(1e-6, stiffness * dist * dt**2)
     diverging, peak = False, dist
 
     def accel(p):
@@ -222,7 +220,7 @@ def plan_reach(start, target, params, dt=1e-3):
         d = float(np.linalg.norm(offset))
         if d < 1e-15:
             return np.zeros(3)
-        return branch_force(d, stiffness, diverging, peak) / params.virtual_mass / d * offset
+        return branch_force(d, stiffness, diverging, peak) / d * offset
 
     rows = [(t, pos, vel, accel(pos))]
     while True:
@@ -233,9 +231,78 @@ def plan_reach(start, target, params, dt=1e-3):
         if d <= snap:
             rows.append((t, target, np.zeros(3), np.zeros(3)))
             break
-        diverging, peak = branch_step(diverging, peak, d, d - d_prev, snap)
+        diverging, peak = branch_step(diverging, peak, d, d - d_prev)
         rows.append((t, pos, vel, accel(pos)))
     return tuple(np.array(col) for col in zip(*rows))
+
+
+def simulate_release(stiffness: float, mass: float, start_disp: float):
+    """Integrate the autonomous point-mass release from rest at ``start_disp``.
+
+    The state starts on the convergence branch with the peak at the release
+    displacement, mirroring the end of a divergence stroke.  Integration is
+    classical RK4 at 4000 steps per half period and stops when the
+    displacement first crosses zero, giving up after two half periods; the
+    crossing time is refined by linear interpolation and a final partial
+    step lands the record exactly on it.
+
+    Returns ``(t, disp, vel, t_arrive)`` with sample arrays ending at the
+    arrival state.
+    """
+    if not stiffness > 0.0:
+        raise ValueError(f"stiffness must be positive, got {stiffness}")
+    omega = math.sqrt(2.0 * stiffness / mass)
+    dt = (math.pi / omega) / 4000.0
+
+    def rhs(y, t):
+        return y[1], -branch_force(y[0], stiffness, False, start_disp) / mass
+
+    ts, xs, vs = [0.0], [start_disp], [0.0]
+    t, x, v = 0.0, start_disp, 0.0
+    t_end = 2.0 * math.pi / omega
+    while t < t_end:
+        x_new, v_new = rk4_step(rhs, (x, v), t, dt)
+        t += dt
+        # arrival is a tangent touchdown: displacement reaches zero exactly
+        # as the velocity does, so whichever numerical crossing shows first
+        # locates it
+        if x_new <= 0.0 or v < 0.0 <= v_new:
+            if x_new <= 0.0:
+                frac = x / (x - x_new)
+            else:
+                frac = v / (v - v_new)
+            t_arrive = t - dt + frac * dt
+            x_arr, v_arr = rk4_step(rhs, (x, v), t - dt, frac * dt)
+            ts.append(t_arrive)
+            xs.append(x_arr)
+            vs.append(v_arr)
+            return np.array(ts), np.array(xs), np.array(vs), t_arrive
+        x, v = x_new, v_new
+        ts.append(t)
+        xs.append(x)
+        vs.append(v)
+    raise RuntimeError("release trajectory failed to reach the goal")
+
+
+def vdp_equivalent_mu(peak_disp: float, stiffness: float, mass: float) -> float:
+    """Damping coefficient of the van der Pol oscillator matched to the FIC.
+
+    Matches the energy the controller sheds over one excursion of amplitude
+    ``peak_disp`` against the work a Lienard damping term ``(1 - x^2) x'``
+    performs along the same trajectory.  The work integral is evaluated by
+    trapezoidal quadrature over the simulated autonomous release (the
+    differential form collapses to ``(1 - x^2) x'^2 dt`` along the path).
+    The stiffness is constant, so no stiffness-variation energy enters.
+    """
+    if peak_disp <= 0.0:
+        raise ValueError("peak displacement must be positive")
+    ts, xs, vs, _ = simulate_release(stiffness, mass, peak_disp)
+    damping_work = float(np.trapezoid((1.0 - xs**2) * vs**2, ts))
+    if damping_work < 1e-12:
+        raise ValueError("degenerate damping integral along the release path")
+    natural_freq_sq = stiffness / (2.0 * mass)
+    numerator = mass * natural_freq_sq * peak_disp**2 + stiffness * peak_disp**2
+    return numerator / (2.0 * damping_work)
 
 
 # Dormand-Prince embedded 4(5) tableau

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles import simulate_release, vdp_equivalent_mu
 from wristsim.checks import run_checks
 from wristsim.experiments import (
     ParamSchedule,
@@ -36,17 +37,16 @@ from wristsim.experiments import (
     fit_plane,
     run_trial,
 )
-from wristsim.fic import branch_potential, simulate_release, vdp_equivalent_mu
+from wristsim.fic import branch_potential
 from wristsim.rotations import quat_angle_between, quat_mul, torsion_about_pointer
 
+# (gravity, stiffness, torsion) of each clock run
 CLOCK_SPECS = {
-    "g_off_K10000": dict(gravity=False, stiffness=10000.0, torsion=0.0),
-    "g_on_K10000": dict(gravity=True, stiffness=10000.0, torsion=0.0),
-    "g_on_K8000": dict(gravity=True, stiffness=8000.0, torsion=0.0),
-    "g_on_K1000": dict(gravity=True, stiffness=1000.0, torsion=0.0),
-    "g_on_K10000_phiN25": dict(
-        gravity=True, stiffness=10000.0, torsion=math.radians(-25.0)
-    ),
+    "g_off_K10000": (False, 10000.0, 0.0),
+    "g_on_K10000": (True, 10000.0, 0.0),
+    "g_on_K8000": (True, 8000.0, 0.0),
+    "g_on_K1000": (True, 1000.0, 0.0),
+    "g_on_K10000_phiN25": (True, 10000.0, math.radians(-25.0)),
 }
 
 
@@ -59,12 +59,12 @@ class Run:
 
 
 @pytest.fixture(scope="module")
-def battery(body, band, task, opts):
+def battery(body, weightless, band, task, opts):
     runs = {}
-    for name, kw in CLOCK_SPECS.items():
-        sched = build_clock_schedule(task, band, **kw)
+    for name, (gravity, stiffness, torsion) in CLOCK_SPECS.items():
+        sched = build_clock_schedule(task, band, stiffness, torsion)
         tic = time.perf_counter()
-        traj = run_trial(sched, task, body, band, opts)
+        traj = run_trial(sched, task, body if gravity else weightless, band, opts)
         runs[name] = Run(sched, traj, compute_metrics(traj), time.perf_counter() - tic)
     sched = build_retune_schedule()
     tic = time.perf_counter()

@@ -113,9 +113,14 @@ LEAF_CASES = (
      (BodyModel, {"com_offset": ["a", 0, 0]})),
     ("body:\n  gravity: [0, 0, null]\n",
      "body.gravity: expected a 3-vector of numbers", (BodyModel, {"gravity": [0, 0, None]})),
-    ("band:\n  stiffness: 1e3\n",
-     "band.stiffness: must be null or a positive number, got '1e3'",
-     (BandParams, {"stiffness": "1e3"})),
+    # a retune condition runs a fixed schedule
+    ("conditions:\n  - name: r\n    kind: retune\n    stiffness: 500.0\n"
+     "    torsion_deg: 40.0\n",
+     "conditions[0].stiffness: a retune condition runs its fixed schedule",
+     (Condition, {"name": "r", "kind": "retune", "stiffness": 500.0,
+                  "torsion": math.radians(40.0)})),
+    ("conditions:\n  - name: r\n    kind: retune\n    torsion_deg: 40.0\n",
+     "conditions[0].torsion_deg: a retune condition runs its fixed schedule", None),
     # non-finite numbers: each would otherwise fail later, as exit 1
     ("body:\n  mass: .inf\n", "body.mass: must be a positive number, got inf",
      (BodyModel, {"mass": math.inf})),
@@ -131,12 +136,6 @@ LEAF_CASES = (
      (BodyModel, {"com_offset": [math.nan, 0, 0]})),
     ("body:\n  length: 1" + "0" * 400 + "\n",  # an int past the float range
      "body.length: must be a positive number, got 1000", (BodyModel, {"length": 10**400})),
-    # a retune condition runs a fixed schedule
-    ("conditions:\n  - name: r\n    kind: retune\n    stiffness: 500.0\n"
-     "    torsion_deg: 40.0\n",
-     "conditions[0].stiffness: a retune condition runs its fixed schedule", None),
-    ("conditions:\n  - name: r\n    kind: retune\n    torsion_deg: 40.0\n",
-     "conditions[0].torsion_deg: a retune condition runs its fixed schedule", None),
 )
 
 
@@ -167,7 +166,8 @@ def _field_message(message):
     (ClockTask, {"radius": math.inf}, "radius: must be a positive number, got inf"),
     (SimOptions, {"dt": True}, "dt: must be a positive number, got True"),
     (BandParams, {"max_accel": math.inf}, "max_accel: must be a positive number, got inf"),
-    (BandParams, {"stiffness": True}, "stiffness: must be null or a positive number, got True"),
+    (Condition, {"name": "r", "kind": "retune", "torsion": 0.3},
+     "torsion: a retune condition runs its fixed schedule"),
     (Condition, {"name": "a", "torsion": math.nan}, "torsion: expected a number, got nan"),
     (ExperimentConfig, {"output_dir": ""}, "output_dir: expected a non-empty string, got ''"),
 ])
@@ -183,6 +183,35 @@ def test_removed_sim_keys_are_unknown(tmp_path, capsys):
         cfg = write(tmp_path, f"sim:\n  {key}: {value}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
         assert f"unknown key 'sim.{key}'" in capsys.readouterr().err
+
+
+def test_removed_band_keys_are_unknown(tmp_path, capsys):
+    """A reach depends on ``max_accel`` alone; the band has no other key."""
+    for key, value in (("virtual_mass", 1.0), ("stiffness", 8.0)):
+        cfg = write(tmp_path, f"band:\n  {key}: {value}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert f"unknown key 'band.{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["task:\n  radius: 0.05\n", "band:\n  max_accel: 6.0\n"],
+                         ids=["radius", "max_accel"])
+def test_retune_reach_ending_before_its_steps_exits_2(tmp_path, capsys, section):
+    """The retune steps K at 0.2 and 0.3 s and phi at 0.35 s; a reach to
+    target 0 that starts at 0.05 s and lasts 0.278 s (radius 0.05 m) or
+    0.287 s (max_accel 6) lands first, and the retune would test nothing."""
+    cfg = write(tmp_path, section)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "retune condition 'online_single_target': the reach to target 0 ends at" in err
+    assert "at or before the last stiffness/torsion step at 0.35 s" in err
+    assert "task.radius" in err and "band.max_accel" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_short_reach_is_accepted_without_a_retune_condition(tmp_path):
+    cfg = load_config(write(tmp_path, "task:\n  radius: 0.05\nconditions:\n  - name: a\n"))
+    assert cfg.task.radius == 0.05
+    assert [c.kind for c in cfg.conditions] == ["clock"]
 
 
 def test_sections_override_defaults(tmp_path):

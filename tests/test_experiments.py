@@ -138,10 +138,9 @@ def test_bad_target_index_is_a_config_error(task, body, band, opts, value, messa
 
 
 def test_clock_schedule_walks_out_and_back(task, band):
-    sched = build_clock_schedule(task, band, gravity=False)
+    sched = build_clock_schedule(task, band)
     leg = reach_duration(task.radius, band) + task.dwell
     assert sched.duration == pytest.approx(2 * task.n_targets * leg)
-    assert not sched.gravity
     # out legs aim at target k, return legs back at the center
     for k in range(task.n_targets):
         assert sched.target_at(2 * k * leg + 1e-9) == k
@@ -254,19 +253,18 @@ def test_degenerate_reach_profile(band):
 # ---------------------------------------------------------------------------
 
 
-def short_schedule(gravity=False, stiffness=10000.0, torsion=0.0, duration=0.45):
+def short_schedule(stiffness=10000.0, torsion=0.0, duration=0.45):
     return ParamSchedule(
         duration=duration,
-        gravity=gravity,
         stiffness_breaks=((0.0, stiffness),),
         torsion_breaks=((0.0, torsion),),
         target_breaks=((0.02, 0),),
     )
 
 
-def test_run_trial_record_shape_and_sanity(task, body, band, opts):
+def test_run_trial_record_shape_and_sanity(task, weightless, band, opts):
     sched = short_schedule()
-    traj = run_trial(sched, task, body, band, opts)
+    traj = run_trial(sched, task, weightless, band, opts)
     n = int(round(sched.duration / opts.dt)) + 1
     assert len(traj) == n
     for field in ("plan_pos", "quat_des", "quat", "omega", "tau_cmd",
@@ -279,26 +277,25 @@ def test_run_trial_record_shape_and_sanity(task, body, band, opts):
     assert np.linalg.norm(traj.pointer[-1] - task.targets[0]) < 1e-4
 
 
-def test_gravity_off_zeroes_gravity_torque(task, body, band, opts):
-    traj = run_trial(short_schedule(gravity=False), task, body, band, opts)
+def test_gravity_off_zeroes_gravity_torque(task, body, weightless, band, opts):
+    traj = run_trial(short_schedule(), task, weightless, band, opts)
     np.testing.assert_array_equal(traj.tau_grav, 0.0)
-    traj_g = run_trial(short_schedule(gravity=True), task, body, band, opts)
+    traj_g = run_trial(short_schedule(), task, body, band, opts)
     assert np.max(np.abs(traj_g.tau_grav)) > 0.1
 
 
-def test_desired_stream_ignores_plant_conditions(task, body, band, opts):
+def test_desired_stream_ignores_plant_conditions(task, body, weightless, band, opts):
     """Plan and desired pose never react to gravity or stiffness."""
-    ref = run_trial(short_schedule(gravity=False), task, body, band, opts)
-    for sched in (short_schedule(gravity=True),
-                  short_schedule(gravity=True, stiffness=1000.0)):
+    ref = run_trial(short_schedule(), task, weightless, band, opts)
+    for sched in (short_schedule(), short_schedule(stiffness=1000.0)):
         other = run_trial(sched, task, body, band, opts)
         np.testing.assert_array_equal(other.plan_pos, ref.plan_pos)
         np.testing.assert_array_equal(other.quat_des, ref.quat_des)
 
 
-def test_desired_stream_carries_scheduled_torsion(task, body, band, opts):
+def test_desired_stream_carries_scheduled_torsion(task, weightless, band, opts):
     phi = math.radians(-25.0)
-    traj = run_trial(short_schedule(torsion=phi), task, body, band, opts)
+    traj = run_trial(short_schedule(torsion=phi), task, weightless, band, opts)
     np.testing.assert_allclose(torsion_about_pointer(traj.quat_des), phi, atol=1e-8)
 
 

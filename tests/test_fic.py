@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import simulate_release, vdp_equivalent_mu
 from wristsim.fic import (
     DEADBAND,
     FicPhase,
     branch_force,
     branch_potential,
     fic_torque_quat,
-    simulate_release,
     update_phase,
-    vdp_equivalent_mu,
 )
 from wristsim.rotations import project_to_sphere
 

@@ -33,14 +33,14 @@ from wristsim.rotations import pointing_quat
 RECORDS = ("plan_pos", "quat_des", "quat", "omega", "tau_cmd", "err_angle", "disp_max")
 
 
-def test_kernel_matches_python_oracle(task, body, band, opts):
+def test_kernel_matches_python_oracle(task, body, weightless, band, opts):
     """All seven records equal the Python loop's bit for bit, and the
     parameter streams equal the per-sample schedule lookups."""
     short = ClockTask(n_targets=2, dwell=0.1)
     # edge cases of the leg table: the first target is the center, and a
     # repeated target starts no new leg
     edges = ParamSchedule(
-        duration=0.3, gravity=False,
+        duration=0.3,
         stiffness_breaks=((0.0, 9000.0), (0.1, 2000.0)),
         torsion_breaks=((0.0, 0.1), (0.15, -0.2)),
         target_breaks=((0.05, -1), (0.1, 1), (0.2, 1)),
@@ -55,15 +55,15 @@ def test_kernel_matches_python_oracle(task, body, band, opts):
         target_breaks=((0.1, 0), (0.55, 1)),
     )
     cases = (
-        (build_retune_schedule(), task),
+        (build_retune_schedule(), task, body),
         (build_clock_schedule(short, band, stiffness=1000.0,
-                              torsion=math.radians(-25.0)), short),
-        (edges, task),
-        (holds, task),
+                              torsion=math.radians(-25.0)), short, body),
+        (edges, task, weightless),
+        (holds, task, body),
     )
-    for sched, tsk in cases:
-        traj = run_trial(sched, tsk, body, band, opts)
-        ref = simulate_scalar(sched, tsk, body, band, opts)
+    for sched, tsk, bdy in cases:
+        traj = run_trial(sched, tsk, bdy, band, opts)
+        ref = simulate_scalar(sched, tsk, bdy, band, opts)
         for name in RECORDS:
             got, want = getattr(traj, name), getattr(ref, name)
             assert np.array_equal(got, want), name
@@ -342,11 +342,12 @@ def test_write_trajectory_matches_savetxt(tmp_path, task, body, band, opts, rows
     assert_written_as_savetxt(tmp_path, head(traj, rows))
 
 
-def test_write_trajectory_matches_savetxt_on_tiny_values(tmp_path, task, body, band, opts):
+def test_write_trajectory_matches_savetxt_on_tiny_values(tmp_path, task, weightless, band,
+                                                        opts):
     """A gravity-off clock trial starts with torsion and swing components
     far below 1e-11, the values the 192-bit product formats."""
-    sched = build_clock_schedule(task, band, gravity=False)
-    traj = head(run_trial(sched, task, body, band, opts), 1025)
+    sched = build_clock_schedule(task, band)
+    traj = head(run_trial(sched, task, weightless, band, opts), 1025)
     table = np.abs(trajectory_table(traj))
     assert ((table >= 1e-38) & (table < 1e-11)).sum() > 5000
     assert_written_as_savetxt(tmp_path, traj)
