@@ -36,9 +36,10 @@ LEG_FIELDS = 10
 BODY_FIELDS = 25
 #: bytes the formatter may use per value, separator included (FIELD_MAX)
 FIELD_BYTES = 32
-#: rows formatted per call, and the cap on the reused text buffer
+#: rows formatted per call, and the cap on the reused text buffer, which
+#: the CSV writer thread holds while the next trial runs
 BLOCK_ROWS = 1024
-BLOCK_BYTES = 1 << 20
+BLOCK_BYTES = 1 << 19
 
 
 class KernelCompileError(RuntimeError):
@@ -166,24 +167,32 @@ def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
     return failed, records
 
 
-def write_rows(fh, table) -> None:
-    """Write the rows of the 2-D ``table`` to the binary file ``fh``, each
-    value as ``'%.17g' % value``, joined by ``,`` and ended by ``\n``.
+def write_rows(fh, columns) -> None:
+    """Write the rows of ``columns`` side by side to the binary file ``fh``,
+    each value as ``'%.17g' % value``, joined by ``,`` and ended by ``\n``.
 
-    Blocks of at most :data:`BLOCK_ROWS` rows go through one reused buffer,
-    so the text of the whole table is never held in memory.  Raises
-    ``ValueError`` on a value that is not finite; the rows before its block
-    are already written.
+    Each column is an array of shape (n,) or (n, m) with the same n.  Blocks
+    of at most :data:`BLOCK_ROWS` rows are copied into one reused table and
+    formatted into one reused buffer, so neither the whole table nor its
+    text is ever held in memory.  Raises ``ValueError`` on a value that is
+    not finite; the rows before its block are already written.
     """
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] < 1:
-        raise ValueError(f"expected a 2-D table with columns, got shape {table.shape}")
-    n, k = table.shape
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
+    if (not cols or any(c.ndim != 2 or len(c) != len(cols[0]) for c in cols)
+            or not sum(c.shape[1] for c in cols)):
+        raise ValueError(
+            f"expected columns of shape (n,) or (n, m) with one n, got "
+            f"{[c.shape for c in cols]}"
+        )
+    n, k = len(cols[0]), sum(c.shape[1] for c in cols)
     rows = max(1, min(n, BLOCK_ROWS, BLOCK_BYTES // (k * FIELD_BYTES)))
+    table = np.empty((rows, k))
     buf = np.empty(rows * k * FIELD_BYTES, dtype=np.uint8)
     fmt = _library().wristsim_format_rows
     for start in range(0, n, rows):
-        block = table[start:start + rows]
+        block = table[:min(rows, n - start)]
+        np.concatenate([c[start:start + len(block)] for c in cols], axis=1, out=block)
         size = fmt(len(block), k, block, buf, buf.size)
         if size == -1:
             raise ValueError(

@@ -11,14 +11,18 @@ Per condition the runner writes into ``<output_dir>/<condition>/``:
 
 A cross-condition ``summary.json`` lands next to the condition folders.
 Fixed-step runs are deterministic, so repeated runs of the same config
-produce byte-identical files.
+produce byte-identical files.  The rows of each condition's CSVs are
+written on one background thread (:class:`WriteBehind`) while the next
+condition is simulated; every other step runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import queue
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,39 +72,93 @@ def simulate_condition(cond: Condition, cfg: ExperimentConfig):
     return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim)
 
 
-def trajectory_table(traj: Trajectory) -> np.ndarray:
-    return np.column_stack(
-        [
-            traj.t, traj.plan_pos, traj.quat_des, traj.quat,
-            traj.omega, traj.tau_cmd, traj.tau_grav, traj.pointer,
-        ]
-    )
+class WriteBehind:
+    """Writes CSV rows behind the caller, on one thread of its own.
+
+    :meth:`submit` hands over an open file and its columns; the thread
+    writes the rows with :func:`write_rows` and closes the file, and runs no
+    other code.  :meth:`wait` returns once every file handed over is closed
+    and raises the first error the thread met since the last wait;
+    :meth:`close` does the same and ends the thread.
+    """
+
+    def __init__(self):
+        self._jobs = queue.Queue()
+        self._errors = []
+        self._thread = threading.Thread(target=self._work, name="wristsim-writer")
+        self._thread.start()
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            fh, columns = job
+            try:
+                with fh:
+                    write_rows(fh, columns)
+            except Exception as exc:  # raised on the caller's thread by wait()
+                self._errors.append(exc)
+            finally:
+                self._jobs.task_done()
+
+    def submit(self, fh, columns) -> None:
+        self._jobs.put((fh, columns))
+
+    def wait(self) -> None:
+        self._jobs.join()
+        self._raise_first()
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+        self._raise_first()
+
+    def _raise_first(self) -> None:
+        if self._errors:
+            first = self._errors[0]
+            self._errors.clear()
+            raise first
 
 
-def write_csv(path: Path, columns, table: np.ndarray) -> None:
-    """Write ``table`` under a header line of ``columns``, each value as
-    ``%.17g``.  A table with a value that is not finite is refused before
-    the file is opened."""
-    bad = ~np.isfinite(table).all(axis=1)
+def write_csv(path: Path, header, columns, behind: WriteBehind | None = None) -> None:
+    """Write ``columns`` (arrays of shape (n,) or (n, m)) side by side under
+    a header line of ``header``, each value as ``%.17g``.  Columns with a
+    value that is not finite are refused before the file is opened.
+
+    The header is written here; the rows are written before this returns,
+    or by ``behind`` when one is given.
+    """
+    bad = np.zeros(len(columns[0]), dtype=bool)
+    for col in columns:
+        finite = np.isfinite(col)
+        bad |= ~(finite.all(axis=1) if finite.ndim == 2 else finite)
     if bad.any():
         raise ValueError(
             f"{path}: row {int(np.argmax(bad))} holds a value that is not finite; "
             "nothing written"
         )
-    with open(path, "wb") as fh:
-        fh.write((",".join(columns) + "\n").encode())
-        write_rows(fh, table)
+    fh = open(path, "wb")
+    try:
+        fh.write((",".join(header) + "\n").encode())
+    except BaseException:
+        fh.close()
+        raise
+    if behind is not None:
+        behind.submit(fh, columns)
+        return
+    with fh:
+        write_rows(fh, columns)
 
 
-def write_trajectory(path: Path, traj: Trajectory) -> None:
-    write_csv(path, TRAJECTORY_COLUMNS, trajectory_table(traj))
-
-
-def write_listing(path: Path, surface) -> None:
-    cloud = np.degrees(
-        np.column_stack([surface.theta_y, surface.theta_z, surface.theta_x])
+def write_trajectory(path: Path, traj: Trajectory, behind: WriteBehind | None = None) -> None:
+    columns = (
+        traj.t, traj.plan_pos, traj.quat_des, traj.quat,
+        traj.omega, traj.tau_cmd, traj.tau_grav, traj.pointer,
     )
-    write_csv(path, LISTING_COLUMNS, cloud)
+    write_csv(path, TRAJECTORY_COLUMNS, columns, behind)
+
+
+def write_listing(path: Path, surface, behind: WriteBehind | None = None) -> None:
+    cloud = [np.degrees(a) for a in (surface.theta_y, surface.theta_z, surface.theta_x)]
+    write_csv(path, LISTING_COLUMNS, cloud, behind)
 
 
 def _plane_dict(fit) -> dict:
@@ -150,38 +208,49 @@ def write_json(path: Path, data) -> None:
     path.write_text(text + "\n")
 
 
-def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path) -> dict:
+def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
+                   behind: WriteBehind) -> dict:
+    """Simulate ``cond`` and write its four files; the rows of its three
+    CSVs are left to ``behind``, after the previous condition's are done."""
     try:
         traj = simulate_condition(cond, cfg)
     except SimulationError as exc:
         raise SimulationError(f"{cond.name}: {exc}") from exc
+    behind.wait()
     cond_dir = out_root / cond.name
     cond_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory(cond_dir / "trajectory.csv", traj)
+    write_trajectory(cond_dir / "trajectory.csv", traj, behind)
     measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
-    write_listing(cond_dir / "listing_measured.csv", measured)
-    write_listing(cond_dir / "listing_desired.csv", desired)
+    write_listing(cond_dir / "listing_measured.csv", measured, behind)
+    write_listing(cond_dir / "listing_desired.csv", desired, behind)
     metrics = condition_metrics(cond, cfg, traj, measured, desired)
     write_json(cond_dir / "metrics.json", metrics)
     return metrics
 
 
 def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
+    """Run the conditions in order.  Each condition's CSV rows are written
+    while the next one is simulated; a failure leaves every earlier
+    condition's files complete and writes no ``summary.json``."""
     conditions = list(cfg.conditions)
     if only is not None:
         conditions = [cfg.condition(only)]
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     summary = []
-    for cond in conditions:
-        metrics = emit_condition(cond, cfg, out_root)
-        summary.append(metrics)
-        print(
-            f"{cond.name}: rmse_y={metrics['rmse_y_m'] * 1e3:.3f}mm "
-            f"rmse_z={metrics['rmse_z_m'] * 1e3:.3f}mm "
-            f"effort={metrics['effort_mean_Nm']:.3f}"
-            f"+-{metrics['effort_std_Nm']:.3f}Nm"
-        )
+    behind = WriteBehind()
+    try:
+        for cond in conditions:
+            metrics = emit_condition(cond, cfg, out_root, behind)
+            summary.append(metrics)
+            print(
+                f"{cond.name}: rmse_y={metrics['rmse_y_m'] * 1e3:.3f}mm "
+                f"rmse_z={metrics['rmse_z_m'] * 1e3:.3f}mm "
+                f"effort={metrics['effort_mean_Nm']:.3f}"
+                f"+-{metrics['effort_std_Nm']:.3f}Nm"
+            )
+    finally:
+        behind.close()
     write_json(out_root / "summary.json", summary)
     return 0
 

@@ -23,8 +23,9 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
   Pol oscillator; the release analysis of the acceptance criterion A7.
 * :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
   ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
-* :func:`savetxt` is the CSV writer through ``np.savetxt``; ``write_csv``
-  must reproduce its bytes.
+* :func:`savetxt` is the CSV writer through ``np.savetxt`` and
+  :func:`trajectory_table` the trajectory as one stacked table;
+  ``write_csv`` and ``write_trajectory`` must reproduce its bytes.
 """
 
 import math
@@ -379,3 +380,13 @@ def savetxt(path, columns, table):
     """``table`` under a header of ``columns``, each value as ``%.17g``."""
     np.savetxt(path, table, fmt="%.17g", delimiter=",",
                header=",".join(columns), comments="")
+
+
+def trajectory_table(traj):
+    """The records of ``traj`` stacked in ``TRAJECTORY_COLUMNS`` order."""
+    return np.column_stack(
+        [
+            traj.t, traj.plan_pos, traj.quat_des, traj.quat,
+            traj.omega, traj.tau_cmd, traj.tau_grav, traj.pointer,
+        ]
+    )

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -81,61 +82,62 @@ def test_invalid_values_name_the_field(tmp_path):
 
 
 # (YAML text, the loader's message, and for a leaf that is a dataclass field
-# the same value passed straight to that dataclass)
+# the same value passed straight to that dataclass, with its case number in
+# test_dataclasses_reject_what_a_file_is_refused_for)
 LEAF_CASES = (
     ("conditions:\n  - name: a\n    stiffness: 1.0e6\n",
      "conditions[0].stiffness: must be a positive number, got '1.0e6'",
-     (Condition, {"name": "a", "stiffness": "1.0e6"})),
+     (Condition, {"name": "a", "stiffness": "1.0e6"}, 0)),
     ("conditions:\n  - name: a\n    gravity: 1\n",
-     "conditions[0].gravity: expected a boolean", (Condition, {"name": "a", "gravity": 1})),
+     "conditions[0].gravity: expected a boolean", (Condition, {"name": "a", "gravity": 1}, 1)),
     ("conditions:\n  - name: a\n    kind: bogus\n",
      "conditions[0].kind: must be 'clock' or 'retune', got 'bogus'",
-     (Condition, {"name": "a", "kind": "bogus"})),
+     (Condition, {"name": "a", "kind": "bogus"}, 2)),
     ("conditions:\n  - name: a\n    torsion_deg: ten\n",
      "conditions[0].torsion_deg: expected a number", None),
     ("sweep:\n  stiffness: [1000.0, 1.0e6]\n",
      "sweep.stiffness[1]: must be a positive number, got '1.0e6'",
-     (Condition, {"name": "a", "stiffness": "1.0e6"})),
+     (Condition, {"name": "a", "stiffness": "1.0e6"}, 3)),
     ("sweep:\n  gravity: [true, 0]\n",
-     "sweep.gravity[1]: expected a boolean", (Condition, {"name": "a", "gravity": 0})),
+     "sweep.gravity[1]: expected a boolean", (Condition, {"name": "a", "gravity": 0}, 4)),
     ("sim:\n  substeps: 2.5\n",
-     "sim.substeps: must be a positive integer, got 2.5", (SimOptions, {"substeps": 2.5})),
+     "sim.substeps: must be a positive integer, got 2.5", (SimOptions, {"substeps": 2.5}, 5)),
     ("sim:\n  substeps: 0\n",
-     "sim.substeps: must be a positive integer", (SimOptions, {"substeps": 0})),
+     "sim.substeps: must be a positive integer", (SimOptions, {"substeps": 0}, 6)),
     ("task:\n  n_targets: 2.5\n",
-     "task.n_targets: must be a positive integer, got 2.5", (ClockTask, {"n_targets": 2.5})),
+     "task.n_targets: must be a positive integer, got 2.5", (ClockTask, {"n_targets": 2.5}, 7)),
     ("seed: -1\n", "seed: must be a non-negative integer, got -1",
-     (ExperimentConfig, {"seed": -1})),
+     (ExperimentConfig, {"seed": -1}, 8)),
     ("seed: true\n", "seed: must be a non-negative integer, got True",
-     (ExperimentConfig, {"seed": True})),
+     (ExperimentConfig, {"seed": True}, 9)),
     ("body:\n  com_offset: [a, 0, 0]\n",
      "body.com_offset: expected a 3-vector of numbers, got ['a', 0, 0]",
-     (BodyModel, {"com_offset": ["a", 0, 0]})),
+     (BodyModel, {"com_offset": ["a", 0, 0]}, 10)),
     ("body:\n  gravity: [0, 0, null]\n",
-     "body.gravity: expected a 3-vector of numbers", (BodyModel, {"gravity": [0, 0, None]})),
+     "body.gravity: expected a 3-vector of numbers", (BodyModel, {"gravity": [0, 0, None]}, 11)),
     # a retune condition runs a fixed schedule
     ("conditions:\n  - name: r\n    kind: retune\n    stiffness: 500.0\n"
      "    torsion_deg: 40.0\n",
      "conditions[0].stiffness: a retune condition runs its fixed schedule",
      (Condition, {"name": "r", "kind": "retune", "stiffness": 500.0,
-                  "torsion": math.radians(40.0)})),
+                  "torsion": math.radians(40.0)}, 12)),
     ("conditions:\n  - name: r\n    kind: retune\n    torsion_deg: 40.0\n",
      "conditions[0].torsion_deg: a retune condition runs its fixed schedule", None),
     # non-finite numbers: each would otherwise fail later, as exit 1
     ("body:\n  mass: .inf\n", "body.mass: must be a positive number, got inf",
-     (BodyModel, {"mass": math.inf})),
+     (BodyModel, {"mass": math.inf}, 13)),
     ("task:\n  dwell: .inf\n",
-     "task.dwell: must be a non-negative number, got inf", (ClockTask, {"dwell": math.inf})),
+     "task.dwell: must be a non-negative number, got inf", (ClockTask, {"dwell": math.inf}, 14)),
     ("conditions:\n  - name: a\n    stiffness: .inf\n",
      "conditions[0].stiffness: must be a positive number, got inf",
-     (Condition, {"name": "a", "stiffness": math.inf})),
+     (Condition, {"name": "a", "stiffness": math.inf}, 15)),
     ("sweep:\n  torsion_deg: [0.0, -.inf]\n",
      "sweep.torsion_deg[1]: expected a number, got -inf", None),
     ("body:\n  com_offset: [.nan, 0, 0]\n",
      "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]",
-     (BodyModel, {"com_offset": [math.nan, 0, 0]})),
+     (BodyModel, {"com_offset": [math.nan, 0, 0]}, 16)),
     ("body:\n  length: 1" + "0" * 400 + "\n",  # an int past the float range
-     "body.length: must be a positive number, got 1000", (BodyModel, {"length": 10**400})),
+     "body.length: must be a positive number, got 1000", (BodyModel, {"length": 10**400}, 17)),
 )
 
 
@@ -156,20 +158,29 @@ def _field_message(message):
     return re.sub(r"\[\d+\]$", "", key.rsplit(".", 1)[-1]) + ":" + rest
 
 
+def _case(cls, kwargs, number, message):
+    """A case whose id keeps the number it was added with, so deleting a
+    case renames no other; a new case takes the next unused number, 28."""
+    return pytest.param(cls, kwargs, message, id=f"{cls.__name__}-kwargs{number}-{message}")
+
+
 @pytest.mark.parametrize("cls, kwargs, message", [
-    *((*call, _field_message(message)) for _, message, call in LEAF_CASES if call),
+    *(_case(*call, _field_message(message)) for _, message, call in LEAF_CASES if call),
     # values no file can hold, or that the loader alone once refused
-    (BodyModel, {"com_offset": (1, 2)}, "com_offset: expected a 3-vector of numbers"),
-    (BodyModel, {"gravity": (0, 0)}, "gravity: expected a 3-vector of numbers"),
-    (BodyModel, {"mass": True}, "mass: must be a positive number, got True"),
-    (ClockTask, {"n_targets": True}, "n_targets: must be a positive integer, got True"),
-    (ClockTask, {"radius": math.inf}, "radius: must be a positive number, got inf"),
-    (SimOptions, {"dt": True}, "dt: must be a positive number, got True"),
-    (BandParams, {"max_accel": math.inf}, "max_accel: must be a positive number, got inf"),
-    (Condition, {"name": "r", "kind": "retune", "torsion": 0.3},
-     "torsion: a retune condition runs its fixed schedule"),
-    (Condition, {"name": "a", "torsion": math.nan}, "torsion: expected a number, got nan"),
-    (ExperimentConfig, {"output_dir": ""}, "output_dir: expected a non-empty string, got ''"),
+    _case(BodyModel, {"com_offset": (1, 2)}, 18, "com_offset: expected a 3-vector of numbers"),
+    _case(BodyModel, {"gravity": (0, 0)}, 19, "gravity: expected a 3-vector of numbers"),
+    _case(BodyModel, {"mass": True}, 20, "mass: must be a positive number, got True"),
+    _case(ClockTask, {"n_targets": True}, 21, "n_targets: must be a positive integer, got True"),
+    _case(ClockTask, {"radius": math.inf}, 22, "radius: must be a positive number, got inf"),
+    _case(SimOptions, {"dt": True}, 23, "dt: must be a positive number, got True"),
+    _case(BandParams, {"max_accel": math.inf}, 24,
+          "max_accel: must be a positive number, got inf"),
+    _case(Condition, {"name": "r", "kind": "retune", "torsion": 0.3}, 25,
+          "torsion: a retune condition runs its fixed schedule"),
+    _case(Condition, {"name": "a", "torsion": math.nan}, 26,
+          "torsion: expected a number, got nan"),
+    _case(ExperimentConfig, {"output_dir": ""}, 27,
+          "output_dir: expected a non-empty string, got ''"),
 ])
 def test_dataclasses_reject_what_a_file_is_refused_for(cls, kwargs, message):
     """Each parameter dataclass checks its own fields with the loader's
@@ -484,23 +495,75 @@ def test_unstable_run_exits_1_without_outputs(tmp_path, capsys):
 
 
 def test_non_finite_table_exits_1_without_the_file(tmp_path, capsys, monkeypatch):
-    """A table with a value that is not finite is refused before its file
-    is opened, naming the file and the row."""
+    """A trajectory column with a value that is not finite is refused
+    before its file is opened, naming the file and the row."""
     import wristsim.cli as cli
 
-    table = cli.trajectory_table
+    simulate = cli.simulate_condition
 
-    def poisoned(traj):
-        out = table(traj)
-        out[7, 2] = np.inf
-        return out
+    def poisoned(cond, cfg):
+        traj = simulate(cond, cfg)
+        traj.plan_pos[7, 1] = np.inf  # row 7 of xd_y_m
+        return traj
 
-    monkeypatch.setattr(cli, "trajectory_table", poisoned)
+    monkeypatch.setattr(cli, "simulate_condition", poisoned)
     cfg = write(tmp_path, QUICK)
     out = tmp_path / "res"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     assert "trajectory.csv: row 7 " in capsys.readouterr().err
     assert not (out / "quick" / "trajectory.csv").exists()
+
+
+# two quick conditions; a run writes each one's CSV rows behind the next
+TWO = (
+    "task:\n  n_targets: 1\n  dwell: 0.05\n"
+    "conditions:\n  - name: first\n    gravity: false\n  - name: second\n"
+)
+CONDITION_FILES = (
+    "trajectory.csv", "listing_measured.csv", "listing_desired.csv", "metrics.json",
+)
+
+
+def test_failure_leaves_earlier_conditions_complete(tmp_path, capsys):
+    """When the second condition blows up, the first one's files are
+    complete, the second gets none, no summary is written and no writer
+    thread is left."""
+    cfg = write(tmp_path, TWO.replace("name: second\n", "name: second\n    stiffness: 1.0e+6\n"))
+    out, alone = tmp_path / "res", tmp_path / "alone"
+    before = threading.active_count()
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert threading.active_count() == before
+    assert "second: non-finite state at sample" in capsys.readouterr().err
+    assert main(["run", str(cfg), "--condition", "first", "--out", str(alone)]) == 0
+    for name in CONDITION_FILES:
+        assert (out / "first" / name).read_bytes() == (alone / "first" / name).read_bytes()
+    assert not (out / "second").exists()
+    assert not (out / "summary.json").exists()
+
+
+def test_writer_error_is_not_lost(tmp_path, capsys, monkeypatch):
+    """An error writing rows behind the run stops it before the next
+    condition's folder, exits 2, and leaves no writer thread behind."""
+    import wristsim.cli as cli
+
+    write_rows, threads = cli.write_rows, []
+
+    def failing(fh, columns):
+        threads.append(threading.current_thread())
+        if len(threads) == 1:
+            raise OSError("disk full")
+        write_rows(fh, columns)
+
+    monkeypatch.setattr(cli, "write_rows", failing)
+    cfg = write(tmp_path, TWO)
+    out = tmp_path / "res"
+    before = threading.active_count()
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "wristsim: disk full" in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert len(set(threads)) == 1 and threading.main_thread() not in threads
+    assert not (out / "second").exists()
+    assert not (out / "summary.json").exists()
 
 
 CHECK_LINES_SEED_0 = [
@@ -520,20 +583,24 @@ def test_cli_check_flag_runs_invariant_suite(capsys):
     assert capsys.readouterr().out.splitlines() == CHECK_LINES_SEED_0
 
 
-def test_trace_cli_wraps_the_check_suite(tmp_path):
-    """The out-of-package tracer finds every name it wraps and attributes
-    the check suite's layers: one span per check and every stepper call."""
+def trace_run(tmp_path, args):
+    """Run ``wristsim`` under the out-of-package tracer; its stdout and trace."""
     root = Path(__file__).resolve().parents[1]
     trace = tmp_path / "trace.json"
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(trace),
-         "run", "--check"],
+        [sys.executable, str(root / "perfbench" / "trace_cli.py"), str(trace), *args],
         cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == CHECK_LINES_SEED_0
-    data = json.loads(trace.read_text())
+    return proc.stdout, json.loads(trace.read_text())
+
+
+def test_trace_cli_wraps_the_check_suite(tmp_path):
+    """The out-of-package tracer finds every name it wraps and attributes
+    the check suite's layers: one span per check and every stepper call."""
+    stdout, data = trace_run(tmp_path, ["run", "--check"])
+    assert stdout.splitlines() == CHECK_LINES_SEED_0
     checks = [span[0] for span in data["spans"] if span[0].startswith("checks.")]
     assert checks == [
         "checks.torsion_equivariance",
@@ -545,3 +612,41 @@ def test_trace_cli_wraps_the_check_suite(tmp_path):
     steps = sum(count for _, name, count, *_ in data["tallies"]
                 if name == "dynamics.integrate_step")
     assert steps == 3 + 500  # the order check's three runs, the drift check's steps
+
+
+def test_trace_cli_attributes_each_condition(tmp_path):
+    """Every traced call stays on the main thread, in order: each condition
+    span holds its own trial, Listing extractions and writers, and the
+    per-sample post-processing sits under that condition's trial."""
+    cfg = write(tmp_path, TWO)
+    shapes = []
+    for run in ("a", "b"):
+        _, data = trace_run(tmp_path, ["run", str(cfg), "--out", str(tmp_path / run)])
+        spans, tallies = data["spans"], data["tallies"]
+        conditions = [i for i, span in enumerate(spans) if span[0] == "cli.emit_condition"]
+        assert len(conditions) == 2
+        for index in conditions:
+            children = [i for i, span in enumerate(spans) if span[3] == index]
+            assert [spans[i][0] for i in children] == [
+                "experiments.build_clock_schedule",
+                "experiments.run_trial",
+                "cli.write_trajectory",
+                "experiments.extract_listing",
+                "experiments.extract_listing",
+                "cli.write_listing",
+                "cli.write_listing",
+                "cli.condition_metrics",
+            ]
+            trial = children[1]
+            calls = {name: count for parent, name, count, *_ in tallies if parent == trial}
+            assert calls["dynamics.gravity_torque"] == 1
+            assert calls["experiments.pointer_intersection"] == 1
+        trials = {i for i, span in enumerate(spans) if span[0] == "experiments.run_trial"}
+        assert all(parent in trials for parent, name, *_ in tallies
+                   if name in ("dynamics.gravity_torque", "experiments.pointer_intersection"))
+        shapes.append((
+            [(span[0], span[3]) for span in spans],
+            sorted((parent, name, count) for parent, name, count, *_ in tallies),
+            data["counts"],
+        ))
+    assert shapes[0] == shapes[1]

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import savetxt, simulate_scalar
+from oracles import savetxt, simulate_scalar, trajectory_table
 from wristsim import _kernel
-from wristsim.cli import TRAJECTORY_COLUMNS, trajectory_table, write_csv, write_trajectory
+from wristsim.cli import TRAJECTORY_COLUMNS, write_csv, write_trajectory
 from wristsim.dynamics import BodyModel, plant, plant_constants
 from wristsim.experiments import (
     ClockTask,
@@ -254,7 +254,7 @@ def test_source_compiles_without_warnings():
 def formatted(values):
     """The formatter's text of ``values``, one per line."""
     fh = io.BytesIO()
-    _kernel.write_rows(fh, np.asarray(values, dtype=float).reshape(-1, 1))
+    _kernel.write_rows(fh, [np.asarray(values, dtype=float).ravel()])
     return fh.getvalue().decode().splitlines()
 
 
@@ -317,7 +317,20 @@ def test_formatter_random_values():
 def test_formatter_refuses_non_finite_values():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="not finite"):
-            _kernel.write_rows(io.BytesIO(), np.array([[1.0, 2.0], [bad, 3.0]]))
+            _kernel.write_rows(io.BytesIO(), [np.array([[1.0, 2.0], [bad, 3.0]])])
+
+
+def test_write_rows_sets_columns_side_by_side(tmp_path, rng):
+    """Columns of one or more values per row make the rows of their stacked
+    table, across a block boundary; columns of unequal length are refused."""
+    n = _kernel.BLOCK_ROWS + 3
+    columns = [rng.normal(size=n), rng.normal(size=(n, 3))[:, ::2], rng.normal(size=(n, 1))]
+    with open(tmp_path / "got.csv", "wb") as fh:
+        _kernel.write_rows(fh, columns)
+    np.savetxt(tmp_path / "want.csv", np.column_stack(columns), fmt="%.17g", delimiter=",")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    with pytest.raises(ValueError, match="one n"):
+        _kernel.write_rows(io.BytesIO(), [np.zeros(3), np.zeros((4, 2))])
 
 
 def head(traj, n):
@@ -354,9 +367,9 @@ def test_write_trajectory_matches_savetxt_on_tiny_values(tmp_path, task, weightl
 
 
 def test_write_csv_refuses_non_finite_before_opening(tmp_path):
-    table = np.zeros((5, 2))
-    table[3, 1] = np.nan
+    block, column = np.zeros((5, 2)), np.zeros(5)
+    block[3, 1] = column[4] = np.nan
     path = tmp_path / "out.csv"
     with pytest.raises(ValueError, match=r"out\.csv: row 3 "):
-        write_csv(path, ("a", "b"), table)
+        write_csv(path, ("a", "b", "c"), [column, block])
     assert not path.exists()
