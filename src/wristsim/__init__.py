@@ -1,10 +1,11 @@
 """Wrist pointing on a spherical joint: projection, impedance control, trials.
 
-The package couples four pieces at a 1 kHz control rate: an elastic-band
-planner that turns targets into smooth desired positions, a spherical
-projection that turns those positions into pointer orientations, a fractal
-impedance controller that pulls the wrist toward them, and a rigid-body
-plant integrated with the controller in the loop.  The experiments module
+The package couples four pieces at a 1 kHz control rate: a reach planner
+that moves the desired position to each target along a closed-form leg
+with a bell-shaped speed profile, a spherical projection that turns those
+positions into pointer orientations, a fractal impedance controller that
+pulls the wrist toward them, and a rigid-body plant integrated with the
+controller in the loop.  The experiments module
 runs the clock-pointing protocol and extracts tracking, effort and
 torsion-surface statistics from the result.
 """

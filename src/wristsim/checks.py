@@ -28,6 +28,22 @@ from .rotations import (
 from .experiments import pointer_intersection
 
 
+#: the projection checks sample this many points on the square of half-width
+#: PLANE_RADIUS in the plane x = PLANE_X
+PLANE_SAMPLES = 2000
+PLANE_X = 0.3
+PLANE_RADIUS = 0.25
+TORSION_TOL = 1e-12
+POINTING_TOL = 1e-10
+EULER_SAMPLES = 100_000
+EULER_TOL = 1e-9
+#: admitted error ratio for one step halving (a 4th-order method gives ~16)
+ORDER_RATIO_LO = 10.0
+ORDER_RATIO_HI = 24.0
+DRIFT_STEPS = 500
+DRIFT_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -35,17 +51,17 @@ class CheckResult:
     detail: str
 
 
-def _sample_plane_points(rng, n, plane_x=0.3, radius=0.25):
-    pts = np.empty((n, 3))
-    pts[:, 0] = plane_x
-    pts[:, 1:] = rng.uniform(-radius, radius, size=(n, 2))
+def _sample_plane_points(rng):
+    pts = np.empty((PLANE_SAMPLES, 3))
+    pts[:, 0] = PLANE_X
+    pts[:, 1:] = rng.uniform(-PLANE_RADIUS, PLANE_RADIUS, size=(PLANE_SAMPLES, 2))
     return pts
 
 
-def check_torsion_equivariance(rng, n=2000, tol=1e-12) -> CheckResult:
+def check_torsion_equivariance(rng) -> CheckResult:
     """Rolling the torsion argument equals post-multiplying the fixed twist."""
-    points = _sample_plane_points(rng, n)
-    phi = rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, size=n)
+    points = _sample_plane_points(rng)
+    phi = rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, size=PLANE_SAMPLES)
     q_plain = np.array([project_to_sphere(p) for p in points])
     q_rolled = np.array([project_to_sphere(p, torsion=f) for p, f in zip(points, phi)])
     roll = quat_from_euler_xyz(phi, 0.0, 0.0)
@@ -55,34 +71,34 @@ def check_torsion_equivariance(rng, n=2000, tol=1e-12) -> CheckResult:
     worst = max(worst, np.linalg.norm(ray_diff, axis=1).max())
     return CheckResult(
         "torsion equivariance",
-        worst <= tol,
-        f"worst deviation {worst:.3e} (tol {tol:.0e}, {n} samples)",
+        worst <= TORSION_TOL,
+        f"worst deviation {worst:.3e} (tol {TORSION_TOL:.0e}, {PLANE_SAMPLES} samples)",
     )
 
 
-def check_pointing_consistency(rng, n=2000, tol=1e-10) -> CheckResult:
+def check_pointing_consistency(rng) -> CheckResult:
     """Projecting a plane point and re-intersecting recovers the point."""
-    points = _sample_plane_points(rng, n)
-    phi = rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, size=n)
+    points = _sample_plane_points(rng)
+    phi = rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, size=PLANE_SAMPLES)
     q = np.array([project_to_sphere(p, torsion=f) for p, f in zip(points, phi)])
     hit = pointer_intersection(q, points[:, :1])
     worst = np.linalg.norm(hit - points, axis=1).max()
     return CheckResult(
         "pointing consistency",
-        worst <= tol,
-        f"worst round trip {worst:.3e} m (tol {tol:.0e}, {n} samples)",
+        worst <= POINTING_TOL,
+        f"worst round trip {worst:.3e} m (tol {POINTING_TOL:.0e}, {PLANE_SAMPLES} samples)",
     )
 
 
-def check_euler_round_trip(rng, n=100_000, tol=1e-9) -> CheckResult:
+def check_euler_round_trip(rng) -> CheckResult:
     """Euler decomposition followed by recomposition returns the rotation."""
     worst = 0.0
     kept = 0
-    raw = rng.standard_normal((n, 4))
+    raw = rng.standard_normal((EULER_SAMPLES, 4))
     # blocks of about 1,000 rows: the whole stack at once raises peak memory
     # by some 30 MB (the libm wrappers' .tolist() Python floats and the
     # stack's temporaries), a block ~1 MB
-    for block in np.array_split(raw, max(1, n // 1000)):
+    for block in np.array_split(raw, EULER_SAMPLES // 1000):
         q = quat_normalize(block)
         angles, locked = euler_xyz_from_quat(q)
         err = quat_angle_between(q, quat_from_euler_xyz(*angles.T))[~locked]
@@ -90,8 +106,9 @@ def check_euler_round_trip(rng, n=100_000, tol=1e-9) -> CheckResult:
         kept += err.size
     return CheckResult(
         "euler round trip",
-        worst <= tol and kept > 0,
-        f"worst angle {worst:.3e} rad over {kept} of {n} samples (tol {tol:.0e})",
+        worst <= EULER_TOL and kept > 0,
+        f"worst angle {worst:.3e} rad over {kept} of {EULER_SAMPLES} samples "
+        f"(tol {EULER_TOL:.0e})",
     )
 
 
@@ -99,7 +116,7 @@ def _smooth_torque(t):
     return 0.2 * math.sin(3.0 * t), 0.15 * math.cos(5.0 * t), 0.1 * math.sin(2.0 * t + 1.0)
 
 
-def check_integrator_order(ratio_lo=10.0, ratio_hi=24.0) -> CheckResult:
+def check_integrator_order() -> CheckResult:
     """Halving the step shrinks the global error ~16x (4th order)."""
     rhs_plant = plant(BodyModel(gravity=(0.0, 0.0, 0.0)))
 
@@ -120,12 +137,12 @@ def check_integrator_order(ratio_lo=10.0, ratio_hi=24.0) -> CheckResult:
     ratio = err_h / err_h2 if err_h2 > 0.0 else math.inf
     return CheckResult(
         "integrator order",
-        ratio_lo <= ratio <= ratio_hi,
+        ORDER_RATIO_LO <= ratio <= ORDER_RATIO_HI,
         f"error ratio {ratio:.2f} for step halving (expect ~16)",
     )
 
 
-def check_quat_norm_drift(tol=1e-9, steps=500) -> CheckResult:
+def check_quat_norm_drift() -> CheckResult:
     """Norm drift per 1 ms step, unnormalized, at clock-task torque levels."""
     rhs_plant = plant(BodyModel())
     q_des = tuple(map(float, project_to_sphere(np.array([0.3, 0.0, 0.1]))))
@@ -140,7 +157,7 @@ def check_quat_norm_drift(tol=1e-9, steps=500) -> CheckResult:
     q0 = project_to_sphere(np.array([0.3, 0.0005, 0.1002]))
     y = (*map(float, q0), 0.05, -1.2, 0.8)
     worst = 0.0
-    for step in range(steps):
+    for step in range(DRIFT_STEPS):
         y = integrate_step(rhs, y, step * 1e-3, dt=1e-3, substeps=10, renormalize=False)
         qw, qx, qy, qz = y[:4]
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
@@ -148,8 +165,8 @@ def check_quat_norm_drift(tol=1e-9, steps=500) -> CheckResult:
         y = unit_quat_state(y)
     return CheckResult(
         "quat norm drift",
-        worst <= tol,
-        f"worst per-step drift {worst:.3e} (tol {tol:.0e}, {steps} steps)",
+        worst <= DRIFT_TOL,
+        f"worst per-step drift {worst:.3e} (tol {DRIFT_TOL:.0e}, {DRIFT_STEPS} steps)",
     )
 
 

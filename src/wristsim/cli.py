@@ -12,19 +12,19 @@ Per condition the runner writes into ``<output_dir>/<condition>/``:
 A cross-condition ``summary.json`` lands next to the condition folders.
 Fixed-step runs are deterministic, so repeated runs of the same config
 produce byte-identical files.  The rows of each condition's CSVs are
-written on one background thread (:class:`WriteBehind`) while the next
-condition is simulated; every other step runs on the calling thread.
+written by a one-worker :class:`~concurrent.futures.ThreadPoolExecutor`
+while the next condition is simulated; every other step runs on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import queue
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .experiments import (
     run_trial,
     target_rmse,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 TRAJECTORY_COLUMNS = (
     "t_s",
@@ -72,59 +75,13 @@ def simulate_condition(cond: Condition, cfg: ExperimentConfig):
     return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim)
 
 
-class WriteBehind:
-    """Writes CSV rows behind the caller, on one thread of its own.
-
-    :meth:`submit` hands over an open file and its columns; the thread
-    writes the rows with :func:`write_rows` and closes the file, and runs no
-    other code.  :meth:`wait` returns once every file handed over is closed
-    and raises the first error the thread met since the last wait;
-    :meth:`close` does the same and ends the thread.
-    """
-
-    def __init__(self):
-        self._jobs = queue.Queue()
-        self._errors = []
-        self._thread = threading.Thread(target=self._work, name="wristsim-writer")
-        self._thread.start()
-
-    def _work(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            fh, columns = job
-            try:
-                with fh:
-                    write_rows(fh, columns)
-            except Exception as exc:  # raised on the caller's thread by wait()
-                self._errors.append(exc)
-            finally:
-                self._jobs.task_done()
-
-    def submit(self, fh, columns) -> None:
-        self._jobs.put((fh, columns))
-
-    def wait(self) -> None:
-        self._jobs.join()
-        self._raise_first()
-
-    def close(self) -> None:
-        self._jobs.put(None)
-        self._thread.join()
-        self._raise_first()
-
-    def _raise_first(self) -> None:
-        if self._errors:
-            first = self._errors[0]
-            self._errors.clear()
-            raise first
-
-
-def write_csv(path: Path, header, columns, behind: WriteBehind | None = None) -> None:
+def write_csv(path: Path, header, columns, writer: Executor) -> Future:
     """Write ``columns`` (arrays of shape (n,) or (n, m)) side by side under
     a header line of ``header``, each value as ``%.17g``.  Columns with a
     value that is not finite are refused before the file is opened.
 
-    The header is written here; the rows are written before this returns,
-    or by ``behind`` when one is given.
+    The header is written here; the rows are written by one job on
+    ``writer``, which then closes the file.  Returns that job's future.
     """
     bad = np.zeros(len(columns[0]), dtype=bool)
     for col in columns:
@@ -141,24 +98,25 @@ def write_csv(path: Path, header, columns, behind: WriteBehind | None = None) ->
     except BaseException:
         fh.close()
         raise
-    if behind is not None:
-        behind.submit(fh, columns)
-        return
+    return writer.submit(_write_and_close, fh, columns)
+
+
+def _write_and_close(fh, columns) -> None:
     with fh:
         write_rows(fh, columns)
 
 
-def write_trajectory(path: Path, traj: Trajectory, behind: WriteBehind | None = None) -> None:
+def write_trajectory(path: Path, traj: Trajectory, writer: Executor) -> Future:
     columns = (
         traj.t, traj.plan_pos, traj.quat_des, traj.quat,
         traj.omega, traj.tau_cmd, traj.tau_grav, traj.pointer,
     )
-    write_csv(path, TRAJECTORY_COLUMNS, columns, behind)
+    return write_csv(path, TRAJECTORY_COLUMNS, columns, writer)
 
 
-def write_listing(path: Path, surface, behind: WriteBehind | None = None) -> None:
+def write_listing(path: Path, surface, writer: Executor) -> Future:
     cloud = [np.degrees(a) for a in (surface.theta_y, surface.theta_z, surface.theta_x)]
-    write_csv(path, LISTING_COLUMNS, cloud, behind)
+    return write_csv(path, LISTING_COLUMNS, cloud, writer)
 
 
 def _plane_dict(fit) -> dict:
@@ -209,20 +167,24 @@ def write_json(path: Path, data) -> None:
 
 
 def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
-                   behind: WriteBehind) -> dict:
-    """Simulate ``cond`` and write its four files; the rows of its three
-    CSVs are left to ``behind``, after the previous condition's are done."""
+                   writer: Executor, jobs: list[Future]) -> dict:
+    """Simulate ``cond`` and write its four files.  ``jobs`` holds the
+    previous condition's row jobs: they are waited for, raising the first
+    error, before ``cond``'s folder is made, and then replaced by the jobs
+    that write the rows of its three CSVs on ``writer``."""
     try:
         traj = simulate_condition(cond, cfg)
     except SimulationError as exc:
         raise SimulationError(f"{cond.name}: {exc}") from exc
-    behind.wait()
+    for job in jobs:
+        job.result()
+    jobs.clear()
     cond_dir = out_root / cond.name
     cond_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory(cond_dir / "trajectory.csv", traj, behind)
+    jobs.append(write_trajectory(cond_dir / "trajectory.csv", traj, writer))
     measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
-    write_listing(cond_dir / "listing_measured.csv", measured, behind)
-    write_listing(cond_dir / "listing_desired.csv", desired, behind)
+    jobs.append(write_listing(cond_dir / "listing_measured.csv", measured, writer))
+    jobs.append(write_listing(cond_dir / "listing_desired.csv", desired, writer))
     metrics = condition_metrics(cond, cfg, traj, measured, desired)
     write_json(cond_dir / "metrics.json", metrics)
     return metrics
@@ -237,20 +199,24 @@ def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
         conditions = [cfg.condition(only)]
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    summary = []
-    behind = WriteBehind()
-    try:
-        for cond in conditions:
-            metrics = emit_condition(cond, cfg, out_root, behind)
-            summary.append(metrics)
-            print(
-                f"{cond.name}: rmse_y={metrics['rmse_y_m'] * 1e3:.3f}mm "
-                f"rmse_z={metrics['rmse_z_m'] * 1e3:.3f}mm "
-                f"effort={metrics['effort_mean_Nm']:.3f}"
-                f"+-{metrics['effort_std_Nm']:.3f}Nm"
-            )
-    finally:
-        behind.close()
+    # here, not at the top: it imports logging, and --check writes no CSV
+    from concurrent.futures import ThreadPoolExecutor
+
+    summary, jobs = [], []
+    with ThreadPoolExecutor(1, thread_name_prefix="wristsim-writer") as writer:
+        try:
+            for cond in conditions:
+                metrics = emit_condition(cond, cfg, out_root, writer, jobs)
+                summary.append(metrics)
+                print(
+                    f"{cond.name}: rmse_y={metrics['rmse_y_m'] * 1e3:.3f}mm "
+                    f"rmse_z={metrics['rmse_z_m'] * 1e3:.3f}mm "
+                    f"effort={metrics['effort_mean_Nm']:.3f}"
+                    f"+-{metrics['effort_std_Nm']:.3f}Nm"
+                )
+        finally:
+            for job in jobs:
+                job.result()
     write_json(out_root / "summary.json", summary)
     return 0
 

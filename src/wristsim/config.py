@@ -8,7 +8,8 @@ and prefixing a field's error with its dotted path so typos fail loudly.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
-file (``torsion_deg``) and carried in radians internally.
+file (``torsion_deg``) and carried in radians internally.  A condition whose
+trial would exceed :data:`MAX_SAMPLES` or :data:`MAX_RHS_EVALS` is refused.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from ._rules import (BOOLEAN, NON_EMPTY_STRING, NON_NEGATIVE_INT, NUMBER, POSITIVE,
                      STRING, ConfigError, check_fields, param, rules)
@@ -42,6 +45,8 @@ class Condition:
 
     def __post_init__(self):
         check_fields(self)
+        object.__setattr__(self, "stiffness", float(self.stiffness))
+        object.__setattr__(self, "torsion", float(self.torsion))
         # the name is the condition's folder under output_dir
         if (self.name in ("", ".", "..", "summary.json")
                 or any(c in self.name for c in "/\\\0")):
@@ -64,19 +69,19 @@ def _condition_name(gravity: bool, stiffness: float, torsion: float) -> str:
 
 
 def default_conditions() -> list[Condition]:
-    """The stock protocol: one online-retuning trial plus seven clock runs."""
-    phi_neg = math.radians(-25.0)
-    out = [
+    """The stock protocol: one online-retuning trial plus seven clock runs,
+    six of them a gravity-on sweep."""
+    return [
         Condition("online_single_target", kind="retune"),
         Condition("g_off_K10000_phi0", gravity=False),
+        *_expand_sweep({"stiffness": [10000.0, 8000.0, 1000.0], "torsion_deg": [0.0, -25.0]}),
     ]
-    for torsion in (0.0, phi_neg):
-        for k in (10000.0, 8000.0, 1000.0):
-            out.append(
-                Condition(_condition_name(True, k, torsion),
-                          stiffness=k, torsion=torsion)
-            )
-    return out
+
+
+#: the largest trial a condition may ask for: about 2,000 s at the default
+#: 1 kHz (some 450 MB of trajectory arrays), and a few minutes of the kernel
+MAX_SAMPLES = 2_000_000
+MAX_RHS_EVALS = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,29 @@ class ExperimentConfig:
                     f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
                     f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
                 )
+        for cond in self.conditions:
+            samples, evals = self.trial_size(cond)
+            if samples > MAX_SAMPLES or evals > MAX_RHS_EVALS:
+                raise ConfigError(
+                    f"condition {cond.name!r} is too large to run: {samples:,.0f} samples "
+                    f"and {evals:,.0f} right-hand-side evaluations, where the cap is "
+                    f"{MAX_SAMPLES:,} samples and {MAX_RHS_EVALS:,} evaluations; lower "
+                    f"task.n_targets (now {self.task.n_targets}), task.dwell (now "
+                    f"{self.task.dwell:g} s) or sim.substeps (now {self.sim.substeps}), "
+                    f"or raise sim.dt (now {self.sim.dt:g} s)"
+                )
+
+    def trial_size(self, cond: Condition) -> tuple[float, float]:
+        """Samples and right-hand-side evaluations of ``cond``'s trial, from
+        its schedule's duration; the clock schedule is not built, so a huge
+        task is sized at once."""
+        if cond.kind == "retune":
+            duration = build_retune_schedule().duration
+        else:  # build_clock_schedule's: two legs per target, a reach plus the dwell
+            leg = reach_duration(self.task.radius, self.band) + self.task.dwell
+            duration = 2 * self.task.n_targets * leg
+        steps = float(np.rint(duration / self.sim.dt))  # run_trial's rounding, inf-safe
+        return steps + 1, steps * self.sim.substeps * 4
 
     def condition(self, name: str) -> Condition:
         for cond in self.conditions:
@@ -121,6 +149,12 @@ _SECTIONS = {"body": BodyModel, "band": BandParams, "task": ClockTask, "sim": Si
 # a condition's YAML keys: its fields, with the torsion written in degrees
 _CONDITION_KEYS = {f.name for f in fields(Condition)} - {"torsion"} | {"torsion_deg"}
 _LEAF_RULES = {**rules(Condition), "torsion_deg": NUMBER}
+# a sweep axis left out holds the one value of Condition's default
+_SWEEP_DEFAULTS = {
+    "gravity": [Condition.gravity],
+    "stiffness": [Condition.stiffness],
+    "torsion_deg": [math.degrees(Condition.torsion)],
+}
 
 
 def _require_mapping(node, path):
@@ -161,7 +195,7 @@ def _parse_condition(node, index):
 def _expand_sweep(node):
     _require_mapping(node, "sweep")
     _check_keys(node, ("gravity", "stiffness", "torsion_deg"), "sweep.")
-    axes = {"gravity": [True], "stiffness": [10000.0], "torsion_deg": [0.0], **node}
+    axes = {**_SWEEP_DEFAULTS, **node}
     for key, values in axes.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
@@ -171,12 +205,12 @@ def _expand_sweep(node):
     for gravity in axes["gravity"]:
         for torsion_deg in axes["torsion_deg"]:
             for stiffness in axes["stiffness"]:
-                torsion = math.radians(float(torsion_deg))
+                torsion = math.radians(torsion_deg)
                 out.append(
                     Condition(
-                        _condition_name(gravity, float(stiffness), torsion),
+                        _condition_name(gravity, stiffness, torsion),
                         gravity=gravity,
-                        stiffness=float(stiffness),
+                        stiffness=stiffness,
                         torsion=torsion,
                     )
                 )

@@ -15,6 +15,7 @@ import pytest
 
 from wristsim.cli import LISTING_COLUMNS, TRAJECTORY_COLUMNS, main
 from wristsim.config import (
+    MAX_SAMPLES,
     Condition,
     ConfigError,
     ExperimentConfig,
@@ -223,6 +224,56 @@ def test_short_reach_is_accepted_without_a_retune_condition(tmp_path):
     cfg = load_config(write(tmp_path, "task:\n  radius: 0.05\nconditions:\n  - name: a\n"))
     assert cfg.task.radius == 0.05
     assert [c.kind for c in cfg.conditions] == ["clock"]
+
+
+@pytest.mark.parametrize("section, size", [
+    ("task:\n  n_targets: 100000\n", "178,539,817 samples"),
+    ("sim:\n  dt: 1.0e-9\n", "2,500,000,001 samples"),
+    ("sim:\n  substeps: 1000000000\n", "10,000,000,000,000 right-hand-side evaluations"),
+], ids=["n_targets", "dt", "substeps"])
+def test_config_too_large_to_run_exits_2(tmp_path, capsys, monkeypatch, section, size):
+    """A trial's size is computed from the config, so a config past the cap
+    is refused before anything is built, simulated or written."""
+    import wristsim.cli as cli
+
+    def never(cond, cfg):
+        raise AssertionError("an oversized condition was simulated")
+
+    monkeypatch.setattr(cli, "simulate_condition", never)
+    cfg = write(tmp_path, section)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "is too large to run: " in err and size in err
+    for key in ("task.n_targets", "task.dwell", "sim.dt", "sim.substeps"):
+        assert key in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_size_cap_admits_the_trial_at_the_cap():
+    """A clock leg lasts 0.8927 s by default, two per target, so 1,120
+    targets are 1,999,647 samples and 1,121 targets are 2,001,432."""
+    for n_targets, admitted in ((1120, True), (1121, False)):
+        kwargs = dict(task=ClockTask(n_targets=n_targets), conditions=(Condition("c"),))
+        if admitted:
+            cfg = ExperimentConfig(**kwargs)
+            assert cfg.trial_size(cfg.conditions[0])[0] <= MAX_SAMPLES
+        else:
+            with pytest.raises(ConfigError, match="'c' is too large to run"):
+                ExperimentConfig(**kwargs)
+
+
+def test_trial_size_counts_what_the_trial_runs():
+    """The computed size is the sample count and RK4 evaluation count of
+    the trial the condition runs, for either kind."""
+    from wristsim.cli import simulate_condition
+
+    cfg = ExperimentConfig(
+        task=ClockTask(n_targets=1, dwell=0.05), sim=SimOptions(substeps=3),
+        conditions=(Condition("clock"), Condition("retune", kind="retune")),
+    )
+    for cond in cfg.conditions:
+        samples = len(simulate_condition(cond, cfg))
+        assert cfg.trial_size(cond) == (samples, (samples - 1) * 3 * 4)
 
 
 def test_sections_override_defaults(tmp_path):
@@ -475,6 +526,22 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         a = (outs[0] / rel).read_bytes()
         b = (outs[1] / rel).read_bytes()
         assert a == b, f"{rel} differs between runs"
+
+
+def test_stiffness_spelling_does_not_reach_the_outputs(tmp_path, capsys):
+    """``stiffness: 1000`` and ``stiffness: 1000.0`` are one condition: a
+    condition carries its stiffness and torsion as floats."""
+    cond = Condition("c", stiffness=1000, torsion=0)
+    assert type(cond.stiffness) is float and type(cond.torsion) is float
+    trees = []
+    for spelling in ("1000", "1000.0"):
+        cfg = write(tmp_path, QUICK.replace("gravity: false\n", f"stiffness: {spelling}\n"),
+                    name=f"k{spelling}.yaml")
+        out = tmp_path / spelling
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    capsys.readouterr()
+    assert len(trees[0]) == 5 and trees[0] == trees[1]
 
 
 def test_unstable_run_exits_1_without_outputs(tmp_path, capsys):

@@ -9,6 +9,7 @@ import math
 import shlex
 import subprocess
 import sysconfig
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -342,7 +343,8 @@ def head(traj, n):
 
 
 def assert_written_as_savetxt(tmp_path, traj):
-    write_trajectory(tmp_path / "got.csv", traj)
+    with ThreadPoolExecutor(1) as writer:
+        write_trajectory(tmp_path / "got.csv", traj, writer).result()
     savetxt(tmp_path / "want.csv", TRAJECTORY_COLUMNS, trajectory_table(traj))
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
@@ -370,6 +372,6 @@ def test_write_csv_refuses_non_finite_before_opening(tmp_path):
     block, column = np.zeros((5, 2)), np.zeros(5)
     block[3, 1] = column[4] = np.nan
     path = tmp_path / "out.csv"
-    with pytest.raises(ValueError, match=r"out\.csv: row 3 "):
-        write_csv(path, ("a", "b", "c"), [column, block])
+    with ThreadPoolExecutor(1) as writer, pytest.raises(ValueError, match=r"out\.csv: row 3 "):
+        write_csv(path, ("a", "b", "c"), [column, block], writer)
     assert not path.exists()
