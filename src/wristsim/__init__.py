@@ -16,7 +16,6 @@ from .rotations import (
     quat_from_euler_xyz,
     torsion_about_pointer,
 )
-from .fic import FicPhase, fic_torque_quat
 from .dynamics import BodyModel, gravity_torque, integrate_step
 from .planner import BandParams, reach_duration
 from .experiments import (
@@ -43,7 +42,6 @@ __all__ = [
     "ClockTask",
     "Condition",
     "ExperimentConfig",
-    "FicPhase",
     "ParamSchedule",
     "SimOptions",
     "Trajectory",
@@ -53,7 +51,6 @@ __all__ = [
     "default_conditions",
     "euler_xyz_from_quat",
     "extract_listing",
-    "fic_torque_quat",
     "fit_plane",
     "gravity_torque",
     "integrate_step",

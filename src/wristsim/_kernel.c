@@ -343,62 +343,20 @@ void wristsim_law_plant(const Body *b, const double y[7], const double tau[3], d
 
 #ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
-
-static const uint64_t POW5[28] = {
-    1ULL, 5ULL, 25ULL, 125ULL, 625ULL, 3125ULL, 15625ULL, 78125ULL,
-    390625ULL, 1953125ULL, 9765625ULL, 48828125ULL, 244140625ULL,
-    1220703125ULL, 6103515625ULL, 30517578125ULL, 152587890625ULL,
-    762939453125ULL, 3814697265625ULL, 19073486328125ULL,
-    95367431640625ULL, 476837158203125ULL, 2384185791015625ULL,
-    11920928955078125ULL, 59604644775390625ULL, 298023223876953125ULL,
-    1490116119384765625ULL, 7450580596923828125ULL,
-};
-
-/* 5^(28 + i) = hi 2^64 + lo as {hi, lo}: 5^55 < 2^128 */
-static const uint64_t POW5_WIDE[28][2] = {
-    {0x2ULL, 0x4fce5e3e2502611ULL},
-    {0xaULL, 0x18f07d736b90be55ULL},
-    {0x32ULL, 0x7cb2734119d3b7a9ULL},
-    {0xfcULL, 0x6f7c40458122964dULL},
-    {0x4eeULL, 0x2d6d415b85acef81ULL},
-    {0x18a6ULL, 0xe32246c99c60ad85ULL},
-    {0x7b42ULL, 0x6fab61f00de36399ULL},
-    {0x2684cULL, 0x2e58e9b04570f1fdULL},
-    {0xc097cULL, 0xe7bc90715b34b9f1ULL},
-    {0x3c2f70ULL, 0x86aed236c807a1b5ULL},
-    {0x12ced32ULL, 0xa16a1b11e8262889ULL},
-    {0x5e0a1fdULL, 0x2712875988becaadULL},
-    {0x1d6329f1ULL, 0xc35ca4bfabb9f561ULL},
-    {0x92efd1b8ULL, 0xd0cf37be5aa1cae5ULL},
-    {0x2deaf189cULL, 0x140c16b7c528f679ULL},
-    {0xe596b7b0cULL, 0x643c7196d9ccd05dULL},
-    {0x47bf19673dULL, 0xf52e37f2410011d1ULL},
-    {0x166bb7f0435ULL, 0xc9e717bb45005915ULL},
-    {0x701a97b150cULL, 0xf18376a85901bd69ULL},
-    {0x23084f676940ULL, 0xb7915149bd08b30dULL},
-    {0xaf298d050e43ULL, 0x95d69670b12b7f41ULL},
-    {0x36bcfc1194751ULL, 0xed30f03375d97c45ULL},
-    {0x111b0ec57e6499ULL, 0xa1f4b1014d3f6d59ULL},
-    {0x558749db77f700ULL, 0x29c77506823d22bdULL},
-    {0x1aba4714957d300ULL, 0xd0e549208b31adb1ULL},
-    {0x85a36366eb71f04ULL, 0x147a6da2b7f86475ULL},
-    {0x29c30f1029939b14ULL, 0x6664242d97d9f649ULL},
-    {0xd0cf4b50cfe20765ULL, 0xfff4b4e3f741cf6dULL},
-};
-
 #define E16 10000000000000000ULL
 #define E17 100000000000000000ULL
 
 /*
- * The 17 significant digits of ax, a positive normal double, rounded half
+ * The 17 significant digits of ax, a positive finite double, rounded half
  * to even from its exact value, and its decimal exponent e.  With
- * ax = m 2^q and k = 16 - e, the digits are m 5^k 2^(q + k), with m < 2^53.
- * For k <= 27, 5^k < 2^63 and the product is exact in 128 bits.  For
- * k = 28..55, 5^k < 2^128 and the product is exact in 192 bits, made of two
- * 64x64 -> 128 multiplies.  Returns 0, for the caller to fall back on
- * snprintf, when k falls outside 0..55.
+ * ax = m 2^q and k = 16 - e, the digits are m 5^k 2^(q + k), with m < 2^53
+ * and pow5[k] = 5^k.  For k <= 27, 5^k < 2^63 and the product is exact in
+ * 128 bits.  For k = 28..55, 5^k < 2^128 and the product is exact in 192
+ * bits, made of two 64x64 -> 128 multiplies.  Returns 0, for the caller to
+ * fall back on snprintf, when k falls outside 0..55: that is when
+ * ax >= 1e17, and when ax < 2^-129 (about 1.47e-39), subnormals included.
  */
-static int digits17(double ax, uint64_t *digits, int *exp10)
+static int digits17(double ax, const u128 *pow5, uint64_t *digits, int *exp10)
 {
     uint64_t bits;
     memcpy(&bits, &ax, sizeof bits);
@@ -414,14 +372,14 @@ static int digits17(double ax, uint64_t *digits, int *exp10)
         u128 n;
         int sticky = 0; /* whether a bit below n's lowest is set */
         if (k <= 27) {
-            n = (u128)m * POW5[k];
+            n = (u128)m * (uint64_t)pow5[k];
         } else {
             /* m 5^k = hi 2^64 + lo < 2^181.  As m 5^k >= 2^117 and the
                digits stay below 10^18, s <= -58 here, so n can keep the
                product shifted right by 56 bits and sticky whether any of
                those 56 bits is set */
-            u128 lo = (u128)m * POW5_WIDE[k - 28][1];
-            u128 hi = (u128)m * POW5_WIDE[k - 28][0] + (lo >> 64);
+            u128 lo = (u128)m * (uint64_t)pow5[k];
+            u128 hi = (u128)m * (uint64_t)(pow5[k] >> 64) + (lo >> 64);
             n = (hi << 8) | ((uint64_t)lo >> 56);
             sticky = ((uint64_t)lo << 8) != 0;
             s += 56;
@@ -440,7 +398,7 @@ static int digits17(double ax, uint64_t *digits, int *exp10)
             if (rem > half || (rem == half && (sticky || (v & 1))))
                 v++;
         }
-        /* a carry into the next decade: of the doubles in the gate, only
+        /* a carry into the next decade: of the doubles taken here, only
            the one nearest 1e-14 rounds up to a power of ten */
         if (v == E17) {
             v = E16;
@@ -474,10 +432,9 @@ static void put8(char *d, uint32_t x)
     memcpy(d + 4, PAIRS + 2 * (lo / 100), 2);
     memcpy(d + 6, PAIRS + 2 * (lo % 100), 2);
 }
-#endif
 
 /* printf's "%.17g" of the finite x at p; returns the end of the text */
-static char *put_g17(double x, char *p)
+static char *put_g17(double x, char *p, const u128 *pow5)
 {
     if (x == 0.0) {
         if (signbit(x))
@@ -485,11 +442,9 @@ static char *put_g17(double x, char *p)
         *p++ = '0';
         return p;
     }
-#ifdef __SIZEOF_INT128__
-    double ax = fabs(x);
     uint64_t v;
     int e;
-    if (ax >= 1e-38 && ax < 1e17 && digits17(ax, &v, &e)) {
+    if (digits17(fabs(x), pow5, &v, &e)) {
         char d[17]; /* a 9-digit and an 8-digit half */
         uint32_t top = (uint32_t)(v / 100000000);
         d[0] = (char)('0' + top / 100000000);
@@ -500,7 +455,7 @@ static char *put_g17(double x, char *p)
             last--;
         if (x < 0.0)
             *p++ = '-';
-        if (e < -4) { /* d.ddde-XX; here e >= -38 */
+        if (e < -4) { /* d.ddde-XX; here e >= -39 */
             *p++ = d[0];
             if (last > 0) {
                 *p++ = '.';
@@ -529,9 +484,9 @@ static char *put_g17(double x, char *p)
         }
         return p;
     }
-#endif
     return p + snprintf(p, FIELD_MAX, "%.17g", x);
 }
+#endif
 
 /*
  * Write the n rows of k doubles at x (row-major) into buf as "%.17g"
@@ -544,13 +499,22 @@ int64_t wristsim_format_rows(int64_t n, int64_t k, const double *x,
 {
     if (n < 0 || k < 1 || cap / FIELD_MAX / k < n)
         return -2;
+#ifdef __SIZEOF_INT128__
+    u128 pow5[56] = {1}; /* 5^k; a local, as a global filled once would race between threads */
+    for (int i = 1; i < 56; i++)
+        pow5[i] = 5 * pow5[i - 1];
+#endif
     char *p = buf;
     for (int64_t i = 0; i < n; i++) {
         for (int64_t j = 0; j < k; j++) {
             double v = *x++;
             if (!isfinite(v))
                 return -1;
-            p = put_g17(v, p);
+#ifdef __SIZEOF_INT128__
+            p = put_g17(v, p, pow5);
+#else /* no exact path: the C library formats every value */
+            p += snprintf(p, FIELD_MAX, "%.17g", v);
+#endif
             *p++ = j + 1 < k ? ',' : '\n';
         }
     }

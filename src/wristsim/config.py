@@ -5,6 +5,8 @@ file reproduces the built-in defaults (the full eight-condition protocol).
 A section's keys are its dataclass's fields, and each dataclass checks its
 own values; the loader only maps the file onto them, rejecting unknown keys
 and prefixing a field's error with its dotted path so typos fail loudly.
+The file must be UTF-8, and a key given twice in one mapping is refused
+with its line rather than letting the last one win.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
@@ -221,9 +223,26 @@ def load_config(path) -> ExperimentConfig:
     """Read a config file onto the dataclasses; empty file means all defaults."""
     import yaml  # here, not at the top: a run without a file never needs it
 
-    text = Path(path).read_text()
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            # YAML's own loader keeps the last of a key written twice; a list,
+            # not a set, so that an unhashable key reaches the base class's error
+            keys = []
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node, deep=deep)
+                    if key in keys:
+                        raise ConfigError(f"{path}, line {key_node.start_mark.line + 1}: "
+                                          f"key {key!r} given twice in one mapping")
+                    keys.append(key)
+            return super().construct_mapping(node, deep)
+
     try:
-        raw = yaml.safe_load(text)
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        raw = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if raw is None:

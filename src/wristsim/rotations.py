@@ -15,11 +15,13 @@ The laws of the trial kernel (:func:`pointing_quat`, :func:`to_body`) are
 written once on plain floats and repeated operation for operation in the
 compiled kernel (``_kernel.c``).  The other quaternion functions take one
 quaternion or an (n, 4) stack through one body.  The ``asin``/``atan2`` of
-the Euler and angle laws stay on libm, element by element: they produce
-the bytes of the listing CSVs, and numpy's own ``arcsin``/``arctan2``
-differ from libm in the last ulp on some inputs.
-:func:`quat_from_euler_xyz` feeds no output file and uses numpy's
-``cos``/``sin``.
+the Euler, angle and torsion laws stay on libm, element by element, as
+numpy's own ``arcsin``/``arctan2`` differ from libm in the last ulp on some
+inputs.  Of these, only :func:`euler_xyz_from_quat` produces CSV bytes (the
+listing files); :func:`quat_angle` feeds the ``--check`` text through
+:func:`quat_angle_between`, and neither ``run`` nor ``--check`` calls
+:func:`torsion_about_pointer`.  :func:`quat_from_euler_xyz` feeds no output
+file and uses numpy's ``cos``/``sin``.
 """
 
 from __future__ import annotations

@@ -426,6 +426,29 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"# r\xe9glages\n" + QUICK.encode())
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("task: {n_targets: 1, dwell: 0.05, n_targets: 2}\n"
+     "conditions:\n  - name: quick\n", 1, "n_targets"),
+    (QUICK + "    gravity: true\n", 7, "gravity"),
+    (QUICK + "task:\n  n_targets: 2\n", 7, "task"),
+], ids=["flow", "block", "section"])
+def test_key_given_twice_exits_2(tmp_path, capsys, text, line, key):
+    """YAML's own loader keeps the last of a repeated key; the config loader
+    refuses the file instead, naming the key and the line it repeats on."""
+    cfg = write(tmp_path, text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert f"{cfg}, line {line}: key {key!r} given twice" in capsys.readouterr().err
+    assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
 @pytest.mark.parametrize(
     "name", ["../escaped", "", ".", "..", "summary.json", "a/b", "a\\b", "a\0b"]
 )

@@ -243,10 +243,13 @@ def test_stale_source_copy_is_rebuilt(tmp_path, monkeypatch):
     assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, copy.name])
 
 
-def test_source_compiles_without_warnings():
+# without 128-bit integers the formatter hands every value to snprintf
+@pytest.mark.parametrize("flags", [[], ["-U__SIZEOF_INT128__"]],
+                         ids=["default", "without-int128"])
+def test_source_compiles_without_warnings(flags):
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     proc = subprocess.run(
-        [*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_kernel.SOURCE)],
+        [*cc, *flags, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(_kernel.SOURCE)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -279,6 +282,8 @@ def test_formatter_edge_values():
     tiny, huge = np.finfo(float).smallest_normal, np.finfo(float).max
     edges = [0.0, 5e-324, 2.5e-323, 1e-310, tiny, np.nextafter(tiny, 0.0), huge, 0.5, 0.1]
     edges += neighbours(1e-11) + neighbours(1e17) + neighbours(1e-38)
+    # the exact path ends at k = 55, that is at 2^-129, between 1e-39 and 1e-38
+    edges += neighbours(1e-39) + neighbours(2.0 ** -129)
     edges += [v for k in range(-38, 31) for v in neighbours(10.0 ** k)]
     # just below a power of ten, where rounding up would carry into a new decade
     edges += [9.9999999999999995e-05, 0.99999999999999994, 9999999999999999.5,
@@ -293,8 +298,9 @@ def test_formatter_both_sides_of_the_wide_product(rng):
     # 5^k needs more than 64 bits from k = 28 (|x| < 1e-11) on.  From 1e-11
     # up to 2^-36 the first guess of the exponent is one too low, so the
     # 192-bit product is tried before the 128-bit one; from 1e-38 up to
-    # 2^-126 the first guess is k = 55
-    for lo, hi in ((2.0 ** -38, 2.0 ** -36), (1e-38, 2.0 ** -125)):
+    # 2^-126 the first guess is k = 55.  From 2^-129 up to 1e-38, k = 55 is
+    # also the answer; below 2^-129 the first guess is k = 56, for snprintf
+    for lo, hi in ((2.0 ** -38, 2.0 ** -36), (1e-38, 2.0 ** -125), (1e-40, 1e-38)):
         values = rng.uniform(lo, hi, 100_000)
         assert_g17(np.concatenate([values, -values]))
 
