@@ -355,6 +355,8 @@ typedef unsigned __int128 u128;
  * bits, made of two 64x64 -> 128 multiplies.  Returns 0, for the caller to
  * fall back on snprintf, when k falls outside 0..55: that is when
  * ax >= 1e17, and when ax < 2^-129 (about 1.47e-39), subnormals included.
+ * It also returns 0 when two guesses of e both miss, which a correct table
+ * never does, so that a wrong one falls back rather than loops.
  */
 static int digits17(double ax, const u128 *pow5, uint64_t *digits, int *exp10)
 {
@@ -362,9 +364,10 @@ static int digits17(double ax, const u128 *pow5, uint64_t *digits, int *exp10)
     memcpy(&bits, &ax, sizeof bits);
     uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
     int q = (int)(bits >> 52) - 1075;
-    /* 2^(q + 52) <= ax, so this is floor(log10 ax) or one less */
+    /* 2^(q + 52) <= ax, so this is floor(log10 ax) or one less: a second
+       pass, with e one up, is all a miss needs */
     int e = (int)floor((q + 52) * 0.30102999566398120);
-    for (;;) {
+    for (int pass = 0; pass < 2; pass++) {
         int k = 16 - e;
         if (k < 0 || k > 55)
             return 0;
@@ -408,6 +411,31 @@ static int digits17(double ax, const u128 *pow5, uint64_t *digits, int *exp10)
         *exp10 = e;
         return 1;
     }
+    return 0;
+}
+
+/* pow5[k] = 5^k for k = 0..55 */
+static void fill_pow5(u128 pow5[56])
+{
+    pow5[0] = 1;
+    for (int i = 1; i < 56; i++)
+        pow5[i] = 5 * pow5[i - 1];
+}
+
+/* Test entry point: digits17's result for |x|, with its digits at out[0]
+   and its exponent at out[1] when it is 1 */
+int wristsim_law_digits17(double x, int64_t out[2])
+{
+    u128 pow5[56];
+    fill_pow5(pow5);
+    uint64_t digits;
+    int exp10;
+    int ok = digits17(fabs(x), pow5, &digits, &exp10);
+    if (ok) {
+        out[0] = (int64_t)digits;
+        out[1] = exp10;
+    }
+    return ok;
 }
 
 /* the 200 characters "00", "01", ..., "99": the two digits of i at 2 i */
@@ -500,9 +528,8 @@ int64_t wristsim_format_rows(int64_t n, int64_t k, const double *x,
     if (n < 0 || k < 1 || cap / FIELD_MAX / k < n)
         return -2;
 #ifdef __SIZEOF_INT128__
-    u128 pow5[56] = {1}; /* 5^k; a local, as a global filled once would race between threads */
-    for (int i = 1; i < 56; i++)
-        pow5[i] = 5 * pow5[i - 1];
+    u128 pow5[56]; /* a local, as a global filled once would race between threads */
+    fill_pow5(pow5);
 #endif
     char *p = buf;
     for (int64_t i = 0; i < n; i++) {

@@ -6,7 +6,9 @@ A section's keys are its dataclass's fields, and each dataclass checks its
 own values; the loader only maps the file onto them, rejecting unknown keys
 and prefixing a field's error with its dotted path so typos fail loudly.
 The file must be UTF-8, and a key given twice in one mapping is refused
-with its line rather than letting the last one win.
+with its line rather than letting the last one win.  Numbers may be written
+in exponent form (``1e-3``), which YAML 1.2 reads as a float and YAML 1.1
+as a string.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
@@ -17,6 +19,7 @@ trial would exceed :data:`MAX_SAMPLES` or :data:`MAX_RHS_EVALS` is refused.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -236,6 +239,14 @@ def load_config(path) -> ExperimentConfig:
                                           f"key {key!r} given twice in one mapping")
                     keys.append(key)
             return super().construct_mapping(node, deep)
+
+    # YAML 1.1 reads a float only with a point and a signed exponent, so
+    # 1e-3 and 1.0e9 would load as strings; YAML 1.2 reads them as floats
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
 
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -1,6 +1,6 @@
 """Slow reference implementations that the shipped code is checked against.
 
-The two trial loops and :func:`dp45_step` step a float state tuple
+The trial loop and :func:`dp45_step` step a float state tuple
 ``(qw, qx, qy, qz, wx, wy, wz)`` with a float right-hand side ``rhs(y, t)``,
 as the package's one stepper, ``dynamics.integrate_step``, does.
 
@@ -8,11 +8,6 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
   package's float laws (``pointing_quat``, ``branch_step``,
   ``branch_torque``, ``plant``, one-substep ``integrate_step``); the
   compiled kernel must reproduce its records bit for bit.
-* :func:`simulate_reference` is the trial loop written against the public
-  API (``project_to_sphere``, the controller tick ``fic_torque_quat`` and
-  its frozen-branch torque ``torque_for_phase``, one-substep
-  ``integrate_step``); the compiled kernel must reproduce it to float
-  rounding.
 * :func:`dp45_step` is an embedded Dormand-Prince 4(5) step with error
   control, called like ``integrate_step``; the cross-check for the
   fixed-step RK4.
@@ -36,11 +31,9 @@ import numpy as np
 
 from wristsim.dynamics import integrate_step, plant, rk4_step, unit_quat_state
 from wristsim.experiments import SimulationError
-from wristsim.fic import (
-    FicPhase, branch_force, branch_step, branch_torque, fic_torque_quat, torque_for_phase,
-)
+from wristsim.fic import branch_force, branch_step, branch_torque
 from wristsim.planner import ReachProfile
-from wristsim.rotations import GIMBAL_GUARD, pointing_quat, project_to_sphere
+from wristsim.rotations import GIMBAL_GUARD, pointing_quat
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -128,67 +121,6 @@ def simulate_scalar(schedule, task, body, band, opts):
                     break
             y = integrate_step(closed_loop, y, t_sub, h, 1)
 
-    return SimpleNamespace(
-        plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,
-        tau_cmd=tau_rec, err_angle=err_rec, disp_max=dmax_rec,
-    )
-
-
-def simulate_reference(schedule, task, body, band, opts):
-    """Record one scheduled trial like ``run_trial``, without its kernel."""
-    n = int(round(schedule.duration / opts.dt))
-    times = np.arange(n + 1) * opts.dt
-    plan_pos = np.empty((n + 1, 3))
-    quat_des = np.empty((n + 1, 4))
-    quat = np.empty((n + 1, 4))
-    omega_rec = np.empty((n + 1, 3))
-    tau_rec = np.empty((n + 1, 3))
-    err_rec = np.empty(n + 1)
-    dmax_rec = np.empty(n + 1)
-
-    profile = ReachProfile.from_rest(task.center, task.center, band, 0.0)
-    cur_idx: Optional[int] = None
-    phase = FicPhase()
-    plant_rhs = plant(body)
-    y = (*map(float, project_to_sphere(task.center, torsion=schedule.torsion_at(0.0))),
-         0.0, 0.0, 0.0)
-    h = opts.dt / opts.substeps
-    for k in range(n + 1):
-        t_k = times[k]
-        idx = schedule.target_at(t_k)
-        if idx is not None and idx != cur_idx:
-            profile = ReachProfile.from_rest(profile.position(t_k), task.position(idx),
-                                             band, t_k)
-            cur_idx = idx
-            phase = FicPhase()
-        k_now, phi_now = schedule.stiffness_at(t_k), schedule.torsion_at(t_k)
-
-        def desired(t):
-            return project_to_sphere(profile.position(t), torsion=phi_now)
-
-        q_des_k = desired(t_k)
-        tau_k, angle_k, phase = fic_torque_quat(y[:4], q_des_k, k_now, phase)
-        plan_pos[k] = profile.position(t_k)
-        quat_des[k] = q_des_k
-        quat[k] = y[:4]
-        omega_rec[k] = y[4:]
-        tau_rec[k] = tau_k
-        err_rec[k] = angle_k
-        dmax_rec[k] = phase.disp_max
-        if k == n:
-            break
-        for i in range(opts.substeps):
-            t_sub = t_k + i * h
-            if i > 0:
-                _, _, phase = fic_torque_quat(y[:4], desired(t_sub), k_now, phase)
-
-            def closed_loop(y, t, _frozen=phase):
-                tau = torque_for_phase(y[:4], desired(t), k_now, _frozen)[0]
-                return plant_rhs(*y, *map(float, tau))
-
-            # each substep starts at its own time: stage times do not
-            # accumulate rounding
-            y = integrate_step(closed_loop, y, t_sub, h, 1)
     return SimpleNamespace(
         plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,
         tau_cmd=tau_rec, err_angle=err_rec, disp_max=dmax_rec,

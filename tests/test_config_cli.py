@@ -86,7 +86,7 @@ def test_invalid_values_name_the_field(tmp_path):
 # the same value passed straight to that dataclass, with its case number in
 # test_dataclasses_reject_what_a_file_is_refused_for)
 LEAF_CASES = (
-    ("conditions:\n  - name: a\n    stiffness: 1.0e6\n",
+    ("conditions:\n  - name: a\n    stiffness: '1.0e6'\n",
      "conditions[0].stiffness: must be a positive number, got '1.0e6'",
      (Condition, {"name": "a", "stiffness": "1.0e6"}, 0)),
     ("conditions:\n  - name: a\n    gravity: 1\n",
@@ -96,7 +96,7 @@ LEAF_CASES = (
      (Condition, {"name": "a", "kind": "bogus"}, 2)),
     ("conditions:\n  - name: a\n    torsion_deg: ten\n",
      "conditions[0].torsion_deg: expected a number", None),
-    ("sweep:\n  stiffness: [1000.0, 1.0e6]\n",
+    ("sweep:\n  stiffness: [1000.0, '1.0e6']\n",
      "sweep.stiffness[1]: must be a positive number, got '1.0e6'",
      (Condition, {"name": "a", "stiffness": "1.0e6"}, 3)),
     ("sweep:\n  gravity: [true, 0]\n",
@@ -143,7 +143,7 @@ LEAF_CASES = (
 
 
 def test_leaf_types_name_the_dotted_key(tmp_path, capsys):
-    """Mistyped leaves exit 2 naming the key (PyYAML reads 1.0e6 as text)."""
+    """Mistyped leaves exit 2 naming the key (a quoted number is text)."""
     for text, message, _ in LEAF_CASES:
         cfg = write(tmp_path, text)
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -294,6 +294,18 @@ def test_sections_override_defaults(tmp_path):
     assert cfg.seed == 7
     # untouched sections keep their defaults
     assert cfg.band == ExperimentConfig().band
+
+
+@pytest.mark.parametrize("number", ["1e-3", "1E-3", "+1e-3", "1.0e-3"])
+def test_numbers_in_exponent_form_load_as_floats(tmp_path, number):
+    """YAML 1.1 reads ``1e-3`` as a string; the loader reads it as YAML 1.2
+    does, and a plain integer stays an integer."""
+    cfg = load_config(write(tmp_path, f"sim: {{dt: {number}}}\ntask: {{n_targets: 8}}\n"))
+    assert cfg.sim.dt == 0.001
+    assert type(cfg.task.n_targets) is int
+    # so such a name is a number, and no name
+    with pytest.raises(ConfigError, match=r"conditions\[0\]\.name"):
+        load_config(write(tmp_path, f"conditions: [{{name: {number}}}]\n"))
 
 
 def test_explicit_conditions(tmp_path):

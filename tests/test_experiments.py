@@ -28,7 +28,7 @@ from wristsim.experiments import (
     target_rmse,
 )
 from wristsim.planner import ReachProfile, reach_duration
-from oracles import plan_reach, simulate_reference
+from oracles import plan_reach
 from wristsim.rotations import (
     project_to_sphere,
     quat_norm,
@@ -297,20 +297,6 @@ def test_desired_stream_carries_scheduled_torsion(task, weightless, band, opts):
     phi = math.radians(-25.0)
     traj = run_trial(short_schedule(torsion=phi), task, weightless, band, opts)
     np.testing.assert_allclose(torsion_about_pointer(traj.quat_des), phi, atol=1e-8)
-
-
-def test_engines_agree(task, body, band):
-    """The scalar kernel reproduces the reference loop in tests/oracles.py
-    through K and torsion steps (tolerances far above the observed
-    float-rounding gap)."""
-    sched = replace(build_retune_schedule(), duration=0.5)
-    fast = run_trial(sched, task, body, band, SimOptions())
-    ref = simulate_reference(sched, task, body, band, SimOptions())
-    np.testing.assert_array_equal(fast.plan_pos, ref.plan_pos)
-    np.testing.assert_array_equal(fast.quat_des, ref.quat_des)
-    assert np.max(np.abs(fast.quat - ref.quat)) < 1e-6
-    assert np.max(np.abs(fast.omega - ref.omega)) < 1e-3
-    assert np.max(np.abs(fast.tau_cmd - ref.tau_cmd)) < 1e-2
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import io
 import math
 import shlex
 import subprocess
+import sys
 import sysconfig
 from concurrent.futures import ThreadPoolExecutor
 
@@ -86,6 +87,7 @@ def laws():
     d, i = ctypes.c_double, ctypes.c_int
     lib = ctypes.CDLL(str(_kernel.build()))
     for name, args, res in (
+        ("digits17", [d, np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")], i),
         ("leg_position", [f64, d, f64], None),
         ("pointing_quat", [f64, d, d, f64], None),
         ("branch_step", [i, ctypes.POINTER(d), d, d], i),
@@ -303,6 +305,51 @@ def test_formatter_both_sides_of_the_wide_product(rng):
     for lo, hi in ((2.0 ** -38, 2.0 ** -36), (1e-38, 2.0 ** -125), (1e-40, 1e-38)):
         values = rng.uniform(lo, hi, 100_000)
         assert_g17(np.concatenate([values, -values]))
+
+
+def test_formatter_takes_the_exact_path_across_its_band():
+    """Both edges of the band and every k = 0..55 take the exact path, with
+    the digits and exponent of ``'%.16e'``; just outside it, snprintf."""
+    inside = [2.0 ** -129, np.nextafter(1e17, 0.0)]
+    inside += [float(f"{m}e{16 - k}") for k in range(56) for m in ("2", "9.8765432109876543")]
+    out = np.empty(2, dtype=np.int64)
+    for x in inside:
+        assert laws().wristsim_law_digits17(x, out) == 1, x
+        mantissa, exp10 = ("%.16e" % x).split("e")
+        assert out.tolist() == [int(mantissa.replace(".", "")), int(exp10)], x
+    for x in (np.nextafter(2.0 ** -129, 0.0), 1e17):
+        assert laws().wristsim_law_digits17(x, out) == 0, x
+
+
+# formats the one value float.fromhex(argv[2]) with argv[1]'s formatter
+FORMAT_ONE = """
+import ctypes, sys
+fmt = ctypes.CDLL(sys.argv[1]).wristsim_format_rows
+fmt.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(ctypes.c_double),
+                ctypes.c_char_p, ctypes.c_int64]
+fmt.restype = ctypes.c_int64
+x, buf = ctypes.c_double(float.fromhex(sys.argv[2])), ctypes.create_string_buffer(64)
+size = fmt(1, 1, ctypes.byref(x), buf, len(buf))
+sys.stdout.buffer.write(buf.raw[:size])
+"""
+
+
+def test_formatter_falls_back_when_its_table_is_wrong(tmp_path):
+    """A wrong 5^55 makes the exponent search miss at k = 55 and at k = 54
+    for the doubles just below 1e-38; the bounded search hands such a value
+    to snprintf instead of stepping between the two forever."""
+    fill = "pow5[i] = 5 * pow5[i - 1];"
+    source = _kernel.SOURCE.read_text()
+    assert source.count(fill) == 1
+    # the added statement runs once, after the loop that fills the table
+    source = source.replace(fill, fill + "\n    pow5[55] += (u128)1 << 80;")
+    lib = tmp_path / "wrong.so"
+    _kernel._compile(source.encode(), lib, tmp_path / "wrong.c")
+    x = float(np.nextafter(1e-38, 0.0))
+    proc = subprocess.run([sys.executable, "-c", FORMAT_ONE, str(lib), x.hex()],
+                          capture_output=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"%.17g\n" % x
 
 
 def test_formatter_ties_and_integers(rng):
