@@ -10,14 +10,21 @@
  * never with -ffast-math: a fused multiply-add or a reassociated sum changes
  * the last bit.
  *
- * The second entry point, wristsim_format_rows, writes the CSV rows of
- * wristsim.cli.write_csv with the bytes of printf's "%.17g".  The
- * wristsim_law_* entry points expose single laws to the test suite only.
+ * The second entry point, wristsim_euler_xyz, is the Euler decomposition of
+ * wristsim.experiments.extract_listing, bit-identical to
+ * rotations.euler_xyz_from_quat.  The third, wristsim_format_rows, writes
+ * the CSV rows of wristsim.cli.write_csv with the bytes of printf's
+ * "%.17g".  The wristsim_law_* entry points expose single laws to the test
+ * suite only.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
+
+#ifndef M_PI
+#define M_PI 3.14159265358979323846
+#endif
 
 /* planner.ReachProfile; the Python side packs one row per leg */
 typedef struct {
@@ -299,6 +306,42 @@ int64_t wristsim_simulate(int64_t n, int64_t substeps, double h,
             }
             rk4_step(&s, y, t_sub, h, tq);
         }
+    }
+    return -1;
+}
+
+/*
+ * rotations.euler_xyz_from_quat on the n quaternions at q (rows of w, x,
+ * y, z): the intrinsic x-y-z angles into angles (rows of 3), and into
+ * locked whether each pose lies within guard radians of gimbal lock.  The
+ * clamp keeps the sign of a zero, as numpy's minimum and maximum do, and
+ * asin and atan2 are the libm functions that math.asin and math.atan2 call
+ * on these arguments.  Returns -1, or the first quaternion that has a
+ * component that is not finite or products that overflow into a NaN angle
+ * (whose sign bit libm and math.atan2 may set differently); the rows
+ * before it are written.
+ */
+int64_t wristsim_euler_xyz(int64_t n, const double *q, double guard,
+                           double *angles, uint8_t *locked)
+{
+    for (int64_t k = 0; k < n; k++, q += 4, angles += 3) {
+        double w = q[0], x = q[1], y = q[2], z = q[3];
+        if (!(isfinite(w) && isfinite(x) && isfinite(y) && isfinite(z)))
+            return k;
+        double r02 = 2.0 * (x * z + w * y);
+        double s = r02 > 1.0 ? 1.0 : r02;
+        double ang_y = asin(s < -1.0 ? -1.0 : s);
+        locked[k] = 0.5 * M_PI - fabs(ang_y) < guard;
+        double r12 = 2.0 * (y * z - w * x);
+        double r22 = 1.0 - 2.0 * (x * x + y * y);
+        double r01 = 2.0 * (x * y - w * z);
+        double r00 = 1.0 - 2.0 * (y * y + z * z);
+        angles[0] = atan2(-r12, r22);
+        angles[1] = ang_y;
+        angles[2] = atan2(-r01, r00);
+        /* the angles are bounded, so their sum is NaN only if one is */
+        if (isnan(angles[0] + ang_y + angles[2]))
+            return k;
     }
     return -1;
 }

@@ -1,7 +1,8 @@
 """Build, load and call the compiled library, ``_kernel.c``.
 
-It has two entry points: ``wristsim_simulate``, the trial kernel behind
-:func:`simulate`, and ``wristsim_format_rows``, the exact ``%.17g`` CSV
+It has three entry points: ``wristsim_simulate``, the trial kernel behind
+:func:`simulate`; ``wristsim_euler_xyz``, the Euler decomposition behind
+:func:`euler_xyz`; and ``wristsim_format_rows``, the exact ``%.17g`` CSV
 formatter behind :func:`write_rows`.
 
 The shared library is compiled on first use with the C compiler Python was
@@ -24,6 +25,8 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+
+from .rotations import GIMBAL_GUARD
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 
@@ -115,7 +118,8 @@ def build() -> Path:
 
 @functools.cache
 def _library():
-    """The library with both entry points declared, loaded once per process."""
+    """The library with its three entry points declared, loaded once per
+    process."""
     f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     lib = ctypes.CDLL(str(build()))
     lib.wristsim_simulate.argtypes = [
@@ -127,6 +131,11 @@ def _library():
         f64, f64, f64, f64, f64, f64, f64,                    # the seven records
     ]
     lib.wristsim_simulate.restype = ctypes.c_int64
+    lib.wristsim_euler_xyz.argtypes = [
+        ctypes.c_int64, f64, ctypes.c_double, f64,            # n, quats, guard, angles
+        np.ctypeslib.ndpointer(dtype=np.bool_, flags="C_CONTIGUOUS"),
+    ]
+    lib.wristsim_euler_xyz.restype = ctypes.c_int64
     lib.wristsim_format_rows.argtypes = [
         ctypes.c_int64, ctypes.c_int64, f64,                  # n, k, rows
         np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS"),
@@ -165,6 +174,24 @@ def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
     failed = _library().wristsim_simulate(n - 1, substeps, h, times, stiff, cr, sr,
                                           m, leg_start, legs, body, y, *records)
     return failed, records
+
+
+def euler_xyz(quats) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~.rotations.euler_xyz_from_quat` of an (n, 4) quaternion
+    stack, bit for bit, in the compiled library: ``(angles, locked)``, the
+    (n, 3) angles and the (n,) gimbal-lock mask.
+
+    Raises ``ValueError`` on a quaternion with a component that is not
+    finite, or whose products overflow into an angle that is not a number.
+    """
+    q = np.ascontiguousarray(quats, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"expected an (n, 4) quaternion stack, got shape {q.shape}")
+    angles, locked = np.empty((len(q), 3)), np.empty(len(q), dtype=bool)
+    bad = _library().wristsim_euler_xyz(len(q), q, GIMBAL_GUARD, angles, locked)
+    if bad >= 0:
+        raise ValueError(f"quaternion {bad} has no Euler angles: {q[bad]}")
+    return angles, locked
 
 
 def write_rows(fh, columns) -> None:

@@ -6,9 +6,10 @@ A section's keys are its dataclass's fields, and each dataclass checks its
 own values; the loader only maps the file onto them, rejecting unknown keys
 and prefixing a field's error with its dotted path so typos fail loudly.
 The file must be UTF-8, and a key given twice in one mapping is refused
-with its line rather than letting the last one win.  Numbers may be written
-in exponent form (``1e-3``), which YAML 1.2 reads as a float and YAML 1.1
-as a string.
+with its line rather than letting the last one win.  Numbers are read as
+YAML 1.2 reads them: ``1e-3`` is a float, ``010`` is ten, ``0o10`` and
+``0x8`` are eight, and YAML 1.1's binary (``0b11``), sexagesimal (``1:30``)
+and separated (``1_000``) forms are strings, which a number field refuses.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
@@ -118,6 +119,15 @@ class ExperimentConfig:
                     f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
                     f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
                 )
+        clock = [c.name for c in self.conditions if c.kind == "clock"]
+        if clock and not reach_duration(self.task.radius, self.band) + self.task.dwell > 0:
+            # a reach whose rate overflows lasts 0 s: the schedule would be empty
+            raise ConfigError(
+                f"clock condition {clock[0]!r}: its legs take no time, as the reach of "
+                f"task.radius ({self.task.radius:g} m) at band.max_accel "
+                f"({self.band.max_accel:g} m/s^2) rounds to 0 s and task.dwell is 0; "
+                f"raise task.radius or task.dwell, or lower band.max_accel"
+            )
         for cond in self.conditions:
             samples, evals = self.trial_size(cond)
             if samples > MAX_SAMPLES or evals > MAX_RHS_EVALS:
@@ -222,6 +232,15 @@ def _expand_sweep(node):
     return out
 
 
+_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+# YAML 1.2's core schema; the int form is tried first, as "10" is both
+_YAML12_INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
+_YAML12_FLOAT = re.compile(
+    r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+    r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
+)
+
+
 def load_config(path) -> ExperimentConfig:
     """Read a config file onto the dataclasses; empty file means all defaults."""
     import yaml  # here, not at the top: a run without a file never needs it
@@ -240,13 +259,23 @@ def load_config(path) -> ExperimentConfig:
                     keys.append(key)
             return super().construct_mapping(node, deep)
 
-    # YAML 1.1 reads a float only with a point and a signed exponent, so
-    # 1e-3 and 1.0e9 would load as strings; YAML 1.2 reads them as floats
-    Loader.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-        list("-+.0123456789"),
-    )
+    # YAML 1.2's number forms in place of YAML 1.1's (see the module docstring)
+    Loader.yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag not in (_INT, _FLOAT)]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
+    Loader.add_implicit_resolver(_INT, _YAML12_INT, list("-+0123456789"))
+    Loader.add_implicit_resolver(_FLOAT, _YAML12_FLOAT, list("-+.0123456789"))
+
+    def construct_int(loader, node):
+        # an explicit !!int too, so that no YAML 1.1 form gets through
+        text = loader.construct_scalar(node)
+        if not _YAML12_INT.match(text):
+            raise yaml.constructor.ConstructorError(
+                None, None, f"not a YAML 1.2 integer: {text!r}", node.start_mark)
+        return int(text, {"0o": 8, "0x": 16}.get(text[:2], 10))
+
+    Loader.add_constructor(_INT, construct_int)
 
     try:
         text = Path(path).read_text(encoding="utf-8")

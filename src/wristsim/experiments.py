@@ -33,7 +33,7 @@ from ._rules import (COUNT, ConfigError, NON_NEGATIVE, NUMBER, POSITIVE, TARGET_
                      check_fields, param)
 from .dynamics import BodyModel, gravity_torque, plant_constants
 from .planner import BandParams, ReachProfile, reach_duration
-from .rotations import X_AXIS, euler_xyz_from_quat, pointing_quat, rotate_vec
+from .rotations import X_AXIS, pointing_quat, rotate_vec
 
 
 class PointerParallelError(ValueError):
@@ -397,9 +397,12 @@ class PlaneFit:
 def extract_listing(quats: np.ndarray) -> ListingSurface:
     """Intrinsic x-y-z Euler decomposition of an (n, 4) quaternion stream.
 
-    Samples inside the gimbal-lock guard band are excluded and counted.
+    The angles are :func:`~.rotations.euler_xyz_from_quat`'s, bit for bit,
+    computed in the compiled library (:func:`~._kernel.euler_xyz`), which
+    refuses a quaternion that is not finite with ``ValueError``.  Samples
+    inside the gimbal-lock guard band are excluded and counted.
     """
-    angles, locked = euler_xyz_from_quat(quats)
+    angles, locked = _kernel.euler_xyz(quats)
     theta_x, theta_y, theta_z = angles[~locked].T
     if not theta_x.size:
         raise ValueError("no usable samples outside the gimbal guard band")

@@ -17,8 +17,10 @@ compiled kernel (``_kernel.c``).  The other quaternion functions take one
 quaternion or an (n, 4) stack through one body.  The ``asin``/``atan2`` of
 the Euler, angle and torsion laws stay on libm, element by element, as
 numpy's own ``arcsin``/``arctan2`` differ from libm in the last ulp on some
-inputs.  Of these, only :func:`euler_xyz_from_quat` produces CSV bytes (the
-listing files); :func:`quat_angle` feeds the ``--check`` text through
+inputs.  :func:`euler_xyz_from_quat` is the law that the compiled Listing
+extraction (``_kernel.euler_xyz``) repeats bit for bit to write the listing
+files, and the one that ``--check``'s Euler round trip runs, so ``--check``
+needs no compiler; :func:`quat_angle` feeds the ``--check`` text through
 :func:`quat_angle_between`, and neither ``run`` nor ``--check`` calls
 :func:`torsion_about_pointer`.  :func:`quat_from_euler_xyz` feeds no output
 file and uses numpy's ``cos``/``sin``.

@@ -17,7 +17,8 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
   on a point mass, and :func:`vdp_equivalent_mu` matches it to a van der
   Pol oscillator; the release analysis of the acceptance criterion A7.
 * :func:`euler_xyz_scalar` is the Euler decomposition of one quaternion on
-  ``math``; ``euler_xyz_from_quat`` must reproduce it bit for bit on stacks.
+  ``math``; ``euler_xyz_from_quat`` and the compiled ``_kernel.euler_xyz``
+  must reproduce it bit for bit on stacks.
 * :func:`savetxt` is the CSV writer through ``np.savetxt`` and
   :func:`trajectory_table` the trajectory as one stacked table;
   ``write_csv`` and ``write_trajectory`` must reproduce its bytes.

@@ -1,18 +1,26 @@
 """Config parsing, condition expansion, and the command-line contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wristsim._rules import (BOOLEAN, COUNT, NON_EMPTY_STRING, NON_NEGATIVE, NON_NEGATIVE_INT,
+                             NUMBER, POSITIVE, STRING, VECTOR, rules)
 from wristsim.cli import LISTING_COLUMNS, TRAJECTORY_COLUMNS, main
 from wristsim.config import (
     MAX_SAMPLES,
@@ -220,6 +228,22 @@ def test_retune_reach_ending_before_its_steps_exits_2(tmp_path, capsys, section)
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "band: {max_accel: 1.7976931348623157e+308}\ntask: {dwell: 0}\n",
+    "task: {radius: 5.0e-324, dwell: 0}\n",
+], ids=["max_accel", "radius"])
+def test_clock_legs_that_take_no_time_exit_2(tmp_path, capsys, text):
+    """A reach rate that overflows makes a 0 s reach; with no dwell the clock
+    schedule would last 0 s, which the config refuses by its keys before
+    anything is written."""
+    cfg = write(tmp_path, text + "conditions: [{name: a}]\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "clock condition 'a': its legs take no time" in err
+    assert "task.radius" in err and "band.max_accel" in err and "task.dwell" in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_short_reach_is_accepted_without_a_retune_condition(tmp_path):
     cfg = load_config(write(tmp_path, "task:\n  radius: 0.05\nconditions:\n  - name: a\n"))
     assert cfg.task.radius == 0.05
@@ -306,6 +330,32 @@ def test_numbers_in_exponent_form_load_as_floats(tmp_path, number):
     # so such a name is a number, and no name
     with pytest.raises(ConfigError, match=r"conditions\[0\]\.name"):
         load_config(write(tmp_path, f"conditions: [{{name: {number}}}]\n"))
+
+
+@pytest.mark.parametrize("number, value", [
+    ("010", 10), ("+010", 10), ("0o10", 8),
+    ("0x8", 8),  # as YAML 1.1 reads it too: hex keeps its value
+], ids=["leading-zero", "signed-leading-zero", "octal", "hex"])
+def test_integers_load_as_yaml_1_2_reads_them(tmp_path, number, value):
+    """YAML 1.1 reads ``010`` as eight and refuses ``0o10``; the loader reads
+    integers as YAML 1.2 does."""
+    seed = load_config(write(tmp_path, f"seed: {number}\n")).seed
+    assert type(seed) is int and seed == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed: 1_000", "seed: must be a non-negative integer, got '1_000'"),
+    ("seed: 0b11", "seed: must be a non-negative integer, got '0b11'"),
+    ("task: {dwell: 1:30}", "task.dwell: must be a non-negative number, got '1:30'"),
+    ("task: {dwell: 1:30.0}", "task.dwell: must be a non-negative number, got '1:30.0'"),
+    ("task: {dwell: 1_0.5}", "task.dwell: must be a non-negative number, got '1_0.5'"),
+], ids=["separated-int", "binary", "sexagesimal", "sexagesimal-float", "separated-float"])
+def test_yaml_1_1_number_forms_are_refused(tmp_path, text, message):
+    """YAML 1.1 reads these as 1000, 3, 90, 90.0 and 10.5; YAML 1.2 reads
+    them as strings, which the field's rule refuses with the dotted key
+    (``wristsim run`` exits 2)."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(write(tmp_path, text + "\n"))
 
 
 def test_explicit_conditions(tmp_path):
@@ -685,6 +735,42 @@ def test_cli_check_flag_runs_invariant_suite(capsys):
     assert capsys.readouterr().out.splitlines() == CHECK_LINES_SEED_0
 
 
+# runs wristsim.cli.main(argv[2:]) with argv[1] as the C compiler
+NO_COMPILER = (
+    "import sys, sysconfig\n"
+    "get_config_var = sysconfig.get_config_var\n"
+    "sysconfig.get_config_var = lambda name: (\n"
+    "    sys.argv[1] if name == 'CC' else get_config_var(name))\n"
+    "from wristsim.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def test_check_needs_no_compiler_but_a_run_does(tmp_path):
+    """In a fresh process with an empty build cache and no C compiler,
+    ``--check`` prints its seed-0 lines and exits 0, while a run exits 1
+    naming the missing compiler and writes no summary."""
+    root = Path(__file__).resolve().parents[1]
+    cache, out = tmp_path / "cache", tmp_path / "res"
+    cache.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "XDG_CACHE_HOME": str(cache)}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-c", NO_COMPILER, str(tmp_path / "no-such-cc"), "run", *args],
+            env=env, capture_output=True, text=True,
+        )
+
+    check = run("--check")
+    assert (check.returncode, check.stdout.splitlines()) == (0, CHECK_LINES_SEED_0)
+    assert list(cache.iterdir()) == []
+    proc = run(str(write(tmp_path, QUICK)), "--out", str(out))
+    assert proc.returncode == 1
+    assert "no C compiler" in proc.stderr
+    assert not (out / "summary.json").exists() and not (out / "quick").exists()
+    assert list((cache / "wristsim").iterdir()) == []
+
+
 def trace_run(tmp_path, args):
     """Run ``wristsim`` under the out-of-package tracer; its stdout and trace."""
     root = Path(__file__).resolve().parents[1]
@@ -752,3 +838,137 @@ def test_trace_cli_attributes_each_condition(tmp_path):
             data["counts"],
         ))
     assert shapes[0] == shapes[1]
+
+
+# ---------------------------------------------------------------------------
+# every config exits 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+BIG, TINY = sys.float_info.max, 5e-324
+#: per rule: values at its edges that pass it, and values that fail it
+EDGES = {
+    POSITIVE: ([TINY, 1, BIG], [0, -1.0, math.inf, math.nan, "1", True, None]),
+    NON_NEGATIVE: ([0, -0.0, BIG], [-TINY, -math.inf, math.nan, "0", False]),
+    COUNT: ([1], [0, -1, 1.5, 2.0, True, "2"]),
+    NON_NEGATIVE_INT: ([0, 2**64], [-1, 0.5, False, "0"]),
+    NUMBER: ([-0.0, BIG, -BIG], [math.inf, math.nan, "0", None]),
+    VECTOR: ([[0, 0, 0], [-0.0, TINY, BIG]], [[1, 2], [1, 2, "3"], [1, 2, math.nan], 3]),
+    BOOLEAN: ([True, False], [1, "true", None]),
+    STRING: ([""], [5, None, ["a"]]),
+    NON_EMPTY_STRING: (["-"], ["", 5]),
+}
+#: the sections of a file and the dataclass whose rules each one's keys follow
+FILE_SECTIONS = {"body": BodyModel, "band": BandParams, "task": ClockTask, "sim": SimOptions}
+# a condition's torsion is written in degrees
+CONDITION_RULES = {**rules(Condition), "torsion_deg": NUMBER}
+del CONDITION_RULES["torsion"]
+#: a key path of the file: a section's key, a condition's, or a top-level one
+DOTTED_KEY = re.compile(
+    "|".join(
+        [rf"\b{name}\.{key}\b" for name, cls in FILE_SECTIONS.items() for key in rules(cls)]
+        + [rf"conditions\[\d+\]\.{key}\b" for key in CONDITION_RULES]
+        + [rf"\b{key}: " for key in rules(ExperimentConfig)]
+    )
+)
+
+
+def tiny_value(path, rule, default):
+    """A value that passes ``rule`` and keeps the trial small: at most two
+    targets with no dwell, and the other numbers near their defaults."""
+    fixed = {"task.n_targets": st.integers(1, 2), "task.dwell": st.just(0),
+             "sim.substeps": st.integers(1, 10)}
+    if path in fixed:
+        return fixed[path]
+    if rule is VECTOR:
+        return st.floats(0.5, 2.0).map(lambda s: [s * c for c in default])
+    if rule is POSITIVE:
+        return st.floats(0.5, 2.0).map(lambda s: s * default)
+    return {NUMBER: st.floats(-45.0, 45.0), BOOLEAN: st.booleans(),
+            NON_NEGATIVE_INT: st.integers(0, 2**32)}[rule]
+
+
+@st.composite
+def configs(draw, elsewhere):
+    """A config mapping with every key of every section and one or two
+    conditions, from each key's rule: values that pass it, then up to two
+    keys at an edge of their rule and maybe one key failing it."""
+    doc, leaves = {}, []  # leaves: (mapping, key, rule)
+
+    def fill(node, prefix, key_rules, defaults):
+        for key, rule in key_rules.items():
+            node[key] = draw(tiny_value(f"{prefix}{key}", rule, defaults.get(key)))
+            leaves.append((node, key, rule))
+
+    for name, cls in FILE_SECTIONS.items():
+        doc[name] = {}
+        fill(doc[name], f"{name}.", rules(cls), {f.name: f.default for f in fields(cls)})
+    doc["conditions"] = []
+    for name in draw(st.lists(st.sampled_from(["first", "second"]), min_size=1, unique=True)):
+        kind = draw(st.sampled_from(["clock", "retune"]))
+        cond = {"name": name, "kind": kind}
+        # a retune condition runs its own stiffness and torsion schedule
+        keys = ("gravity",) if kind == "retune" else ("gravity", "stiffness", "torsion_deg")
+        fill(cond, "", {k: CONDITION_RULES[k] for k in keys},
+             {"stiffness": Condition.stiffness})
+        leaves += [(cond, "name", STRING), (cond, "kind", STRING)]
+        doc["conditions"].append(cond)
+    doc["seed"] = draw(tiny_value("seed", NON_NEGATIVE_INT, 0))
+    doc["output_dir"] = elsewhere  # --out overrides it
+    leaves += [(doc, "seed", NON_NEGATIVE_INT), (doc, "output_dir", NON_EMPTY_STRING)]
+    for _ in range(draw(st.integers(0, 2))):
+        node, key, rule = draw(st.sampled_from(leaves))
+        node[key] = draw(st.sampled_from(EDGES[rule][0]))
+    if draw(st.booleans()):
+        node, key, rule = draw(st.sampled_from(leaves))
+        node[key] = draw(st.sampled_from(EDGES[rule][1]))
+    return doc
+
+
+def assert_finite_files(folder):
+    for path in folder.glob("*.csv"):
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert table.size and np.isfinite(table).all(), path
+    for path in folder.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path}: {name}"))
+
+
+# the same 100 examples on every run, so that the suite's verdict does not
+# vary between runs; a wider search raises max_examples and drops derandomize
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_every_config_exits_0_1_or_2(data):
+    """A config built from the field rules, with tiny tasks, ends in exit 0
+    with finite files, exit 1 with every earlier condition complete and no
+    summary, or exit 2 naming a key path and writing nothing."""
+    import yaml
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = data.draw(configs(str(tmp / "elsewhere")))
+        cfg, out = write(tmp, yaml.safe_dump(doc, sort_keys=False)), tmp / "res"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(cfg), "--out", str(out)])
+        err = err.getvalue()
+        assert not (tmp / "elsewhere").exists()
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert DOTTED_KEY.search(err), err
+            assert sorted(tmp.iterdir()) == [cfg], err
+            return
+        names = [c["name"] for c in doc["conditions"]]
+        written = [name for name in names if (out / name).exists()]
+        assert written == names[:len(written)]
+        if code == 1:
+            assert err.startswith("wristsim: simulation failed: "), err
+            assert not (out / "summary.json").exists()
+            # the condition that failed may have a folder; each one before it is whole
+            for name in written[:-1]:
+                assert sorted(p.name for p in (out / name).iterdir()) == sorted(CONDITION_FILES)
+                assert_finite_files(out / name)
+            return
+        assert err == "" and written == names
+        for name in names:
+            assert sorted(p.name for p in (out / name).iterdir()) == sorted(CONDITION_FILES)
+            assert_finite_files(out / name)
+        assert_finite_files(out)

@@ -1,5 +1,6 @@
 """The compiled library: the trial kernel bit-identical to the Python loop,
-the CSV formatter byte-identical to ``%.17g``, and its build cache."""
+the Euler decomposition bit-identical to the Python Euler law, the CSV
+formatter byte-identical to ``%.17g``, and its build cache."""
 
 import ctypes
 import dataclasses
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import savetxt, simulate_scalar, trajectory_table
+from oracles import euler_xyz_scalar, savetxt, simulate_scalar, trajectory_table
 from wristsim import _kernel
 from wristsim.cli import TRAJECTORY_COLUMNS, write_csv, write_trajectory
 from wristsim.dynamics import BodyModel, plant, plant_constants
@@ -26,11 +27,13 @@ from wristsim.experiments import (
     ParamSchedule,
     build_clock_schedule,
     build_retune_schedule,
+    extract_listing,
     run_trial,
 )
 from wristsim.fic import DEADBAND, branch_step, branch_torque
 from wristsim.planner import ReachProfile
-from wristsim.rotations import pointing_quat
+from wristsim.rotations import (euler_xyz_from_quat, pointing_quat, quat_from_euler_xyz,
+                                quat_normalize)
 
 RECORDS = ("plan_pos", "quat_des", "quat", "omega", "tau_cmd", "err_angle", "disp_max")
 
@@ -211,6 +214,55 @@ def test_plant_law(mass, size, com, gravity, q, omega, tau):
     laws().wristsim_law_plant(np.array(plant_constants(body)), np.array([*q, *omega]),
                               np.array(tau), out)
     assert out.tobytes() == bits(plant(body)(*q, *omega, *tau))
+
+
+def test_euler_law_matches_the_python_laws():
+    """The compiled Euler decomposition equals the stack law and the
+    per-sample libm law bit for bit, angles and lock flags, on random poses,
+    poses at and near gimbal lock, poses whose r02 rounds past +-1, and
+    signed zeros."""
+    rng = np.random.default_rng(2718)
+    random = quat_normalize(rng.normal(size=(100_000, 4)))
+    # pitch at +-90 deg, and on both sides of the guard band around it
+    pitch = np.array([s * (0.5 * math.pi - d) for s in (1.0, -1.0)
+                      for d in (0.0, 1e-7, -1e-7, 3e-8, 1e-6, 2e-6, 1e-3)])
+    roll, yaw = rng.uniform(-math.pi, math.pi, size=(2, 200 * len(pitch)))
+    near_lock = quat_from_euler_xyz(roll, np.repeat(pitch, 200), yaw)
+    half = math.sqrt(0.5)
+    zeros = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, -0.0, -0.0, -0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [half, 0.0, half, 0.0],
+                      [half, 0.0, -half, 0.0], [half, -0.0, half, -0.0]])
+    quats = np.vstack([random, near_lock, zeros, -random[:1000], -near_lock, -zeros])
+    w, x, y, z = quats.T
+    r02 = 2.0 * (x * z + w * y)
+    assert (r02 > 1.0).any() and (r02 < -1.0).any()  # the clamp is taken both ways
+
+    angles, locked = _kernel.euler_xyz(quats)
+    assert angles.shape == (len(quats), 3) and locked.dtype == bool
+    want_angles, want_locked = euler_xyz_from_quat(quats)
+    assert angles.tobytes() == want_angles.tobytes()  # also the sign of zeros
+    assert locked.tobytes() == want_locked.tobytes()
+    rows = [euler_xyz_scalar(q) for q in quats.tolist()]
+    assert angles.tobytes() == bits([ang for ang, _ in rows])
+    assert locked.tolist() == [lock for _, lock in rows]
+    assert 0 < np.count_nonzero(locked[:len(random) + len(near_lock)]) < len(near_lock)
+
+
+@pytest.mark.parametrize("bad", [
+    [math.nan, 0.0, 0.0, 0.0], [1.0, math.inf, 0.0, 0.0], [0.5, 0.5, 0.5, -math.inf],
+    [1e200, 1e200, 1e200, 1e200],  # finite, but its products overflow into NaN
+], ids=["nan", "inf", "minus-inf", "overflow"])
+def test_euler_law_refuses_what_has_no_angles(bad):
+    """A quaternion that is not finite, or whose angles would not be
+    numbers, is refused by name, where the Python law returns angles for
+    it, NaN or not."""
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
+    quats[3] = bad
+    for call in (_kernel.euler_xyz, extract_listing):
+        with pytest.raises(ValueError, match="quaternion 3 has no Euler angles"):
+            call(quats)
+    with pytest.raises(ValueError, match=r"an \(n, 4\) quaternion stack"):
+        _kernel.euler_xyz(quats[0])
 
 
 def test_missing_or_failing_compiler_raises_named_error(tmp_path, monkeypatch):
