@@ -14,7 +14,6 @@ from .rotations import (
     euler_xyz_from_quat,
     project_to_sphere,
     quat_from_euler_xyz,
-    torsion_about_pointer,
 )
 from .dynamics import BodyModel, gravity_torque, integrate_step
 from .planner import BandParams, reach_duration
@@ -61,6 +60,5 @@ __all__ = [
     "reach_duration",
     "run_checks",
     "run_trial",
-    "torsion_about_pointer",
     "__version__",
 ]

@@ -3,7 +3,9 @@
 A parameter dataclass declares each checked field with :func:`param`,
 naming its rule, and calls :func:`check_fields` from ``__post_init__``. A
 value that fails raises :class:`ConfigError` as ``"<field>: <rule>, got
-<value>"``; the YAML loader prepends the field's dotted path in the file.
+<value>"``, and a check of several fields names them all before the colon,
+``"<field>, <field>: <reason>"``; the YAML loader prepends each field's
+dotted path in the file.
 """
 
 from __future__ import annotations

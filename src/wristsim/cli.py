@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -33,7 +34,6 @@ from .checks import run_checks
 from .config import Condition, ConfigError, ExperimentConfig, load_config
 from .experiments import (
     RankDeficientError,
-    SimulationError,
     Trajectory,
     build_clock_schedule,
     build_retune_schedule,
@@ -166,27 +166,49 @@ def write_json(path: Path, data) -> None:
     path.write_text(text + "\n")
 
 
-def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
-                   writer: Executor, jobs: list[Future]) -> dict:
-    """Simulate ``cond`` and write its four files.  ``jobs`` holds the
-    previous condition's row jobs: they are waited for, raising the first
-    error, before ``cond``'s folder is made, and then replaced by the jobs
-    that write the rows of its three CSVs on ``writer``."""
+class ConditionError(Exception):
+    """A failure while simulating, measuring or writing one condition: the
+    message names the condition, and ``__cause__`` is the failure itself."""
+
+
+@contextmanager
+def failing_as(name: str):
+    """Raise an error of the block as a :class:`ConditionError` of ``name``."""
     try:
-        traj = simulate_condition(cond, cfg)
-    except SimulationError as exc:
-        raise SimulationError(f"{cond.name}: {exc}") from exc
-    for job in jobs:
-        job.result()
+        yield
+    except Exception as exc:
+        raise ConditionError(f"{name}: {exc}") from exc
+
+
+def wait_for(jobs: list[tuple[str, Future]]) -> None:
+    """Wait for each ``(condition name, row job)`` of ``jobs`` and empty the
+    list; the first error raises as that condition's."""
+    for name, job in jobs:
+        with failing_as(name):
+            job.result()
     jobs.clear()
-    cond_dir = out_root / cond.name
-    cond_dir.mkdir(parents=True, exist_ok=True)
-    jobs.append(write_trajectory(cond_dir / "trajectory.csv", traj, writer))
-    measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
-    jobs.append(write_listing(cond_dir / "listing_measured.csv", measured, writer))
-    jobs.append(write_listing(cond_dir / "listing_desired.csv", desired, writer))
-    metrics = condition_metrics(cond, cfg, traj, measured, desired)
-    write_json(cond_dir / "metrics.json", metrics)
+
+
+def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
+                   writer: Executor, jobs: list[tuple[str, Future]]) -> dict:
+    """Simulate ``cond`` and write its four files.  ``jobs`` holds the
+    previous condition's row jobs: they are waited for before ``cond``'s
+    folder is made, and then replaced by the jobs that write the rows of its
+    three CSVs on ``writer``.  Every error raises as a
+    :class:`ConditionError` of the condition it belongs to."""
+    with failing_as(cond.name):
+        traj = simulate_condition(cond, cfg)
+    wait_for(jobs)
+    with failing_as(cond.name):
+        cond_dir = out_root / cond.name
+        cond_dir.mkdir(parents=True, exist_ok=True)
+        jobs.append((cond.name, write_trajectory(cond_dir / "trajectory.csv", traj, writer)))
+        measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
+        for surface, name in ((measured, "listing_measured.csv"),
+                              (desired, "listing_desired.csv")):
+            jobs.append((cond.name, write_listing(cond_dir / name, surface, writer)))
+        metrics = condition_metrics(cond, cfg, traj, measured, desired)
+        write_json(cond_dir / "metrics.json", metrics)
     return metrics
 
 
@@ -215,8 +237,7 @@ def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
                     f"+-{metrics['effort_std_Nm']:.3f}Nm"
                 )
         finally:
-            for job in jobs:
-                job.result()
+            wait_for(jobs)
     write_json(out_root / "summary.json", summary)
     return 0
 
@@ -267,10 +288,12 @@ def main(argv=None) -> int:
         if args.check:
             return run_check_suite(cfg.seed)
         return run_and_emit(cfg, only=args.condition)
-    except (ConfigError, OSError) as exc:
-        print(f"wristsim: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # simulation failure: report, nonzero exit
+    except Exception as exc:
+        cause = exc.__cause__ if isinstance(exc, ConditionError) else exc
+        if isinstance(cause, (ConfigError, OSError)):
+            print(f"wristsim: {exc}", file=sys.stderr)
+            return 2
+        # simulation failure: report, nonzero exit
         print(f"wristsim: simulation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -184,11 +184,14 @@ def _check_keys(node, allowed, path):
 
 
 def _build(cls, kwargs, path):
-    """``cls(**kwargs)``, with the dotted ``path`` prepended to a field's error."""
+    """``cls(**kwargs)``, with the dotted ``path`` prepended to each field an
+    error names before its colon."""
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"{path}{exc}") from None
+        keys, colon, reason = str(exc).partition(": ")
+        dotted = ", ".join(path + key for key in keys.split(", "))
+        raise ConfigError(f"{dotted}{colon}{reason}") from None
 
 
 def _parse_condition(node, index):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import POSITIVE, VECTOR, check_fields, param
+from ._rules import POSITIVE, VECTOR, ConfigError, check_fields, param
 from .rotations import to_body
 
 GRAVITY_DEFAULT = (0.0, 0.0, -9.81)
@@ -63,6 +63,31 @@ class BodyModel:
         check_fields(self)
         object.__setattr__(self, "com_offset", tuple(float(c) for c in self.com_offset))
         object.__setattr__(self, "gravity", tuple(float(g) for g in self.gravity))
+        # the plant inverts the inertia about the joint and adds the gravity moment
+        shape = "mass, length, width, thickness, com_offset"
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                inertia = self.inertia
+        except OverflowError:  # the square of a side is past the float range
+            inertia = np.full((3, 3), math.inf)
+        if not np.isfinite(inertia).all():
+            raise ConfigError(f"{shape}: the inertia about the joint is not finite")
+        # Sylvester's criterion on the inertia scaled to a largest entry of 1;
+        # the inverse's largest entry is the largest cofactor / det / scale
+        scale = float(np.abs(inertia).max())
+        (a, b, c), (_, d, e), (_, _, f) = (inertia / (scale or 1.0)).tolist()
+        cof = (d * f - e * e, c * e - b * f, b * e - c * d,
+               a * f - c * c, b * c - a * e, a * d - b * b)
+        det = a * cof[0] + b * cof[1] + c * cof[2]
+        if not (a > 0.0 and cof[5] > 0.0 and det > 0.0):
+            raise ConfigError(f"{shape}: the inertia about the joint is not positive definite")
+        if not math.isfinite(max(map(abs, cof)) / det / scale):
+            raise ConfigError(f"{shape}: the inverse of the inertia about the joint "
+                              "is not finite")
+        if not math.isfinite(self.mass * math.hypot(*self.gravity)
+                             * math.hypot(*self.com_offset)):
+            raise ConfigError("mass, gravity, com_offset: the gravity moment m*|g|*|c| "
+                              "overflows the float range")
 
     @property
     def inertia(self) -> np.ndarray:

@@ -86,13 +86,11 @@ class ClockTask:
         out[:, 2] = self.radius * np.sin(angles)
         return out
 
-    def position(self, index: int) -> np.ndarray:
-        """Target position by index; -1 addresses the circle center."""
-        if not -1 <= index < self.n_targets:
-            raise ConfigError(f"target index {index} out of range for {self.n_targets} targets")
-        if index < 0:
-            return self.center
-        return self.targets[index]
+    @property
+    def positions(self) -> np.ndarray:
+        """The targets, then the center as the last row, so that a target
+        index (-1 for the center) selects its row."""
+        return np.vstack([self.targets, self.center])
 
 
 def _in_force(breaks, times):
@@ -106,9 +104,9 @@ class ParamSchedule:
     """Piecewise-constant controller parameters and target sequence.
 
     Breakpoints are ``(time, value)`` pairs; each value holds from its time
-    until the next breakpoint.  Target values index :class:`ClockTask`
-    targets, with -1 for the center; before the first target breakpoint the
-    plan holds the center.
+    until the next breakpoint.  A target value selects a row of
+    :attr:`ClockTask.positions`: k is target k and -1 the center, its last
+    row; before the first target breakpoint the plan holds the center.
     """
 
     duration: float = param(POSITIVE)
@@ -237,8 +235,9 @@ class Trajectory:
     err_angle: np.ndarray
     disp_max: np.ndarray
     stiffness: np.ndarray
-    #: scheduled target per sample: a :class:`ClockTask` index, -1 for the
-    #: center (also before the first target breakpoint)
+    #: scheduled target per sample, a row of :attr:`ClockTask.positions`:
+    #: k for target k, -1 for the center (also before the first target
+    #: breakpoint)
     target: np.ndarray
 
     def __len__(self) -> int:
@@ -259,14 +258,14 @@ def pointer_intersection(q: np.ndarray, plane_distance: float) -> np.ndarray:
     return plane_distance / ray[..., :1] * ray
 
 
-def _leg_table(times, target_break, targets, task, band):
+def _leg_table(times, target_break, targets, positions, band):
     """The plan's reach legs: the sample each takes over at and its row.
 
     The first leg holds the center from the start.  A new leg starts from
     the previous leg's planned position whenever the scheduled target
     changes; the plan never reads the measured state.
     """
-    leg = ReachProfile.from_rest(task.center, task.center, band, 0.0)
+    leg = ReachProfile.from_rest(positions[-1], positions[-1], band, 0.0)
     starts, legs = [0], [leg]
     current = None
     for k in np.flatnonzero(np.diff(target_break, prepend=-1)):
@@ -274,7 +273,7 @@ def _leg_table(times, target_break, targets, task, band):
         if target == current:
             continue
         t_k = float(times[k])
-        leg = ReachProfile.from_rest(leg.position(t_k), task.position(target), band, t_k)
+        leg = ReachProfile.from_rest(leg.position(t_k), positions[target], band, t_k)
         starts.append(k)
         legs.append(leg)
         current = target
@@ -312,7 +311,10 @@ def run_trial(
     target_break = _in_force(schedule.target_breaks, times)
     # break -1 (no target yet) picks the appended center
     target = np.array([*targets, -1])[target_break]
-    leg_start, legs = _leg_table(times, target_break, targets, task, band)
+    beyond = target[target >= task.n_targets]
+    if beyond.size:
+        raise ConfigError(f"target index {beyond[0]} out of range for {task.n_targets} targets")
+    leg_start, legs = _leg_table(times, target_break, targets, task.positions, band)
     # initial state: at the plan start pose, at rest
     y0 = (*pointing_quat(*map(float, task.center), float(cr[0]), float(sr[0])),
           0.0, 0.0, 0.0)
@@ -370,10 +372,9 @@ def compute_metrics(traj: Trajectory) -> TrialMetrics:
 
 
 def target_rmse(traj: Trajectory, task: ClockTask) -> tuple[float, float]:
-    """Alternative error: pointer against the scheduled target position
-    (``traj.target`` indexes ``[targets; center]``)."""
-    table = np.vstack([task.targets, task.center])
-    return _rmse_yz(traj.pointer - table[traj.target])
+    """Alternative error: pointer against the scheduled target position,
+    the row of :attr:`ClockTask.positions` that ``traj.target`` selects."""
+    return _rmse_yz(traj.pointer - task.positions[traj.target])
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ The laws of the trial kernel (:func:`pointing_quat`, :func:`to_body`) are
 written once on plain floats and repeated operation for operation in the
 compiled kernel (``_kernel.c``).  The other quaternion functions take one
 quaternion or an (n, 4) stack through one body.  The ``asin``/``atan2`` of
-the Euler, angle and torsion laws stay on libm, element by element, as
-numpy's own ``arcsin``/``arctan2`` differ from libm in the last ulp on some
-inputs.  :func:`euler_xyz_from_quat` is the law that the compiled Listing
-extraction (``_kernel.euler_xyz``) repeats bit for bit to write the listing
-files, and the one that ``--check``'s Euler round trip runs, so ``--check``
-needs no compiler; :func:`quat_angle` feeds the ``--check`` text through
-:func:`quat_angle_between`, and neither ``run`` nor ``--check`` calls
-:func:`torsion_about_pointer`.  :func:`quat_from_euler_xyz` feeds no output
+the Euler and angle laws stay on libm, element by element, as numpy's own
+``arcsin``/``arctan2`` differ from libm in the last ulp on some inputs.
+:func:`euler_xyz_from_quat` is the law that the compiled Listing extraction
+(``_kernel.euler_xyz``) repeats bit for bit to write the listing files, and
+the one that ``--check``'s Euler round trip runs, so ``--check`` needs no
+compiler; :func:`quat_angle` feeds the ``--check`` text through
+:func:`quat_angle_between`.  :func:`quat_from_euler_xyz` feeds no output
 file and uses numpy's ``cos``/``sin``.
 """
 
@@ -84,12 +83,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     if np.any(n < 1e-12):
         raise ValueError("cannot normalize a near-zero quaternion")
     return np.asarray(q, dtype=float) / n[..., None]
-
-
-def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Flip sign so the scalar part is non-negative (same rotation)."""
-    q = np.asarray(q, dtype=float)
-    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def to_body(qw, qx, qy, qz, vx, vy, vz):
@@ -160,8 +153,9 @@ def project_to_sphere(point, torsion: float = 0.0) -> np.ndarray:
     """Orientation that points the body x axis at ``point``.
 
     The pointer ray runs from the joint (the origin) to ``point``;
-    ``torsion`` rolls the body about it, so ``torsion_about_pointer``
-    recovers the angle exactly.  See :func:`pointing_quat`.
+    ``torsion`` rolls the body about it, composed last, so the roll is the
+    twist of the result's swing-twist split about +x.  See
+    :func:`pointing_quat`.
     """
     ox, oy, oz = map(float, point)
     if math.sqrt(ox * ox + oy * oy + oz * oz) <= 1e-9:
@@ -170,21 +164,6 @@ def project_to_sphere(point, torsion: float = 0.0) -> np.ndarray:
         )
     half = 0.5 * torsion
     return np.array(pointing_quat(ox, oy, oz, math.cos(half), math.sin(half)))
-
-
-def torsion_about_pointer(q: np.ndarray):
-    """Signed roll of the body about its own x axis, in (-pi, pi].
-
-    This is the twist angle of the swing-twist split about +x, which the
-    pointing projection composes last; pure swing rotations return 0.
-    ``q`` is one quaternion or an (n, 4) stack.
-    """
-    w, x, _, _ = quat_canonical(q).T
-    pure_swing = (np.abs(w) < 1e-15) & (np.abs(x) < 1e-15)
-    angle = 2.0 * _atan2(x, w)
-    # a half turn with a zero scalar part keeps its negative x: -pi is pi
-    angle = np.where(angle == -math.pi, math.pi, angle)
-    return np.where(pure_swing, 0.0, angle)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 * :func:`savetxt` is the CSV writer through ``np.savetxt`` and
   :func:`trajectory_table` the trajectory as one stacked table;
   ``write_csv`` and ``write_trajectory`` must reproduce its bytes.
+* :func:`torsion_about_pointer` reads the roll about the pointer back out
+  of a quaternion, through :func:`quat_canonical`; ``project_to_sphere``
+  and the trial's desired stream must carry the scheduled torsion.
 """
 
 import math
@@ -34,7 +37,7 @@ from wristsim.dynamics import integrate_step, plant, rk4_step, unit_quat_state
 from wristsim.experiments import SimulationError
 from wristsim.fic import branch_force, branch_step, branch_torque
 from wristsim.planner import ReachProfile
-from wristsim.rotations import GIMBAL_GUARD, pointing_quat
+from wristsim.rotations import GIMBAL_GUARD, _atan2, pointing_quat
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -61,6 +64,7 @@ def simulate_scalar(schedule, task, body, band, opts):
     dmax_rec = np.empty(n + 1)
 
     plant_rhs = plant(body)
+    positions = task.positions
     leg_position = ReachProfile.from_rest(task.center, task.center, band, 0.0).position
 
     def closed_loop(y, t):
@@ -85,7 +89,7 @@ def simulate_scalar(schedule, task, body, band, opts):
         t_k = times_f[k]
         if idx_stream[k] is not None and idx_stream[k] != cur_idx:
             leg_position = ReachProfile.from_rest(
-                leg_position(t_k), task.position(idx_stream[k]), band, t_k
+                leg_position(t_k), positions[idx_stream[k]], band, t_k
             ).position
             cur_idx = idx_stream[k]
             diverging, peak, prev = True, 0.0, 0.0
@@ -323,3 +327,25 @@ def trajectory_table(traj):
             traj.omega, traj.tau_cmd, traj.tau_grav, traj.pointer,
         ]
     )
+
+
+def quat_canonical(q):
+    """Flip sign so the scalar part is non-negative (same rotation), for one
+    quaternion or an (n, 4) stack."""
+    q = np.asarray(q, dtype=float)
+    return np.where(q[..., :1] < 0.0, -q, q)
+
+
+def torsion_about_pointer(q):
+    """Signed roll of the body about its own x axis, in (-pi, pi].
+
+    This is the twist angle of the swing-twist split about +x, which the
+    pointing projection composes last; pure swing rotations return 0.
+    ``q`` is one quaternion or an (n, 4) stack.
+    """
+    w, x, _, _ = quat_canonical(q).T
+    pure_swing = (np.abs(w) < 1e-15) & (np.abs(x) < 1e-15)
+    angle = 2.0 * _atan2(x, w)
+    # a half turn with a zero scalar part keeps its negative x: -pi is pi
+    angle = np.where(angle == -math.pi, math.pi, angle)
+    return np.where(pure_swing, 0.0, angle)[()]

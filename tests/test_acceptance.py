@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import simulate_release, vdp_equivalent_mu
+from oracles import simulate_release, torsion_about_pointer, vdp_equivalent_mu
 from wristsim.checks import run_checks
 from wristsim.experiments import (
     ParamSchedule,
@@ -38,7 +38,7 @@ from wristsim.experiments import (
     run_trial,
 )
 from wristsim.fic import branch_potential
-from wristsim.rotations import quat_angle_between, quat_mul, torsion_about_pointer
+from wristsim.rotations import quat_angle_between, quat_mul
 
 # (gravity, stiffness, torsion) of each clock run
 CLOCK_SPECS = {

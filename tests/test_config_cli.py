@@ -244,6 +244,37 @@ def test_clock_legs_that_take_no_time_exit_2(tmp_path, capsys, text):
     assert not (tmp_path / "res").exists()
 
 
+INERTIA_KEYS = "body.mass, body.length, body.width, body.thickness, body.com_offset: "
+
+
+@pytest.mark.parametrize("body, message", [
+    ("{mass: 5.0e-324}", INERTIA_KEYS + "the inertia about the joint is not positive definite"),
+    ("{length: 1.7976931348623157e+308}",
+     INERTIA_KEYS + "the inertia about the joint is not finite"),
+    ("{com_offset: [0, 0, 1.7976931348623157e+308]}",
+     INERTIA_KEYS + "the inertia about the joint is not finite"),
+    ("{mass: 1.0e-310}", INERTIA_KEYS + "the inverse of the inertia about the joint is not finite"),
+    ("{mass: 1.7976931348623157e+308}",
+     "body.mass, body.gravity, body.com_offset: the gravity moment m*|g|*|c| overflows"),
+], ids=["mass-tiny", "length-huge", "com_offset-huge", "mass-subnormal", "mass-huge"])
+def test_body_the_plant_cannot_take_exits_2(tmp_path, capsys, monkeypatch, body, message):
+    """A body whose inertia the plant cannot invert, or whose gravity moment
+    overflows, is refused by the keys that set it, before anything is
+    simulated or written."""
+    import wristsim.cli as cli
+
+    def never(cond, cfg):
+        raise AssertionError("a body the plant cannot take was simulated")
+
+    monkeypatch.setattr(cli, "simulate_condition", never)
+    cfg = write(tmp_path, f"body: {body}\nconditions: [{{name: a}}]\n")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_short_reach_is_accepted_without_a_retune_condition(tmp_path):
     cfg = load_config(write(tmp_path, "task:\n  radius: 0.05\nconditions:\n  - name: a\n"))
     assert cfg.task.radius == 0.05
@@ -457,20 +488,19 @@ def test_cli_runs_named_condition_into_out_dir(tmp_path, capsys):
     assert (out / "summary.json").is_file()
 
 
-def test_retune_condition_files_match_the_recorded_digests(tmp_path, capsys):
-    """The retune condition's four files are byte-identical to the digests
-    the benchmark recorded for the default battery."""
+def test_default_battery_files_match_the_recorded_digests(tmp_path, capsys):
+    """Every file of the default battery, the eight conditions' four each and
+    the summary, is byte-identical to the digest the benchmark recorded."""
     reference = json.loads(
         (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
     )
     out = tmp_path / "res"
-    assert main(["run", "--condition", "online_single_target", "--out", str(out)]) == 0
+    assert main(["run", "--out", str(out)]) == 0
     capsys.readouterr()
-    files = {
-        key: digest for key, digest in reference["battery"]["files"].items()
-        if key.startswith("online_single_target/")
-    }
-    assert len(files) == 4
+    files = reference["battery"]["files"]
+    assert len(files) == 33
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == sorted(files)
     for key, digest in files.items():
         assert hashlib.sha256((out / key).read_bytes()).hexdigest() == digest, key
 
@@ -711,7 +741,8 @@ def test_writer_error_is_not_lost(tmp_path, capsys, monkeypatch):
     out = tmp_path / "res"
     before = threading.active_count()
     assert main(["run", str(cfg), "--out", str(out)]) == 2
-    assert "wristsim: disk full" in capsys.readouterr().err
+    # the job was writing the first condition's rows, and is named for it
+    assert "wristsim: first: disk full" in capsys.readouterr().err
     assert threading.active_count() == before
     assert len(set(threads)) == 1 and threading.main_thread() not in threads
     assert not (out / "second").exists()
@@ -960,7 +991,9 @@ def test_every_config_exits_0_1_or_2(data):
         written = [name for name in names if (out / name).exists()]
         assert written == names[:len(written)]
         if code == 1:
-            assert err.startswith("wristsim: simulation failed: "), err
+            # the message names the condition that failed
+            assert any(err.startswith(f"wristsim: simulation failed: {name}: ")
+                       for name in names), err
             assert not (out / "summary.json").exists()
             # the condition that failed may have a folder; each one before it is whole
             for name in written[:-1]:

@@ -28,12 +28,8 @@ from wristsim.experiments import (
     target_rmse,
 )
 from wristsim.planner import ReachProfile, reach_duration
-from oracles import plan_reach
-from wristsim.rotations import (
-    project_to_sphere,
-    quat_norm,
-    torsion_about_pointer,
-)
+from oracles import plan_reach, torsion_about_pointer
+from wristsim.rotations import project_to_sphere, quat_norm
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +48,11 @@ def test_targets_sit_on_the_circle(task):
 
 
 def test_negative_index_addresses_center(task):
-    np.testing.assert_array_equal(task.position(-1), task.center)
-    np.testing.assert_array_equal(task.position(0), task.targets[0])
+    """A target index selects a row of the positions: the targets, then the
+    center as the last row."""
+    assert task.positions.shape == (9, 3)
+    np.testing.assert_array_equal(task.positions[-1], task.center)
+    np.testing.assert_array_equal(task.positions[:-1], task.targets)
 
 
 def test_task_validation():
@@ -135,6 +134,17 @@ def test_bad_target_index_is_a_config_error(task, body, band, opts, value, messa
     with pytest.raises(ConfigError, match=re.escape(message)):
         sched = ParamSchedule(duration=0.01, target_breaks=((0.0, value),))
         run_trial(sched, task, body, band, opts)
+
+
+def test_run_trial_builds_the_target_table_once(task, body, band, opts, monkeypatch):
+    """Preparing a clock trial is linear in its legs: the targets are built
+    once per trial, not once per out leg."""
+    calls = []
+    targets = ClockTask.targets.fget
+    monkeypatch.setattr(ClockTask, "targets",
+                        property(lambda self: calls.append(self) or targets(self)))
+    run_trial(build_clock_schedule(task, band), task, body, band, opts)
+    assert len(calls) == 1
 
 
 def test_clock_schedule_walks_out_and_back(task, band):

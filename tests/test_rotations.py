@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import euler_xyz_scalar
+from oracles import euler_xyz_scalar, quat_canonical, torsion_about_pointer
 from wristsim.cli import simulate_condition
 from wristsim.config import ExperimentConfig
 from wristsim.rotations import (
@@ -13,14 +13,12 @@ from wristsim.rotations import (
     euler_xyz_from_quat,
     project_to_sphere,
     quat_angle_between,
-    quat_canonical,
     quat_conj,
     quat_from_euler_xyz,
     quat_mul,
     quat_norm,
     quat_normalize,
     rotate_vec,
-    torsion_about_pointer,
 )
 
 
