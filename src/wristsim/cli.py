@@ -119,20 +119,9 @@ def write_listing(path: Path, surface, writer: Executor) -> Future:
     return write_csv(path, LISTING_COLUMNS, cloud, writer)
 
 
-def _plane_dict(fit) -> dict:
-    return {
-        "tilt_y": fit.tilt_y,
-        "tilt_z": fit.tilt_z,
-        "offset_rad": fit.offset,
-        "rms_residual_rad": fit.rms_residual,
-    }
-
-
 def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:
     """Scalar summary of one condition; ``measured`` and ``desired`` are its
     two Listing surfaces, extracted once by the caller."""
-    metrics = compute_metrics(traj)
-    rmse_ty, rmse_tz = target_rmse(traj, cfg.task)
     out = {
         "condition": cond.name,
         "kind": cond.kind,
@@ -140,16 +129,12 @@ def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:
         "stiffness_Nm_rad": cond.stiffness if cond.kind == "clock" else None,
         "torsion_rad": cond.torsion if cond.kind == "clock" else None,
         "samples": len(traj),
-        "rmse_y_m": metrics.rmse_y,
-        "rmse_z_m": metrics.rmse_z,
-        "rmse_target_y_m": rmse_ty,
-        "rmse_target_z_m": rmse_tz,
-        "effort_mean_Nm": metrics.effort_mean,
-        "effort_std_Nm": metrics.effort_std,
+        **compute_metrics(traj),
+        **target_rmse(traj, cfg.task),
     }
     for surface, key in ((measured, "plane_fit"), (desired, "plane_fit_desired")):
         try:
-            out[key] = _plane_dict(fit_plane(surface))
+            out[key] = fit_plane(surface)
         except RankDeficientError:
             out[key] = None
     if cond.kind == "retune":

@@ -10,11 +10,15 @@ with its line rather than letting the last one win.  Numbers are read as
 YAML 1.2 reads them: ``1e-3`` is a float, ``010`` is ten, ``0o10`` and
 ``0x8`` are eight, and YAML 1.1's binary (``0b11``), sexagesimal (``1:30``)
 and separated (``1_000``) forms are strings, which a number field refuses.
+Booleans are YAML 1.2's too: ``true`` and ``false`` (or ``True``, ``TRUE``,
+``False``, ``FALSE``), so YAML 1.1's ``yes``, ``no``, ``on`` and ``off`` are
+strings, which a boolean field refuses and a name takes.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
 file (``torsion_deg``) and carried in radians internally.  A condition whose
-trial would exceed :data:`MAX_SAMPLES` or :data:`MAX_RHS_EVALS` is refused.
+trial would exceed :data:`MAX_SAMPLES` (in samples or in schedule legs) or
+:data:`MAX_RHS_EVALS` is refused.
 """
 
 from __future__ import annotations
@@ -85,7 +89,8 @@ def default_conditions() -> list[Condition]:
 
 
 #: the largest trial a condition may ask for: about 2,000 s at the default
-#: 1 kHz (some 450 MB of trajectory arrays), and a few minutes of the kernel
+#: 1 kHz (some 450 MB of trajectory arrays) and as many schedule legs, and a
+#: few minutes of the kernel
 MAX_SAMPLES = 2_000_000
 MAX_RHS_EVALS = 1_000_000_000
 
@@ -130,11 +135,15 @@ class ExperimentConfig:
             )
         for cond in self.conditions:
             samples, evals = self.trial_size(cond)
-            if samples > MAX_SAMPLES or evals > MAX_RHS_EVALS:
+            # two legs per clock target (retune: out and back), each built and
+            # checked one by one, whatever sim.dt is
+            legs = 2 * self.task.n_targets if cond.kind == "clock" else 2
+            if max(samples, legs) > MAX_SAMPLES or evals > MAX_RHS_EVALS:
                 raise ConfigError(
-                    f"condition {cond.name!r} is too large to run: {samples:,.0f} samples "
-                    f"and {evals:,.0f} right-hand-side evaluations, where the cap is "
-                    f"{MAX_SAMPLES:,} samples and {MAX_RHS_EVALS:,} evaluations; lower "
+                    f"condition {cond.name!r} is too large to run: {samples:,.0f} samples, "
+                    f"{legs:,} legs and {evals:,.0f} right-hand-side evaluations, where the "
+                    f"cap is {MAX_SAMPLES:,} samples or legs and {MAX_RHS_EVALS:,} "
+                    f"evaluations; lower "
                     f"task.n_targets (now {self.task.n_targets}), task.dwell (now "
                     f"{self.task.dwell:g} s) or sim.substeps (now {self.sim.substeps}), "
                     f"or raise sim.dt (now {self.sim.dt:g} s)"
@@ -235,13 +244,15 @@ def _expand_sweep(node):
     return out
 
 
-_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_BOOL, _INT, _FLOAT = ("tag:yaml.org,2002:bool", "tag:yaml.org,2002:int",
+                       "tag:yaml.org,2002:float")
 # YAML 1.2's core schema; the int form is tried first, as "10" is both
 _YAML12_INT = re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$")
 _YAML12_FLOAT = re.compile(
     r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
     r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"
 )
+_YAML12_BOOL = re.compile(r"^(?:true|True|TRUE|false|False|FALSE)$")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -262,23 +273,27 @@ def load_config(path) -> ExperimentConfig:
                     keys.append(key)
             return super().construct_mapping(node, deep)
 
-    # YAML 1.2's number forms in place of YAML 1.1's (see the module docstring)
+    # YAML 1.2's number and boolean forms in place of YAML 1.1's (see the module docstring)
     Loader.yaml_implicit_resolvers = {
-        first: [(tag, regexp) for tag, regexp in resolvers if tag not in (_INT, _FLOAT)]
+        first: [(tag, regexp) for tag, regexp in resolvers if tag not in (_BOOL, _INT, _FLOAT)]
         for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
     }
     Loader.add_implicit_resolver(_INT, _YAML12_INT, list("-+0123456789"))
     Loader.add_implicit_resolver(_FLOAT, _YAML12_FLOAT, list("-+.0123456789"))
+    Loader.add_implicit_resolver(_BOOL, _YAML12_BOOL, list("tTfF"))
 
-    def construct_int(loader, node):
-        # an explicit !!int too, so that no YAML 1.1 form gets through
-        text = loader.construct_scalar(node)
-        if not _YAML12_INT.match(text):
-            raise yaml.constructor.ConstructorError(
-                None, None, f"not a YAML 1.2 integer: {text!r}", node.start_mark)
-        return int(text, {"0o": 8, "0x": 16}.get(text[:2], 10))
+    def strict(tag, pattern, kind, value):
+        # an explicit !!int or !!bool too, so that no YAML 1.1 form gets through
+        def construct(loader, node):
+            text = loader.construct_scalar(node)
+            if not pattern.match(text):
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"not a YAML 1.2 {kind}: {text!r}", node.start_mark)
+            return value(text)
+        Loader.add_constructor(tag, construct)
 
-    Loader.add_constructor(_INT, construct_int)
+    strict(_INT, _YAML12_INT, "integer", lambda t: int(t, {"0o": 8, "0x": 16}.get(t[:2], 10)))
+    strict(_BOOL, _YAML12_BOOL, "boolean", lambda t: t.lower() == "true")
 
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -23,6 +23,7 @@ derived after it are computed on the whole record at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +62,10 @@ class ClockTask:
     (the joint is the origin), evenly spaced starting from the top and
     walking counter-clockwise in the y-z plane.  ``dwell`` is the hold time
     inserted after each reach.
+
+    The metrics square the pointer's errors, so ``plane_distance + radius``
+    may be at most sqrt(float max), about 1.34e154 m, where an error as
+    large as the task (a pointer tilted 45 degrees) still squares finitely.
     """
 
     plane_distance: float = param(POSITIVE, 0.30)
@@ -70,6 +75,13 @@ class ClockTask:
 
     def __post_init__(self):
         check_fields(self)
+        largest = math.sqrt(sys.float_info.max)
+        if self.plane_distance + self.radius > largest:
+            raise ConfigError(
+                f"plane_distance, radius: their sum must be at most {largest:.4g} m, the "
+                f"largest pointer error whose square is finite, got {self.plane_distance!r} "
+                f"and {self.radius!r}"
+            )
 
     @property
     def center(self) -> np.ndarray:
@@ -348,33 +360,29 @@ def run_trial(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
-    rmse_y: float
-    rmse_z: float
-    effort_mean: float
-    effort_std: float
-
-
 def _rmse_yz(err: np.ndarray) -> tuple[float, float]:
     """Root-mean-square of the y and z columns of an (n, 3) error stack."""
     return tuple(float(np.sqrt(np.mean(err[:, i] ** 2))) for i in (1, 2))
 
 
-def compute_metrics(traj: Trajectory) -> TrialMetrics:
-    """Tracking error against the plan plus commanded-torque effort."""
+def compute_metrics(traj: Trajectory) -> dict:
+    """Tracking error against the plan plus commanded-torque effort, keyed as
+    in ``metrics.json``: ``rmse_y_m`` and ``rmse_z_m``, the pointer's RMS
+    error in m, and ``effort_mean_Nm`` and ``effort_std_Nm``, the mean and
+    standard deviation of the commanded torque's norm in N*m."""
     effort = np.linalg.norm(traj.tau_cmd, axis=1)
-    return TrialMetrics(
-        *_rmse_yz(traj.pointer - traj.plan_pos),
-        effort_mean=float(np.mean(effort)),
-        effort_std=float(np.std(effort)),
-    )
+    rmse_y, rmse_z = _rmse_yz(traj.pointer - traj.plan_pos)
+    return {"rmse_y_m": rmse_y, "rmse_z_m": rmse_z,
+            "effort_mean_Nm": float(np.mean(effort)), "effort_std_Nm": float(np.std(effort))}
 
 
-def target_rmse(traj: Trajectory, task: ClockTask) -> tuple[float, float]:
+def target_rmse(traj: Trajectory, task: ClockTask) -> dict:
     """Alternative error: pointer against the scheduled target position,
-    the row of :attr:`ClockTask.positions` that ``traj.target`` selects."""
-    return _rmse_yz(traj.pointer - task.positions[traj.target])
+    the row of :attr:`ClockTask.positions` that ``traj.target`` selects,
+    keyed as in ``metrics.json``: ``rmse_target_y_m`` and
+    ``rmse_target_z_m``, in m."""
+    rmse_y, rmse_z = _rmse_yz(traj.pointer - task.positions[traj.target])
+    return {"rmse_target_y_m": rmse_y, "rmse_target_z_m": rmse_z}
 
 
 @dataclass(frozen=True)
@@ -385,14 +393,6 @@ class ListingSurface:
     theta_z: np.ndarray
     theta_x: np.ndarray
     n_excluded: int = 0
-
-
-@dataclass(frozen=True)
-class PlaneFit:
-    tilt_y: float
-    tilt_z: float
-    offset: float
-    rms_residual: float
 
 
 def extract_listing(quats: np.ndarray) -> ListingSurface:
@@ -411,8 +411,11 @@ def extract_listing(quats: np.ndarray) -> ListingSurface:
                           n_excluded=int(np.count_nonzero(locked)))
 
 
-def fit_plane(surface: ListingSurface) -> PlaneFit:
-    """Least-squares plane theta_x = a*theta_y + b*theta_z + c."""
+def fit_plane(surface: ListingSurface) -> dict:
+    """Least-squares plane theta_x = a*theta_y + b*theta_z + c, keyed as in
+    ``metrics.json``: ``tilt_y`` (a) and ``tilt_z`` (b), both rad/rad,
+    ``offset_rad`` (c), and ``rms_residual_rad``, the RMS of the fit's
+    residual in rad."""
     design = np.column_stack(
         [surface.theta_y, surface.theta_z, np.ones_like(surface.theta_y)]
     )
@@ -422,9 +425,9 @@ def fit_plane(surface: ListingSurface) -> PlaneFit:
             "surface samples do not span a plane (collinear or too few)"
         )
     residual = design @ coef - surface.theta_x
-    return PlaneFit(
-        tilt_y=float(coef[0]),
-        tilt_z=float(coef[1]),
-        offset=float(coef[2]),
-        rms_residual=float(np.sqrt(np.mean(residual**2))),
-    )
+    return {
+        "tilt_y": float(coef[0]),
+        "tilt_z": float(coef[1]),
+        "offset_rad": float(coef[2]),
+        "rms_residual_rad": float(np.sqrt(np.mean(residual**2))),
+    }

@@ -54,7 +54,7 @@ CLOCK_SPECS = {
 class Run:
     schedule: ParamSchedule
     traj: Trajectory
-    metrics: object
+    metrics: dict
     runtime: float
 
 
@@ -87,11 +87,11 @@ def test_a1_gravity_off_baseline(battery):
     failed = report(
         "A1 gravity-off baseline",
         [
-            (m.rmse_y <= 2e-3, f"rmse_y={m.rmse_y * 1e3:.5f}mm (<=2mm)"),
-            (m.rmse_z <= 4e-3, f"rmse_z={m.rmse_z * 1e3:.5f}mm (<=4mm)"),
+            (m["rmse_y_m"] <= 2e-3, f"rmse_y={m['rmse_y_m'] * 1e3:.5f}mm (<=2mm)"),
+            (m["rmse_z_m"] <= 4e-3, f"rmse_z={m['rmse_z_m'] * 1e3:.5f}mm (<=4mm)"),
             (
-                0.05 <= m.effort_mean <= 0.55,
-                f"effort={m.effort_mean:.4f}Nm (in [0.05, 0.55])",
+                0.05 <= m["effort_mean_Nm"] <= 0.55,
+                f"effort={m['effort_mean_Nm']:.4f}Nm (in [0.05, 0.55])",
             ),
             (run.runtime < 60.0, f"runtime={run.runtime:.1f}s (<60s)"),
         ],
@@ -107,10 +107,10 @@ def test_a2_gravity_on_effort_rises(battery):
         "A2 gravity-on effort",
         [
             (
-                0.25 <= m.effort_mean <= 0.65,
-                f"effort={m.effort_mean:.4f}Nm (in [0.25, 0.65])",
+                0.25 <= m["effort_mean_Nm"] <= 0.65,
+                f"effort={m['effort_mean_Nm']:.4f}Nm (in [0.25, 0.65])",
             ),
-            (m.rmse_z <= 6e-3, f"rmse_z={m.rmse_z * 1e3:.5f}mm (<=6mm)"),
+            (m["rmse_z_m"] <= 6e-3, f"rmse_z={m['rmse_z_m'] * 1e3:.5f}mm (<=6mm)"),
             (
                 np.array_equal(run.traj.quat_des, ref.traj.quat_des)
                 and np.array_equal(run.traj.plan_pos, ref.traj.plan_pos),
@@ -128,9 +128,9 @@ def test_a3_stiffness_sweep(battery):
         10000.0: battery["g_on_K10000"].metrics,
     }
     ks = sorted(by_k)
-    ys = [by_k[k].rmse_y for k in ks]
-    zs = [by_k[k].rmse_z for k in ks]
-    efforts = [by_k[k].effort_mean for k in ks]
+    ys = [by_k[k]["rmse_y_m"] for k in ks]
+    zs = [by_k[k]["rmse_z_m"] for k in ks]
+    efforts = [by_k[k]["effort_mean_Nm"] for k in ks]
     spread = max(efforts) - min(efforts)
     failed = report(
         "A3 stiffness sweep",
@@ -142,9 +142,9 @@ def test_a3_stiffness_sweep(battery):
                 f"(y: {', '.join(f'{v * 1e3:.5f}' for v in ys)}mm)",
             ),
             (
-                by_k[1000.0].rmse_y <= 8e-3 and by_k[1000.0].rmse_z <= 18e-3,
+                by_k[1000.0]["rmse_y_m"] <= 8e-3 and by_k[1000.0]["rmse_z_m"] <= 18e-3,
                 f"K=1k rmse within 2x of 4mm/9mm "
-                f"({by_k[1000.0].rmse_y * 1e3:.5f}/{by_k[1000.0].rmse_z * 1e3:.5f}mm)",
+                f"({by_k[1000.0]['rmse_y_m'] * 1e3:.5f}/{by_k[1000.0]['rmse_z_m'] * 1e3:.5f}mm)",
             ),
             (spread < 0.05, f"effort spread={spread:.5f}Nm (<0.05)"),
         ],
@@ -158,8 +158,8 @@ def test_a4_listing_plane_deformation(battery):
     desired = {}
     for name in names:
         traj = battery[name].traj
-        measured[name] = fit_plane(extract_listing(traj.quat)).rms_residual
-        desired[name] = fit_plane(extract_listing(traj.quat_des)).rms_residual
+        measured[name] = fit_plane(extract_listing(traj.quat))["rms_residual_rad"]
+        desired[name] = fit_plane(extract_listing(traj.quat_des))["rms_residual_rad"]
     r_soft, r_stiff, r_nog = (measured[n] for n in names)
     d_vals = [desired[n] for n in names]
     failed = report(
@@ -187,9 +187,9 @@ def test_a5_constant_torsion_offset(battery):
     base = battery["g_on_K10000"]
     offset = battery["g_on_K10000_phiN25"]
     pooled = math.sqrt(
-        0.5 * (base.metrics.effort_std**2 + offset.metrics.effort_std**2)
+        0.5 * (base.metrics["effort_std_Nm"]**2 + offset.metrics["effort_std_Nm"]**2)
     )
-    d_effort = abs(offset.metrics.effort_mean - base.metrics.effort_mean)
+    d_effort = abs(offset.metrics["effort_mean_Nm"] - base.metrics["effort_mean_Nm"])
     twists = torsion_about_pointer(offset.traj.quat_des)
     twist_dev = float(np.max(np.abs(twists - phi)))
     roll = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi), 0.0, 0.0])
@@ -201,8 +201,8 @@ def test_a5_constant_torsion_offset(battery):
         "A5 constant torsion offset",
         [
             (
-                abs(offset.metrics.rmse_y - base.metrics.rmse_y) <= 1e-3
-                and abs(offset.metrics.rmse_z - base.metrics.rmse_z) <= 1e-3,
+                abs(offset.metrics["rmse_y_m"] - base.metrics["rmse_y_m"]) <= 1e-3
+                and abs(offset.metrics["rmse_z_m"] - base.metrics["rmse_z_m"]) <= 1e-3,
                 "rmse within 1mm of the zero-torsion run",
             ),
             (d_effort <= pooled, f"effort delta={d_effort:.2e}Nm (<= pooled std {pooled:.4f})"),

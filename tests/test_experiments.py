@@ -336,22 +336,22 @@ def test_compute_metrics_formulas():
     traj = synthetic_trajectory()
     m = compute_metrics(traj)
     err = traj.pointer - traj.plan_pos
-    assert m.rmse_y == pytest.approx(np.sqrt(np.mean(err[:, 1] ** 2)), rel=0)
-    assert m.rmse_z == pytest.approx(np.sqrt(np.mean(err[:, 2] ** 2)), rel=0)
+    assert m["rmse_y_m"] == pytest.approx(np.sqrt(np.mean(err[:, 1] ** 2)), rel=0)
+    assert m["rmse_z_m"] == pytest.approx(np.sqrt(np.mean(err[:, 2] ** 2)), rel=0)
     effort = np.linalg.norm(traj.tau_cmd, axis=1)
-    assert m.effort_mean == pytest.approx(np.mean(effort), rel=0)
-    assert m.effort_std == pytest.approx(np.std(effort), rel=0)
+    assert m["effort_mean_Nm"] == pytest.approx(np.mean(effort), rel=0)
+    assert m["effort_std_Nm"] == pytest.approx(np.std(effort), rel=0)
 
 
 def test_target_rmse_uses_scheduled_reference(task):
     # center (no target yet) for t < 1 ms, target 2 until 3 ms, then center
     traj = replace(synthetic_trajectory(), target=np.array([-1, 2, 2, -1, -1]))
-    ry, rz = target_rmse(traj, task)
+    r = target_rmse(traj, task)
     ref = np.array([task.center, task.targets[2], task.targets[2],
                     task.center, task.center])
     err = traj.pointer - ref
-    assert ry == pytest.approx(np.sqrt(np.mean(err[:, 1] ** 2)), rel=0)
-    assert rz == pytest.approx(np.sqrt(np.mean(err[:, 2] ** 2)), rel=0)
+    assert r["rmse_target_y_m"] == pytest.approx(np.sqrt(np.mean(err[:, 1] ** 2)), rel=0)
+    assert r["rmse_target_z_m"] == pytest.approx(np.sqrt(np.mean(err[:, 2] ** 2)), rel=0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +374,10 @@ def test_fit_plane_recovers_synthetic_coefficients(rng):
     z = rng.uniform(-0.3, 0.3, 400)
     x = 0.31 * y - 0.17 * z + 0.045
     fit = fit_plane(ListingSurface(theta_y=y, theta_z=z, theta_x=x))
-    assert fit.tilt_y == pytest.approx(0.31, abs=1e-12)
-    assert fit.tilt_z == pytest.approx(-0.17, abs=1e-12)
-    assert fit.offset == pytest.approx(0.045, abs=1e-12)
-    assert fit.rms_residual < 1e-14
+    assert fit["tilt_y"] == pytest.approx(0.31, abs=1e-12)
+    assert fit["tilt_z"] == pytest.approx(-0.17, abs=1e-12)
+    assert fit["offset_rad"] == pytest.approx(0.045, abs=1e-12)
+    assert fit["rms_residual_rad"] < 1e-14
 
 
 def test_fit_plane_rejects_collinear_cloud(rng):
