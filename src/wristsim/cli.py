@@ -11,10 +11,10 @@ Per condition the runner writes into ``<output_dir>/<condition>/``:
 
 A cross-condition ``summary.json`` lands next to the condition folders.
 Fixed-step runs are deterministic, so repeated runs of the same config
-produce byte-identical files.  The rows of each condition's CSVs are
-written by a one-worker :class:`~concurrent.futures.ThreadPoolExecutor`
-while the next condition is simulated; every other step runs on the
-calling thread.
+produce byte-identical files.  Each of a condition's CSVs is written whole
+(checked, opened, written and closed) by one job on a one-worker
+:class:`~concurrent.futures.ThreadPoolExecutor` while the next condition is
+simulated; every other step runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -75,14 +75,10 @@ def simulate_condition(cond: Condition, cfg: ExperimentConfig):
     return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim)
 
 
-def write_csv(path: Path, header, columns, writer: Executor) -> Future:
+def write_csv(path: Path, header, columns) -> None:
     """Write ``columns`` (arrays of shape (n,) or (n, m)) side by side under
     a header line of ``header``, each value as ``%.17g``.  Columns with a
-    value that is not finite are refused before the file is opened.
-
-    The header is written here; the rows are written by one job on
-    ``writer``, which then closes the file.  Returns that job's future.
-    """
+    value that is not finite are refused before the file is opened."""
     bad = np.zeros(len(columns[0]), dtype=bool)
     for col in columns:
         finite = np.isfinite(col)
@@ -92,17 +88,8 @@ def write_csv(path: Path, header, columns, writer: Executor) -> Future:
             f"{path}: row {int(np.argmax(bad))} holds a value that is not finite; "
             "nothing written"
         )
-    fh = open(path, "wb")
-    try:
+    with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-    except BaseException:
-        fh.close()
-        raise
-    return writer.submit(_write_and_close, fh, columns)
-
-
-def _write_and_close(fh, columns) -> None:
-    with fh:
         write_rows(fh, columns)
 
 
@@ -111,12 +98,12 @@ def write_trajectory(path: Path, traj: Trajectory, writer: Executor) -> Future:
         traj.t, traj.plan_pos, traj.quat_des, traj.quat,
         traj.omega, traj.tau_cmd, traj.tau_grav, traj.pointer,
     )
-    return write_csv(path, TRAJECTORY_COLUMNS, columns, writer)
+    return writer.submit(write_csv, path, TRAJECTORY_COLUMNS, columns)
 
 
 def write_listing(path: Path, surface, writer: Executor) -> Future:
     cloud = [np.degrees(a) for a in (surface.theta_y, surface.theta_z, surface.theta_x)]
-    return write_csv(path, LISTING_COLUMNS, cloud, writer)
+    return writer.submit(write_csv, path, LISTING_COLUMNS, cloud)
 
 
 def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:
@@ -166,7 +153,7 @@ def failing_as(name: str):
 
 
 def wait_for(jobs: list[tuple[str, Future]]) -> None:
-    """Wait for each ``(condition name, row job)`` of ``jobs`` and empty the
+    """Wait for each ``(condition name, CSV job)`` of ``jobs`` and empty the
     list; the first error raises as that condition's."""
     for name, job in jobs:
         with failing_as(name):
@@ -177,9 +164,9 @@ def wait_for(jobs: list[tuple[str, Future]]) -> None:
 def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
                    writer: Executor, jobs: list[tuple[str, Future]]) -> dict:
     """Simulate ``cond`` and write its four files.  ``jobs`` holds the
-    previous condition's row jobs: they are waited for before ``cond``'s
-    folder is made, and then replaced by the jobs that write the rows of its
-    three CSVs on ``writer``.  Every error raises as a
+    previous condition's CSV jobs: they are waited for before ``cond``'s
+    folder is made, and then replaced by the jobs that write its three CSVs
+    on ``writer``.  Every error raises as a
     :class:`ConditionError` of the condition it belongs to."""
     with failing_as(cond.name):
         traj = simulate_condition(cond, cfg)
@@ -198,14 +185,16 @@ def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
 
 
 def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
-    """Run the conditions in order.  Each condition's CSV rows are written
+    """Run the conditions in order.  Each condition's CSVs are written
     while the next one is simulated; a failure leaves every earlier
-    condition's files complete and writes no ``summary.json``."""
+    condition's files complete and no ``summary.json``, not even a previous
+    run's."""
     conditions = list(cfg.conditions)
     if only is not None:
         conditions = [cfg.condition(only)]
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
+    (out_root / "summary.json").unlink(missing_ok=True)
     # here, not at the top: it imports logging, and --check writes no CSV
     from concurrent.futures import ThreadPoolExecutor
 
@@ -249,11 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
         "config", nargs="?", default=None,
         help="YAML config file (omitted: built-in defaults)",
     )
-    run_p.add_argument(
+    what = run_p.add_mutually_exclusive_group()
+    what.add_argument(
         "--check", action="store_true",
         help="run the invariant suite instead of simulating",
     )
-    run_p.add_argument(
+    what.add_argument(
         "--condition", metavar="NAME", default=None,
         help="run a single named condition",
     )

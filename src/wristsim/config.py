@@ -107,6 +107,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if not isinstance(self.conditions, (tuple, list)) or not self.conditions:
+            raise ConfigError("conditions: expected a non-empty list")
+        for i, cond in enumerate(self.conditions):
+            if not isinstance(cond, Condition):
+                raise ConfigError(f"conditions[{i}]: expected a Condition, got {cond!r}")
+        object.__setattr__(self, "conditions", tuple(self.conditions))
         names = [c.name for c in self.conditions]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
@@ -317,7 +323,7 @@ def load_config(path) -> ExperimentConfig:
     if "conditions" in raw and "sweep" in raw:
         raise ConfigError("give either 'conditions' or 'sweep', not both")
     if "conditions" in raw:
-        if not isinstance(raw["conditions"], list) or not raw["conditions"]:
+        if not isinstance(raw["conditions"], list):  # ExperimentConfig refuses an empty one
             raise ConfigError("conditions: expected a non-empty list")
         kwargs["conditions"] = tuple(
             _parse_condition(c, i) for i, c in enumerate(raw["conditions"]))

@@ -158,6 +158,8 @@ LEAF_CASES = (
     ("conditions:\n  - name: a\n    gravity: !!bool on\n",
      "not valid YAML: not a YAML 1.2 boolean: 'on'", None),
     ("seed: !!int 0b11\n", "not valid YAML: not a YAML 1.2 integer: '0b11'", None),
+    ("conditions: []\n", "conditions: expected a non-empty list",
+     (ExperimentConfig, {"conditions": ()}, 29)),
 )
 
 
@@ -181,7 +183,7 @@ def _field_message(message):
 
 def _case(cls, kwargs, number, message):
     """A case whose id keeps the number it was added with, so deleting a
-    case renames no other; a new case takes the next unused number, 29."""
+    case renames no other; a new case takes the next unused number, 31."""
     return pytest.param(cls, kwargs, message, id=f"{cls.__name__}-kwargs{number}-{message}")
 
 
@@ -204,6 +206,8 @@ def _case(cls, kwargs, number, message):
           "output_dir: expected a non-empty string, got ''"),
     _case(ClockTask, {"radius": 1e300}, 28,
           "plane_distance, radius: their sum must be at most 1.341e+154 m"),
+    _case(ExperimentConfig, {"conditions": ("a",)}, 30,
+          "conditions[0]: expected a Condition, got 'a'"),
 ])
 def test_dataclasses_reject_what_a_file_is_refused_for(cls, kwargs, message):
     """Each parameter dataclass checks its own fields with the loader's
@@ -440,6 +444,11 @@ def test_explicit_conditions(tmp_path):
     assert cfg.conditions[1].torsion == pytest.approx(math.radians(-10.0))
     with pytest.raises(ConfigError, match="name"):
         load_config(write(tmp_path, "conditions:\n  - gravity: false\n"))
+
+
+def test_experiment_config_holds_its_conditions_as_a_tuple():
+    conditions = [Condition("a"), Condition("b", gravity=False)]
+    assert ExperimentConfig(conditions=conditions).conditions == tuple(conditions)
 
 
 def test_sweep_expands_cartesian_product(tmp_path):
@@ -814,6 +823,44 @@ def test_writer_error_is_not_lost(tmp_path, capsys, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
+def test_csv_that_cannot_be_opened_stops_the_run(tmp_path, capsys):
+    """A CSV path taken by a folder stops the run before the next
+    condition's folder, exits 2 naming the condition, and writes no
+    summary."""
+    cfg = write(tmp_path, TWO)
+    out = tmp_path / "res"
+    (out / "first" / "trajectory.csv").mkdir(parents=True)
+    before = threading.active_count()
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "wristsim: first: " in capsys.readouterr().err
+    assert threading.active_count() == before
+    assert not (out / "second").exists()
+    assert not (out / "summary.json").exists()
+
+
+def test_failed_rerun_leaves_no_summary(tmp_path, capsys, monkeypatch):
+    """A rerun into a folder that holds a finished run's ``summary.json``
+    removes it before the first condition, so a rerun that fails leaves
+    none that would describe the other run."""
+    import wristsim.cli as cli
+
+    cfg = write(tmp_path, "task: {n_targets: 1, dwell: 0}\nconditions: [{name: a}, {name: b}]\n")
+    out = tmp_path / "res"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert (out / "summary.json").is_file()
+    simulate = cli.simulate_condition
+
+    def failing(cond, cfg):
+        if cond.name == "b":
+            raise RuntimeError("blown up")
+        return simulate(cond, cfg)
+
+    monkeypatch.setattr(cli, "simulate_condition", failing)
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert "wristsim: simulation failed: b: blown up" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 CHECK_LINES_SEED_0 = [
     "[PASS] torsion equivariance: worst deviation 2.719e-16 (tol 1e-12, 2000 samples)",
     "[PASS] pointing consistency: worst round trip 2.238e-16 m (tol 1e-10, 2000 samples)",
@@ -829,6 +876,21 @@ def test_cli_check_flag_runs_invariant_suite(capsys):
     # the default seed is 0; every figure the suite prints is pinned
     assert main(["run", "--check"]) == 0
     assert capsys.readouterr().out.splitlines() == CHECK_LINES_SEED_0
+
+
+def test_check_takes_out_but_not_condition(tmp_path, capsys):
+    """``--check`` simulates no condition, so naming one is a usage error
+    (exit 2), known or not; ``--out`` is accepted, and nothing is written."""
+    for name in ("nosuch", "online_single_target"):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--check", "--condition", name])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err and "--check" in err
+    out = tmp_path / "res"
+    assert main(["run", "--check", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == CHECK_LINES_SEED_0
+    assert not out.exists()
 
 
 # runs wristsim.cli.main(argv[2:]) with argv[1] as the C compiler

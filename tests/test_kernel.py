@@ -477,6 +477,6 @@ def test_write_csv_refuses_non_finite_before_opening(tmp_path):
     block, column = np.zeros((5, 2)), np.zeros(5)
     block[3, 1] = column[4] = np.nan
     path = tmp_path / "out.csv"
-    with ThreadPoolExecutor(1) as writer, pytest.raises(ValueError, match=r"out\.csv: row 3 "):
-        write_csv(path, ("a", "b", "c"), [column, block], writer)
+    with pytest.raises(ValueError, match=r"out\.csv: row 3 "):
+        write_csv(path, ("a", "b", "c"), [column, block])
     assert not path.exists()
