@@ -102,8 +102,10 @@ def write_trajectory(path: Path, traj: Trajectory, writer: Executor) -> Future:
 
 
 def write_listing(path: Path, surface, writer: Executor) -> Future:
-    cloud = [np.degrees(a) for a in (surface.theta_y, surface.theta_z, surface.theta_x)]
-    return writer.submit(write_csv, path, LISTING_COLUMNS, cloud)
+    # the job converts, so the degree copies exist only while it writes
+    radians = (surface.theta_y, surface.theta_z, surface.theta_x)
+    return writer.submit(
+        lambda: write_csv(path, LISTING_COLUMNS, [np.degrees(a) for a in radians]))
 
 
 def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:

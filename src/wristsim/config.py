@@ -89,8 +89,8 @@ def default_conditions() -> list[Condition]:
 
 
 #: the largest trial a condition may ask for: about 2,000 s at the default
-#: 1 kHz (some 450 MB of trajectory arrays) and as many schedule legs, and a
-#: few minutes of the kernel
+#: 1 kHz (a peak of some 0.75 GB, at about 365 bytes per sample) and as many
+#: schedule legs, and a few minutes of the kernel
 MAX_SAMPLES = 2_000_000
 MAX_RHS_EVALS = 1_000_000_000
 

@@ -319,6 +319,9 @@ def run_trial(
     phi_break = _in_force(schedule.torsion_breaks, times)
     cr = np.array([math.cos(a) for a in half])[phi_break]
     sr = np.array([math.sin(a) for a in half])[phi_break]
+    # each full-length temporary goes at its last use: the break indexes
+    # before the kernel, the torsion streams after it
+    del phi_break
     targets = [idx for _, idx in schedule.target_breaks]
     target_break = _in_force(schedule.target_breaks, times)
     # break -1 (no target yet) picks the appended center
@@ -327,6 +330,7 @@ def run_trial(
     if beyond.size:
         raise ConfigError(f"target index {beyond[0]} out of range for {task.n_targets} targets")
     leg_start, legs = _leg_table(times, target_break, targets, task.positions, band)
+    del target_break
     # initial state: at the plan start pose, at rest
     y0 = (*pointing_quat(*map(float, task.center), float(cr[0]), float(sr[0])),
           0.0, 0.0, 0.0)
@@ -338,6 +342,7 @@ def run_trial(
         raise SimulationError(
             f"non-finite state at sample {failed} (t = {times[failed]:.3f} s)"
         )
+    del cr, sr
     plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = records
     return Trajectory(
         t=times,
@@ -360,9 +365,10 @@ def run_trial(
 # ---------------------------------------------------------------------------
 
 
-def _rmse_yz(err: np.ndarray) -> tuple[float, float]:
-    """Root-mean-square of the y and z columns of an (n, 3) error stack."""
-    return tuple(float(np.sqrt(np.mean(err[:, i] ** 2))) for i in (1, 2))
+def _rmse_yz(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Root-mean-square of the y and z columns of ``a - b``, for (n, 3)
+    stacks, one column at a time."""
+    return tuple(float(np.sqrt(np.mean((a[:, i] - b[:, i]) ** 2))) for i in (1, 2))
 
 
 def compute_metrics(traj: Trajectory) -> dict:
@@ -371,7 +377,7 @@ def compute_metrics(traj: Trajectory) -> dict:
     error in m, and ``effort_mean_Nm`` and ``effort_std_Nm``, the mean and
     standard deviation of the commanded torque's norm in N*m."""
     effort = np.linalg.norm(traj.tau_cmd, axis=1)
-    rmse_y, rmse_z = _rmse_yz(traj.pointer - traj.plan_pos)
+    rmse_y, rmse_z = _rmse_yz(traj.pointer, traj.plan_pos)
     return {"rmse_y_m": rmse_y, "rmse_z_m": rmse_z,
             "effort_mean_Nm": float(np.mean(effort)), "effort_std_Nm": float(np.std(effort))}
 
@@ -381,7 +387,7 @@ def target_rmse(traj: Trajectory, task: ClockTask) -> dict:
     the row of :attr:`ClockTask.positions` that ``traj.target`` selects,
     keyed as in ``metrics.json``: ``rmse_target_y_m`` and
     ``rmse_target_z_m``, in m."""
-    rmse_y, rmse_z = _rmse_yz(traj.pointer - task.positions[traj.target])
+    rmse_y, rmse_z = _rmse_yz(traj.pointer, task.positions[traj.target])
     return {"rmse_target_y_m": rmse_y, "rmse_target_z_m": rmse_z}
 
 
@@ -401,14 +407,17 @@ def extract_listing(quats: np.ndarray) -> ListingSurface:
     The angles are :func:`~.rotations.euler_xyz_from_quat`'s, bit for bit,
     computed in the compiled library (:func:`~._kernel.euler_xyz`), which
     refuses a quaternion that is not finite with ``ValueError``.  Samples
-    inside the gimbal-lock guard band are excluded and counted.
+    inside the gimbal-lock guard band are excluded and counted; when none
+    is, the three angle arrays are views of the decomposition's table.
     """
     angles, locked = _kernel.euler_xyz(quats)
-    theta_x, theta_y, theta_z = angles[~locked].T
+    n_excluded = int(np.count_nonzero(locked))
+    # with no sample locked, a mask would only copy every row
+    theta_x, theta_y, theta_z = (angles[~locked] if n_excluded else angles).T
     if not theta_x.size:
         raise ValueError("no usable samples outside the gimbal guard band")
     return ListingSurface(theta_y=theta_y, theta_z=theta_z, theta_x=theta_x,
-                          n_excluded=int(np.count_nonzero(locked)))
+                          n_excluded=n_excluded)
 
 
 def fit_plane(surface: ListingSurface) -> dict:

@@ -29,7 +29,8 @@ from wristsim.experiments import (
 )
 from wristsim.planner import ReachProfile, reach_duration
 from oracles import plan_reach, torsion_about_pointer
-from wristsim.rotations import project_to_sphere, quat_norm
+from wristsim.rotations import (euler_xyz_from_quat, project_to_sphere, quat_from_euler_xyz,
+                                quat_norm, quat_normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +368,19 @@ def test_extract_listing_counts_gimbal_samples():
     assert surf.n_excluded == 2
     assert surf.theta_x.shape == (3,)
     np.testing.assert_allclose(surf.theta_x, 0.0, atol=0)
+
+
+def test_extract_listing_columns_are_the_unlocked_angles(rng):
+    """With and without a locked sample, the surface holds the Euler angles
+    of the unlocked samples, in order, bit for bit."""
+    free = quat_normalize(rng.standard_normal((50, 4)))
+    locked = quat_from_euler_xyz(0.3, 0.5 * math.pi, -0.2)
+    for quats in (free, np.insert(free, [0, 20, 50], locked, axis=0)):
+        angles, lock = euler_xyz_from_quat(quats)
+        surf = extract_listing(quats)
+        assert surf.n_excluded == np.count_nonzero(lock) == (len(quats) - len(free))
+        for got, col in ((surf.theta_x, 0), (surf.theta_y, 1), (surf.theta_z, 2)):
+            assert got.tobytes() == angles[~lock, col].tobytes()
 
 
 def test_fit_plane_recovers_synthetic_coefficients(rng):

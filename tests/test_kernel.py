@@ -297,6 +297,33 @@ def test_stale_source_copy_is_rebuilt(tmp_path, monkeypatch):
     assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, copy.name])
 
 
+@pytest.mark.parametrize("opt", [("-O3",), ("-O2", "-fno-math-errno")], ids=" ".join)
+def test_outputs_do_not_depend_on_the_optimisation_flags(opt, tmp_path, monkeypatch,
+                                                         task, body, band, opts):
+    """A library built at another optimisation level, still without fused
+    multiply-adds, gives the shipped build's bits: the seven records of the
+    default clock condition and the Euler decomposition of its poses."""
+    def outputs():
+        traj = run_trial(build_clock_schedule(task, band), task, body, band, opts)
+        return [getattr(traj, name) for name in RECORDS], _kernel.euler_xyz(traj.quat)
+
+    shipped = outputs()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_kernel, "CFLAGS", (*opt, "-fPIC", "-shared", "-ffp-contract=off"))
+    _kernel._library.cache_clear()
+    try:
+        built = outputs()
+        lib, _ = _kernel._cache_paths(_kernel.SOURCE.read_bytes())
+    finally:
+        _kernel._library.cache_clear()
+    assert lib.is_file() and lib.parent == tmp_path / "wristsim"  # built anew
+    (records, (angles, locked)), (want_records, (want_angles, want_locked)) = built, shipped
+    for name, got, want in zip(RECORDS, records, want_records):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    assert np.array_equal(angles.view(np.uint64), want_angles.view(np.uint64))
+    assert np.array_equal(locked, want_locked)
+
+
 # without 128-bit integers the formatter hands every value to snprintf
 @pytest.mark.parametrize("flags", [[], ["-U__SIZEOF_INT128__"]],
                          ids=["default", "without-int128"])
