@@ -4,10 +4,11 @@ Per condition the runner writes into ``<output_dir>/<condition>/``:
 
 * ``trajectory.csv`` — one row per 1 ms sample, header names the columns
   with unit suffixes (SI throughout),
-* ``metrics.json`` — scalar summary (RMSE, effort, plane fits),
+* ``metrics.json`` — scalar summary (RMSE, effort, plane fits; a plane fit
+  is ``null`` when its surface does not span a plane),
 * ``listing_measured.csv`` / ``listing_desired.csv`` — Euler point clouds
   in degrees (the one non-SI output, matching how such surfaces are
-  usually plotted).
+  usually plotted), columns 1, 2 and 0 of the surface's angle table.
 
 A cross-condition ``summary.json`` lands next to the condition folders.
 Fixed-step runs are deterministic, so repeated runs of the same config
@@ -33,7 +34,6 @@ from ._kernel import write_rows
 from .checks import run_checks
 from .config import Condition, ConfigError, ExperimentConfig, load_config
 from .experiments import (
-    RankDeficientError,
     Trajectory,
     build_clock_schedule,
     build_retune_schedule,
@@ -101,16 +101,15 @@ def write_trajectory(path: Path, traj: Trajectory, writer: Executor) -> Future:
     return writer.submit(write_csv, path, TRAJECTORY_COLUMNS, columns)
 
 
-def write_listing(path: Path, surface, writer: Executor) -> Future:
+def write_listing(path: Path, table, writer: Executor) -> Future:
     # the job converts, so the degree copies exist only while it writes
-    radians = (surface.theta_y, surface.theta_z, surface.theta_x)
     return writer.submit(
-        lambda: write_csv(path, LISTING_COLUMNS, [np.degrees(a) for a in radians]))
+        lambda: write_csv(path, LISTING_COLUMNS, [np.degrees(table[:, i]) for i in (1, 2, 0)]))
 
 
 def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:
     """Scalar summary of one condition; ``measured`` and ``desired`` are its
-    two Listing surfaces, extracted once by the caller."""
+    two torsion-surface tables, extracted once by the caller."""
     out = {
         "condition": cond.name,
         "kind": cond.kind,
@@ -120,12 +119,9 @@ def condition_metrics(cond: Condition, cfg, traj, measured, desired) -> dict:
         "samples": len(traj),
         **compute_metrics(traj),
         **target_rmse(traj, cfg.task),
+        "plane_fit": fit_plane(measured),
+        "plane_fit_desired": fit_plane(desired),
     }
-    for surface, key in ((measured, "plane_fit"), (desired, "plane_fit_desired")):
-        try:
-            out[key] = fit_plane(surface)
-        except RankDeficientError:
-            out[key] = None
     if cond.kind == "retune":
         err = np.linalg.norm(traj.pointer[-1] - traj.plan_pos[-1])
         speed = np.linalg.norm(np.diff(traj.pointer, axis=0), axis=1) / np.diff(traj.t)
@@ -178,9 +174,9 @@ def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
         cond_dir.mkdir(parents=True, exist_ok=True)
         jobs.append((cond.name, write_trajectory(cond_dir / "trajectory.csv", traj, writer)))
         measured, desired = extract_listing(traj.quat), extract_listing(traj.quat_des)
-        for surface, name in ((measured, "listing_measured.csv"),
-                              (desired, "listing_desired.csv")):
-            jobs.append((cond.name, write_listing(cond_dir / name, surface, writer)))
+        for table, name in ((measured, "listing_measured.csv"),
+                            (desired, "listing_desired.csv")):
+            jobs.append((cond.name, write_listing(cond_dir / name, table, writer)))
         metrics = condition_metrics(cond, cfg, traj, measured, desired)
         write_json(cond_dir / "metrics.json", metrics)
     return metrics

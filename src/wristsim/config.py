@@ -18,7 +18,7 @@ Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
 file (``torsion_deg``) and carried in radians internally.  A condition whose
 trial would exceed :data:`MAX_SAMPLES` (in samples or in schedule legs) or
-:data:`MAX_RHS_EVALS` is refused.
+:data:`MAX_RHS_EVALS`, or would record fewer than two samples, is refused.
 """
 
 from __future__ import annotations
@@ -139,8 +139,13 @@ class ExperimentConfig:
                 f"({self.band.max_accel:g} m/s^2) rounds to 0 s and task.dwell is 0; "
                 f"raise task.radius or task.dwell, or lower band.max_accel"
             )
+        # one sample has no motion to measure.  Refused after every condition's
+        # cap: the cap's advice may be to raise sim.dt, this one's is to lower it
+        short = []
         for cond in self.conditions:
             samples, evals = self.trial_size(cond)
+            if samples < 2:
+                short.append(cond.name)
             # two legs per clock target (retune: out and back), each built and
             # checked one by one, whatever sim.dt is
             legs = 2 * self.task.n_targets if cond.kind == "clock" else 2
@@ -154,6 +159,11 @@ class ExperimentConfig:
                     f"{self.task.dwell:g} s) or sim.substeps (now {self.sim.substeps}), "
                     f"or raise sim.dt (now {self.sim.dt:g} s)"
                 )
+        if short:
+            raise ConfigError(
+                f"condition {short[0]!r} is too short to run: sim.dt (now {self.sim.dt:g} s) "
+                f"leaves it 1 sample, where a trial needs at least 2; lower sim.dt"
+            )
 
     def trial_size(self, cond: Condition) -> tuple[float, float]:
         """Samples and right-hand-side evaluations of ``cond``'s trial, from

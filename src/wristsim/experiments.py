@@ -18,6 +18,10 @@ bit-identical across those conditions.
 The schedules become per-sample streams with one ``searchsorted`` each, the
 closed loop runs in the compiled kernel (``_kernel.c``), and the streams
 derived after it are computed on the whole record at once.
+
+A torsion surface is one (m, 3) table of (theta_x, theta_y, theta_z) Euler
+rows from :func:`extract_listing` to :func:`fit_plane`, which fits column 0
+on columns 1 and 2 and returns ``None`` when the rows do not span a plane.
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ from .rotations import X_AXIS, pointing_quat, rotate_vec
 
 class PointerParallelError(ValueError):
     """Raised when the pointer ray cannot pierce the target plane."""
-
-
-class RankDeficientError(ValueError):
-    """Raised when a plane fit has too little spread to be determined."""
 
 
 class SimulationError(RuntimeError):
@@ -391,49 +391,36 @@ def target_rmse(traj: Trajectory, task: ClockTask) -> dict:
     return {"rmse_target_y_m": rmse_y, "rmse_target_z_m": rmse_z}
 
 
-@dataclass(frozen=True)
-class ListingSurface:
-    """Euler-angle point cloud (x torsion as a function of y and z)."""
-
-    theta_y: np.ndarray
-    theta_z: np.ndarray
-    theta_x: np.ndarray
-    n_excluded: int = 0
-
-
-def extract_listing(quats: np.ndarray) -> ListingSurface:
-    """Intrinsic x-y-z Euler decomposition of an (n, 4) quaternion stream.
+def extract_listing(quats: np.ndarray) -> np.ndarray:
+    """Torsion surface of an (n, 4) quaternion stream: the (m, 3) table of
+    intrinsic x-y-z Euler angles (theta_x, theta_y, theta_z) of the samples
+    outside the gimbal-lock guard band, in order.
 
     The angles are :func:`~.rotations.euler_xyz_from_quat`'s, bit for bit,
     computed in the compiled library (:func:`~._kernel.euler_xyz`), which
-    refuses a quaternion that is not finite with ``ValueError``.  Samples
-    inside the gimbal-lock guard band are excluded and counted; when none
-    is, the three angle arrays are views of the decomposition's table.
+    refuses a quaternion that is not finite with ``ValueError``.  When no
+    sample is locked, the table is the decomposition's own array.
     """
     angles, locked = _kernel.euler_xyz(quats)
-    n_excluded = int(np.count_nonzero(locked))
     # with no sample locked, a mask would only copy every row
-    theta_x, theta_y, theta_z = (angles[~locked] if n_excluded else angles).T
-    if not theta_x.size:
+    table = angles[~locked] if locked.any() else angles
+    if not len(table):
         raise ValueError("no usable samples outside the gimbal guard band")
-    return ListingSurface(theta_y=theta_y, theta_z=theta_z, theta_x=theta_x,
-                          n_excluded=n_excluded)
+    return table
 
 
-def fit_plane(surface: ListingSurface) -> dict:
-    """Least-squares plane theta_x = a*theta_y + b*theta_z + c, keyed as in
+def fit_plane(table: np.ndarray) -> Optional[dict]:
+    """Least-squares plane theta_x = a*theta_y + b*theta_z + c through an
+    (m, 3) table of (theta_x, theta_y, theta_z) rows, keyed as in
     ``metrics.json``: ``tilt_y`` (a) and ``tilt_z`` (b), both rad/rad,
     ``offset_rad`` (c), and ``rms_residual_rad``, the RMS of the fit's
-    residual in rad."""
-    design = np.column_stack(
-        [surface.theta_y, surface.theta_z, np.ones_like(surface.theta_y)]
-    )
-    coef, _, rank, _ = np.linalg.lstsq(design, surface.theta_x, rcond=None)
+    residual in rad.  ``None`` (``null`` in ``metrics.json``) when the rows
+    do not span a plane: collinear, or fewer than three."""
+    design = np.column_stack([table[:, 1], table[:, 2], np.ones(len(table))])
+    coef, _, rank, _ = np.linalg.lstsq(design, table[:, 0], rcond=None)
     if rank < 3:
-        raise RankDeficientError(
-            "surface samples do not span a plane (collinear or too few)"
-        )
-    residual = design @ coef - surface.theta_x
+        return None
+    residual = design @ coef - table[:, 0]
     return {
         "tilt_y": float(coef[0]),
         "tilt_z": float(coef[1]),

@@ -324,6 +324,36 @@ def test_config_too_large_to_run_exits_2(tmp_path, capsys, monkeypatch, section,
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("text, name", [
+    # the retune's 2.5 s at 5 s per sample rounds to no step
+    ("sim: {dt: 5.0}\n", "online_single_target"),
+    ("sim: {dt: 40.0}\nconditions: [{name: a}]\n", "a"),
+], ids=["retune", "clock"])
+def test_trial_of_one_sample_exits_2(tmp_path, capsys, monkeypatch, text, name):
+    """A ``sim.dt`` that leaves a trial one sample is refused by its key and
+    the condition, before anything is simulated or written."""
+    import wristsim.cli as cli
+
+    def never(cond, cfg):
+        raise AssertionError("a one-sample condition was simulated")
+
+    monkeypatch.setattr(cli, "simulate_condition", never)
+    cfg = write(tmp_path, text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert f"condition {name!r} is too short to run: sim.dt" in err
+    assert "at least 2" in err
+    assert not (tmp_path / "res").exists()
+
+
+def test_trial_of_two_samples_is_accepted():
+    """One step of ``sim.dt`` is the shortest trial: 2.5 s for the retune,
+    about 14.3 s for the default clock condition."""
+    for kind, dt in (("retune", 2.5), ("clock", 10.0)):
+        cfg = ExperimentConfig(sim=SimOptions(dt=dt), conditions=(Condition("c", kind=kind),))
+        assert cfg.trial_size(cfg.conditions[0])[0] == 2
+
+
 def test_task_far_below_the_overflow_bound_runs(tmp_path):
     """A 1e150 m lever arm sags some 5e144 m under gravity, and its errors
     still square finitely."""
@@ -698,6 +728,25 @@ def test_metric_functions_return_their_metrics_json_entries(tmp_path):
     assert fit_plane(extract_listing(traj.quat)) == written["plane_fit"]
     assert fit_plane(extract_listing(traj.quat_des)) == written["plane_fit_desired"]
     assert set(written["plane_fit"]) == {"tilt_y", "tilt_z", "offset_rad", "rms_residual_rad"}
+
+
+def test_surface_that_spans_no_plane_writes_a_null_fit(tmp_path):
+    """A measured table whose rows are collinear fits to ``None``, and
+    ``metrics.json`` writes it as ``null`` beside the desired fit."""
+    from wristsim.cli import condition_metrics, simulate_condition, write_json
+    from wristsim.experiments import extract_listing
+
+    cfg = load_config(write(tmp_path, QUICK.replace("n_targets: 1", "n_targets: 3")))
+    cond = cfg.conditions[0]
+    traj = simulate_condition(cond, cfg)
+    y = np.linspace(-0.1, 0.1, 50)
+    collinear = np.column_stack([np.zeros(50), y, 2.0 * y])
+    metrics = condition_metrics(cond, cfg, traj, collinear, extract_listing(traj.quat_des))
+    write_json(tmp_path / "metrics.json", metrics)
+    text = (tmp_path / "metrics.json").read_text()
+    assert '"plane_fit": null' in text
+    assert set(json.loads(text)["plane_fit_desired"]) == {"tilt_y", "tilt_z", "offset_rad",
+                                                          "rms_residual_rad"}
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from wristsim.config import ConfigError
 from wristsim.experiments import (
     ClockTask,
-    ListingSurface,
     ParamSchedule,
     PointerParallelError,
-    RankDeficientError,
     SimOptions,
     Trajectory,
     build_clock_schedule,
@@ -361,33 +359,43 @@ def test_target_rmse_uses_scheduled_reference(task):
 
 
 def test_extract_listing_counts_gimbal_samples():
+    """Locked samples are dropped from the table."""
     ident = np.array([1.0, 0.0, 0.0, 0.0])
     s = math.sqrt(0.5)
     locked = np.array([s, 0.0, s, 0.0])  # pitch exactly 90 deg
-    surf = extract_listing(np.array([ident, ident, locked, ident, locked]))
-    assert surf.n_excluded == 2
-    assert surf.theta_x.shape == (3,)
-    np.testing.assert_allclose(surf.theta_x, 0.0, atol=0)
+    table = extract_listing(np.array([ident, ident, locked, ident, locked]))
+    assert table.shape == (3, 3)
+    np.testing.assert_allclose(table[:, 0], 0.0, atol=0)
 
 
-def test_extract_listing_columns_are_the_unlocked_angles(rng):
-    """With and without a locked sample, the surface holds the Euler angles
-    of the unlocked samples, in order, bit for bit."""
+def test_extract_listing_columns_are_the_unlocked_angles(rng, monkeypatch):
+    """With and without a locked sample, the table holds the Euler angles of
+    the unlocked samples, in order, bit for bit; with none locked it is the
+    decomposition's own array."""
+    from wristsim import _kernel
+
+    decompose, made = _kernel.euler_xyz, []
+
+    def euler_xyz(quats):
+        made.append(decompose(quats))
+        return made[-1]
+
+    monkeypatch.setattr(_kernel, "euler_xyz", euler_xyz)
     free = quat_normalize(rng.standard_normal((50, 4)))
     locked = quat_from_euler_xyz(0.3, 0.5 * math.pi, -0.2)
     for quats in (free, np.insert(free, [0, 20, 50], locked, axis=0)):
         angles, lock = euler_xyz_from_quat(quats)
-        surf = extract_listing(quats)
-        assert surf.n_excluded == np.count_nonzero(lock) == (len(quats) - len(free))
-        for got, col in ((surf.theta_x, 0), (surf.theta_y, 1), (surf.theta_z, 2)):
-            assert got.tobytes() == angles[~lock, col].tobytes()
+        table = extract_listing(quats)
+        assert len(quats) - len(table) == np.count_nonzero(lock) == len(quats) - len(free)
+        assert table.tobytes() == angles[~lock].tobytes()
+        assert (table is made[-1][0]) == (not lock.any())
 
 
 def test_fit_plane_recovers_synthetic_coefficients(rng):
     y = rng.uniform(-0.3, 0.3, 400)
     z = rng.uniform(-0.3, 0.3, 400)
     x = 0.31 * y - 0.17 * z + 0.045
-    fit = fit_plane(ListingSurface(theta_y=y, theta_z=z, theta_x=x))
+    fit = fit_plane(np.column_stack([x, y, z]))
     assert fit["tilt_y"] == pytest.approx(0.31, abs=1e-12)
     assert fit["tilt_z"] == pytest.approx(-0.17, abs=1e-12)
     assert fit["offset_rad"] == pytest.approx(0.045, abs=1e-12)
@@ -395,7 +403,7 @@ def test_fit_plane_recovers_synthetic_coefficients(rng):
 
 
 def test_fit_plane_rejects_collinear_cloud(rng):
+    """Rows that do not span a plane, collinear or only two, fit to None."""
     y = rng.uniform(-0.3, 0.3, 50)
-    surf = ListingSurface(theta_y=y, theta_z=2.0 * y, theta_x=np.zeros(50))
-    with pytest.raises(RankDeficientError):
-        fit_plane(surf)
+    assert fit_plane(np.column_stack([np.zeros(50), y, 2.0 * y])) is None
+    assert fit_plane(rng.uniform(-0.3, 0.3, (2, 3))) is None
