@@ -128,9 +128,7 @@ def check_integrator_order() -> CheckResult:
     start = (*map(float, q0), 0.4, -0.3, 0.2)
 
     def endpoint(substeps):
-        return np.array(
-            integrate_step(rhs, start, 0.0, dt=0.2, substeps=substeps, renormalize=False)
-        )
+        return np.array(integrate_step(rhs, start, 0.0, dt=0.2, substeps=substeps))
 
     ref = endpoint(1600)
     err_h = float(np.linalg.norm(endpoint(50) - ref))
@@ -159,7 +157,7 @@ def check_quat_norm_drift() -> CheckResult:
     y = (*map(float, q0), 0.05, -1.2, 0.8)
     worst = 0.0
     for step in range(DRIFT_STEPS):
-        y = integrate_step(rhs, y, step * 1e-3, dt=1e-3, substeps=10, renormalize=False)
+        y = integrate_step(rhs, y, step * 1e-3, dt=1e-3, substeps=10)
         qw, qx, qy, qz = y[:4]
         norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
         worst = max(worst, abs(norm - 1.0))

@@ -35,8 +35,6 @@ from .checks import run_checks
 from .config import Condition, ConfigError, ExperimentConfig, load_config
 from .experiments import (
     Trajectory,
-    build_clock_schedule,
-    build_retune_schedule,
     compute_metrics,
     extract_listing,
     fit_plane,
@@ -61,16 +59,8 @@ TRAJECTORY_COLUMNS = (
 LISTING_COLUMNS = ("theta_y_deg", "theta_z_deg", "theta_x_deg")
 
 
-def condition_schedule(cond: Condition, cfg: ExperimentConfig):
-    if cond.kind == "retune":
-        return build_retune_schedule()
-    return build_clock_schedule(
-        cfg.task, cfg.band, stiffness=cond.stiffness, torsion=cond.torsion,
-    )
-
-
 def simulate_condition(cond: Condition, cfg: ExperimentConfig):
-    schedule = condition_schedule(cond, cfg)
+    schedule = cond.schedule(cfg.task, cfg.band)
     body = cfg.body if cond.gravity else replace(cfg.body, gravity=(0.0, 0.0, 0.0))
     return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim)
 

@@ -33,7 +33,8 @@ import numpy as np
 from ._rules import (BOOLEAN, NON_EMPTY_STRING, NON_NEGATIVE_INT, NUMBER, POSITIVE,
                      STRING, ConfigError, check_fields, param, rules)
 from .dynamics import BodyModel
-from .experiments import ClockTask, SimOptions, build_retune_schedule
+from .experiments import (ClockTask, ParamSchedule, SimOptions, build_clock_schedule,
+                          build_retune_schedule)
 from .planner import BandParams, reach_duration
 
 
@@ -41,10 +42,11 @@ from .planner import BandParams, reach_duration
 class Condition:
     """One experiment to simulate and log.
 
-    ``kind="clock"`` runs the full eight-target protocol at fixed stiffness
-    and torsion; ``kind="retune"`` runs the single-target trial whose
-    stiffness and torsion step mid-reach, and refuses a stiffness or torsion
-    other than the defaults.
+    ``kind="clock"`` visits each of the task's ``n_targets`` targets
+    center-out-and-back at fixed stiffness and torsion; ``kind="retune"``
+    runs the single-target trial whose stiffness and torsion step mid-reach,
+    and refuses a stiffness or torsion other than the defaults.  The kind
+    is decided here alone: :meth:`schedule` builds the schedule it runs.
     """
 
     name: str = param(STRING)
@@ -64,12 +66,23 @@ class Condition:
                 "name: must be one path component, not '', '.', '..' or "
                 f"'summary.json', without '/', '\\' or NUL, got {self.name!r}"
             )
+        # NAME_MAX, the longest folder name, is 255 bytes on ext4 and most others
+        size = len(self.name.encode("utf-8", "surrogatepass"))
+        if size > 255:
+            raise ConfigError(f"name: must be at most 255 bytes in UTF-8, the longest "
+                              f"folder name, got {size} bytes: {self.name[:40]!r}...")
         if self.kind not in ("clock", "retune"):
             raise ConfigError(f"kind: must be 'clock' or 'retune', got {self.kind!r}")
         if self.kind == "retune":
             for f in fields(self):
                 if f.name in ("stiffness", "torsion") and getattr(self, f.name) != f.default:
                     raise ConfigError(f"{f.name}: a retune condition runs its fixed schedule")
+
+    def schedule(self, task: ClockTask, band: BandParams) -> ParamSchedule:
+        """The schedule this condition's trial runs on ``task`` and ``band``."""
+        if self.kind == "retune":
+            return build_retune_schedule()
+        return build_clock_schedule(task, band, self.stiffness, self.torsion)
 
 
 def _condition_name(gravity: bool, stiffness: float, torsion: float) -> str:
@@ -117,47 +130,55 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
-        retune = [c.name for c in self.conditions if c.kind == "retune"]
-        if retune:
-            # the retune steps must land while the reach to target 0 is in flight
-            sched = build_retune_schedule()
-            last_step = max(sched.stiffness_breaks[-1][0], sched.torsion_breaks[-1][0])
-            end = sched.target_breaks[0][0] + reach_duration(self.task.radius, self.band)
-            if end <= last_step:
-                raise ConfigError(
-                    f"retune condition {retune[0]!r}: the reach to target 0 ends at "
-                    f"{end:.3f} s, at or before the last stiffness/torsion step at "
-                    f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
-                    f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
-                )
-        clock = [c.name for c in self.conditions if c.kind == "clock"]
-        if clock and not reach_duration(self.task.radius, self.band) + self.task.dwell > 0:
-            # a reach whose rate overflows lasts 0 s: the schedule would be empty
+        try:
+            reach = reach_duration(self.task.radius, self.band)
+        except ZeroDivisionError:  # the rate of a reach underflows to 0
             raise ConfigError(
-                f"clock condition {clock[0]!r}: its legs take no time, as the reach of "
-                f"task.radius ({self.task.radius:g} m) at band.max_accel "
-                f"({self.band.max_accel:g} m/s^2) rounds to 0 s and task.dwell is 0; "
-                f"raise task.radius or task.dwell, or lower band.max_accel"
-            )
+                f"task.radius, band.max_accel: the reach of task.radius ({self.task.radius:g} m) "
+                f"at band.max_accel ({self.band.max_accel:g} m/s^2) never arrives, as its rate "
+                f"underflows to 0; lower task.radius or raise band.max_accel"
+            ) from None
         # one sample has no motion to measure.  Refused after every condition's
         # cap: the cap's advice may be to raise sim.dt, this one's is to lower it
         short = []
         for cond in self.conditions:
-            samples, evals = self.trial_size(cond)
+            if cond.kind == "retune":
+                # the retune steps must land while the reach to target 0 is in flight
+                sched = cond.schedule(self.task, self.band)
+                last_step = max(sched.stiffness_breaks[-1][0], sched.torsion_breaks[-1][0])
+                end = sched.target_breaks[0][0] + reach
+                if end <= last_step:
+                    raise ConfigError(
+                        f"retune condition {cond.name!r}: the reach to target 0 ends at "
+                        f"{end:.3f} s, at or before the last stiffness/torsion step at "
+                        f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
+                        f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
+                    )
+            elif not reach + self.task.dwell > 0:
+                # a reach whose rate overflows lasts 0 s: the schedule would be empty
+                raise ConfigError(
+                    f"clock condition {cond.name!r}: its legs take no time, as the reach of "
+                    f"task.radius ({self.task.radius:g} m) at band.max_accel "
+                    f"({self.band.max_accel:g} m/s^2) rounds to 0 s and task.dwell is 0; "
+                    f"raise task.radius or task.dwell, or lower band.max_accel"
+                )
+            samples, legs, evals = self.trial_size(cond)
             if samples < 2:
                 short.append(cond.name)
-            # two legs per clock target (retune: out and back), each built and
-            # checked one by one, whatever sim.dt is
-            legs = 2 * self.task.n_targets if cond.kind == "clock" else 2
             if max(samples, legs) > MAX_SAMPLES or evals > MAX_RHS_EVALS:
+                # the keys that set the size: a retune's schedule is fixed
+                lower = f"sim.substeps (now {self.sim.substeps})"
+                higher = f"sim.dt (now {self.sim.dt:g} s)"
+                if cond.kind == "clock":
+                    lower = (f"task.n_targets (now {self.task.n_targets}), task.dwell (now "
+                             f"{self.task.dwell:g} s), task.radius (now {self.task.radius:g} m) "
+                             f"or {lower}")
+                    higher = f"band.max_accel (now {self.band.max_accel:g} m/s^2) or {higher}"
                 raise ConfigError(
                     f"condition {cond.name!r} is too large to run: {samples:,.0f} samples, "
                     f"{legs:,} legs and {evals:,.0f} right-hand-side evaluations, where the "
                     f"cap is {MAX_SAMPLES:,} samples or legs and {MAX_RHS_EVALS:,} "
-                    f"evaluations; lower "
-                    f"task.n_targets (now {self.task.n_targets}), task.dwell (now "
-                    f"{self.task.dwell:g} s) or sim.substeps (now {self.sim.substeps}), "
-                    f"or raise sim.dt (now {self.sim.dt:g} s)"
+                    f"evaluations; lower {lower}, or raise {higher}"
                 )
         if short:
             raise ConfigError(
@@ -165,17 +186,19 @@ class ExperimentConfig:
                 f"leaves it 1 sample, where a trial needs at least 2; lower sim.dt"
             )
 
-    def trial_size(self, cond: Condition) -> tuple[float, float]:
-        """Samples and right-hand-side evaluations of ``cond``'s trial, from
-        its schedule's duration; the clock schedule is not built, so a huge
-        task is sized at once."""
+    def trial_size(self, cond: Condition) -> tuple[float, int, float]:
+        """Samples, schedule legs and right-hand-side evaluations of
+        ``cond``'s trial, from its schedule's duration; the clock schedule
+        is not built, so a huge task is sized at once.  Each leg is built
+        and checked one by one, whatever ``sim.dt`` is."""
         if cond.kind == "retune":
-            duration = build_retune_schedule().duration
+            sched = build_retune_schedule()
+            duration, legs = sched.duration, len(sched.target_breaks)
         else:  # build_clock_schedule's: two legs per target, a reach plus the dwell
-            leg = reach_duration(self.task.radius, self.band) + self.task.dwell
-            duration = 2 * self.task.n_targets * leg
+            legs = 2 * self.task.n_targets
+            duration = legs * (reach_duration(self.task.radius, self.band) + self.task.dwell)
         steps = float(np.rint(duration / self.sim.dt))  # run_trial's rounding, inf-safe
-        return steps + 1, steps * self.sim.substeps * 4
+        return steps + 1, legs, steps * self.sim.substeps * 4
 
     def condition(self, name: str) -> Condition:
         for cond in self.conditions:

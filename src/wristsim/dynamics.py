@@ -183,7 +183,7 @@ def unit_quat_state(y):
     return qw / n, qx / n, qy / n, qz / n, wx, wy, wz
 
 
-def integrate_step(rhs, y, t, dt, substeps, renormalize=True):
+def integrate_step(rhs, y, t, dt, substeps):
     """Advance the state tuple ``y`` of a closed loop by one control interval.
 
     ``rhs(y, t)`` is the loop's right-hand side on floats, for example
@@ -191,12 +191,10 @@ def integrate_step(rhs, y, t, dt, substeps, renormalize=True):
     at every RK4 stage.  The interval is split into ``substeps`` classical
     RK4 substeps starting at ``t + i * dt / substeps`` (the stiffest
     torsional mode at clock-task stiffness sits outside the RK4 stability
-    region at the full control interval), each followed by
-    :func:`unit_quat_state` unless ``renormalize`` is false.
+    region at the full control interval).  The quaternion is not scaled
+    back to unit norm: a caller that wants it applies :func:`unit_quat_state`.
     """
     h = dt / substeps
     for i in range(substeps):
         y = rk4_step(rhs, y, t + i * h, h)
-        if renormalize:
-            y = unit_quat_state(y)
     return y

@@ -6,7 +6,8 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 
 * :func:`simulate_scalar` is the trial loop on plain floats through the
   package's float laws (``pointing_quat``, ``branch_step``,
-  ``branch_torque``, ``plant``, one-substep ``integrate_step``); the
+  ``branch_torque``, ``plant``, one-substep ``integrate_step`` and
+  ``unit_quat_state``); the
   compiled kernel must reproduce its records bit for bit.
 * :func:`dp45_step` is an embedded Dormand-Prince 4(5) step with error
   control, called like ``integrate_step``; the cross-check for the
@@ -124,7 +125,7 @@ def simulate_scalar(schedule, task, body, band, opts):
                 dmax_rec[k] = peak
                 if k == n:  # the last sample is recorded, not integrated
                     break
-            y = integrate_step(closed_loop, y, t_sub, h, 1)
+            y = unit_quat_state(integrate_step(closed_loop, y, t_sub, h, 1))
 
     return SimpleNamespace(
         plan_pos=plan_pos, quat_des=quat_des, quat=quat, omega=omega_rec,

@@ -262,6 +262,26 @@ def test_clock_legs_that_take_no_time_exit_2(tmp_path, capsys, text):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("text, values", [
+    ("band: {max_accel: 5.0e-324}\ntask: {radius: 2.0}\nconditions: [{name: a}]\n",
+     "task.radius (2 m) at band.max_accel (4.94066e-324 m/s^2)"),
+    ("band: {max_accel: 1.0e-320}\ntask: {radius: 1.0e5}\n"
+     "conditions: [{name: r, kind: retune}]\n",
+     "task.radius (100000 m) at band.max_accel (9.99989e-321 m/s^2)"),
+], ids=["clock", "retune"])
+def test_reach_whose_rate_underflows_exits_2(tmp_path, capsys, text, values):
+    """The other end of the legs that take no time: a reach rate that
+    underflows to 0 never arrives, which the config refuses by its keys, for
+    either kind, before anything is written."""
+    cfg = write(tmp_path, text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == (
+        f"wristsim: task.radius, band.max_accel: the reach of {values} never arrives, "
+        "as its rate underflows to 0; lower task.radius or raise band.max_accel\n"
+    )
+    assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
 INERTIA_KEYS = "body.mass, body.length, body.width, body.thickness, body.com_offset: "
 
 
@@ -299,16 +319,26 @@ def test_short_reach_is_accepted_without_a_retune_condition(tmp_path):
     assert [c.kind for c in cfg.conditions] == ["clock"]
 
 
-@pytest.mark.parametrize("section, size", [
-    ("task:\n  n_targets: 100000\n", "178,539,817 samples"),
-    ("sim:\n  dt: 1.0e-9\n", "2,500,000,001 samples"),
-    ("sim:\n  substeps: 1000000000\n", "10,000,000,000,000 right-hand-side evaluations"),
+CLOCK_SIZE_KEYS = ("task.n_targets", "task.dwell", "task.radius", "band.max_accel",
+                   "sim.substeps", "sim.dt")
+
+
+@pytest.mark.parametrize("section, size, name", [
+    ("task:\n  n_targets: 100000\n", "178,539,817 samples", "g_off_K10000_phi0"),
+    ("task:\n  radius: 1.0e7\n", "62,839,854 samples", "g_off_K10000_phi0"),
+    ("sim:\n  dt: 1.0e-9\n", "2,500,000,001 samples", "online_single_target"),
+    ("sim:\n  dt: 1.0e-6\n", "2,500,001 samples", "online_single_target"),
+    ("sim:\n  substeps: 1000000000\n", "10,000,000,000,000 right-hand-side evaluations",
+     "online_single_target"),
     # 1,786 samples, but 2,000,002 legs to build and check
-    ("task:\n  n_targets: 1000001\nsim:\n  dt: 1000.0\n", "2,000,002 legs"),
-], ids=["n_targets", "dt", "substeps", "legs"])
-def test_config_too_large_to_run_exits_2(tmp_path, capsys, monkeypatch, section, size):
+    ("task:\n  n_targets: 1000001\nsim:\n  dt: 1000.0\n", "2,000,002 legs",
+     "g_off_K10000_phi0"),
+], ids=["n_targets", "radius", "dt", "dt-retune", "substeps", "legs"])
+def test_config_too_large_to_run_exits_2(tmp_path, capsys, monkeypatch, section, size, name):
     """A trial's size is computed from the config, so a config past the cap
-    is refused before anything is built, simulated or written."""
+    is refused before anything is built, simulated or written.  The advice
+    names the keys that set that kind's size: the clock's task and reach,
+    and for the retune, whose schedule is fixed, only the sampling."""
     import wristsim.cli as cli
 
     def never(cond, cfg):
@@ -318,9 +348,9 @@ def test_config_too_large_to_run_exits_2(tmp_path, capsys, monkeypatch, section,
     cfg = write(tmp_path, section)
     assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
     err = capsys.readouterr().err
-    assert "is too large to run: " in err and size in err
-    for key in ("task.n_targets", "task.dwell", "sim.dt", "sim.substeps"):
-        assert key in err
+    assert f"condition {name!r} is too large to run: " in err and size in err
+    keys = CLOCK_SIZE_KEYS if name.startswith("g_") else CLOCK_SIZE_KEYS[-2:]
+    assert [key for key in CLOCK_SIZE_KEYS if key in err] == list(keys)
     assert not (tmp_path / "res").exists()
 
 
@@ -378,17 +408,18 @@ def test_size_cap_admits_the_trial_at_the_cap():
 
 
 def test_trial_size_counts_what_the_trial_runs():
-    """The computed size is the sample count and RK4 evaluation count of
-    the trial the condition runs, for either kind."""
+    """The computed size is the sample count, schedule legs and RK4
+    evaluation count of the trial the condition runs, for either kind."""
     from wristsim.cli import simulate_condition
 
     cfg = ExperimentConfig(
-        task=ClockTask(n_targets=1, dwell=0.05), sim=SimOptions(substeps=3),
+        task=ClockTask(n_targets=3, dwell=0.05), sim=SimOptions(substeps=3),
         conditions=(Condition("clock"), Condition("retune", kind="retune")),
     )
     for cond in cfg.conditions:
         samples = len(simulate_condition(cond, cfg))
-        assert cfg.trial_size(cond) == (samples, (samples - 1) * 3 * 4)
+        legs = len(cond.schedule(cfg.task, cfg.band).target_breaks)
+        assert cfg.trial_size(cond) == (samples, legs, (samples - 1) * 3 * 4)
 
 
 def test_sections_override_defaults(tmp_path):
@@ -629,6 +660,22 @@ def test_condition_name_outside_one_folder_exits_2(tmp_path, capsys, name):
     assert "conditions[0].name: must be one path component" in err
     assert f"got {name!r}" in err
     assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
+def test_condition_name_past_the_longest_folder_name_exits_2(tmp_path, capsys):
+    """A folder name holds at most 255 bytes, so a longer condition name is
+    refused by its key before any condition runs or any folder is made."""
+    assert Condition("a" * 255).name == "a" * 255
+    (tmp_path / ("a" * 255)).mkdir()
+    for name in ("a" * 256, "\u00e9" * 128):  # 256 bytes in UTF-8
+        with pytest.raises(ConfigError, match="name: must be at most 255 bytes in UTF-8"):
+            Condition(name)
+    cfg = write(tmp_path, f"conditions: [{{name: r, kind: retune}}, {{name: {'a' * 300}}}]\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert "conditions[1].name: must be at most 255 bytes in UTF-8" in err
+    assert "got 300 bytes" in err
+    assert not (tmp_path / "res").exists()
 
 
 def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):

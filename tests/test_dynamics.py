@@ -10,6 +10,8 @@ from wristsim.dynamics import (
     inertia_box,
     integrate_step,
     plant,
+    rk4_step,
+    unit_quat_state,
 )
 from wristsim.rotations import quat_angle_between, quat_norm, quat_normalize, rotate_vec
 from oracles import dp45_step
@@ -83,7 +85,7 @@ def test_free_tumble_conserves_energy_and_momentum(body):
     e0 = 0.5 * omega @ inertia @ omega
     l0 = rotate_vec(y[:4], inertia @ omega)
     for k in range(2000):
-        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=4)
+        y = unit_quat_state(integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=4))
     omega = np.array(y[4:])
     e1 = 0.5 * omega @ inertia @ omega
     l1 = rotate_vec(y[:4], inertia @ omega)
@@ -91,11 +93,24 @@ def test_free_tumble_conserves_energy_and_momentum(body):
     np.testing.assert_allclose(l1, l0, rtol=1e-8)
 
 
+def test_integrate_step_is_its_substeps_and_nothing_else(body):
+    """``integrate_step`` chains ``substeps`` RK4 steps and does not scale
+    the quaternion back to unit norm."""
+    rhs = torque_free(body)
+    y = (0.5, 0.5, 0.5, 0.0, 1.0, -2.0, 0.5)  # |q| = sqrt(0.75)
+    chained, h = y, 1e-3 / 5
+    for i in range(5):
+        chained = rk4_step(rhs, chained, 0.25 + i * h, h)
+    stepped = integrate_step(rhs, y, 0.25, dt=1e-3, substeps=5)
+    assert stepped == chained
+    assert quat_norm(stepped[:4]) == pytest.approx(math.sqrt(0.75), abs=1e-12)
+
+
 def test_renormalized_quaternion_stays_unit(body):
     rhs = torque_free(body)
     y = (1.0, 0.0, 0.0, 0.0, 1.0, -2.0, 0.5)
     for k in range(500):
-        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=5)
+        y = unit_quat_state(integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=5))
         assert abs(quat_norm(y[:4]) - 1.0) < 1e-12
 
 
@@ -106,7 +121,7 @@ def test_unrenormalized_drift_stays_tiny(body):
     worst = 0.0
     for k in range(200):
         prev = quat_norm(y[:4])
-        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=5, renormalize=False)
+        y = integrate_step(rhs, y, k * 1e-3, dt=1e-3, substeps=5)
         worst = max(worst, abs(quat_norm(y[:4]) - prev))
     assert worst <= 1e-9
 
@@ -125,7 +140,7 @@ def test_adaptive_matches_fixed_step(body):
 
     a = b = (1.0, 0.0, 0.0, 0.0, 0.3, -0.4, 0.2)
     for k in range(200):
-        a = integrate_step(spring, a, k * 1e-3, dt=1e-3, substeps=10)
+        a = unit_quat_state(integrate_step(spring, a, k * 1e-3, dt=1e-3, substeps=10))
         b = dp45_step(spring, b, k * 1e-3, dt=1e-3, rtol=1e-10)
     assert quat_angle_between(a[:4], b[:4]) < 1e-7
     np.testing.assert_allclose(a[4:], b[4:], atol=1e-6)
