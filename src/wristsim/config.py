@@ -212,6 +212,10 @@ _SECTIONS = {"body": BodyModel, "band": BandParams, "task": ClockTask, "sim": Si
 # a condition's YAML keys: its fields, with the torsion written in degrees
 _CONDITION_KEYS = {f.name for f in fields(Condition)} - {"torsion"} | {"torsion_deg"}
 _LEAF_RULES = {**rules(Condition), "torsion_deg": NUMBER}
+# the file keys that set a field a condition's error names, where they differ
+# from the field: a swept condition's name is made from its stiffness and torsion
+_LISTED = {"torsion": ("torsion_deg",)}
+_SWEPT = {**_LISTED, "name": ("stiffness", "torsion_deg")}
 # a sweep axis left out holds the one value of Condition's default
 _SWEEP_DEFAULTS = {
     "gravity": [Condition.gravity],
@@ -220,67 +224,63 @@ _SWEEP_DEFAULTS = {
 }
 
 
-def _require_mapping(node, path):
+def _check_mapping(node, keys, path, name=None):
+    """Refuse ``node`` unless it is a mapping of ``keys`` alone; a key is named
+    by its dotted ``path``, a node by ``name`` (by default ``path`` undotted)."""
     if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(node).__name__}")
-
-
-def _check_keys(node, allowed, path):
+        raise ConfigError(f"{name or path[:-1]}: expected a mapping, got {type(node).__name__}")
     for key in node:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"unknown key '{path}{key}'")
 
 
-def _build(cls, kwargs, path):
-    """``cls(**kwargs)``, with the dotted ``path`` prepended to each field an
-    error names before its colon."""
+def _build(cls, kwargs, path, keys={}):
+    """``cls(**kwargs)``, with each field an error names before its colon
+    replaced by the key or keys of the file that set it (``keys``, where they
+    differ from the field) and prefixed with the dotted ``path``."""
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        keys, colon, reason = str(exc).partition(": ")
-        dotted = ", ".join(path + key for key in keys.split(", "))
+        names, colon, reason = str(exc).partition(": ")
+        dotted = ", ".join(path + key for name in names.split(", ")
+                           for key in keys.get(name, (name,)))
         raise ConfigError(f"{dotted}{colon}{reason}") from None
+
+
+def _condition(values, path, keys):
+    """The :class:`Condition` of a file's ``values``, with the torsion in
+    degrees (a value that is no number reaches Condition as it is, to be
+    refused there); a swept one, with no name, is named after its values."""
+    values = dict(values)
+    if "torsion_deg" in values:
+        deg = values.pop("torsion_deg")
+        values["torsion"] = math.radians(deg) if NUMBER.test(deg) else deg
+    if "name" not in values:
+        values["name"] = _condition_name(**values)
+    return _build(Condition, values, path, keys)
 
 
 def _parse_condition(node, index):
     path = f"conditions[{index}]."
-    _require_mapping(node, path.rstrip("."))
-    _check_keys(node, _CONDITION_KEYS, path)
+    _check_mapping(node, _CONDITION_KEYS, path)
     if "name" not in node:
         raise ConfigError(f"{path}name: required")
     for key in ("stiffness", "torsion_deg"):
         if key in node and node.get("kind") == "retune":
             raise ConfigError(f"{path}{key}: a retune condition runs its fixed schedule")
-    kwargs = dict(node)
-    if "torsion_deg" in kwargs:
-        _LEAF_RULES["torsion_deg"].check(kwargs["torsion_deg"], path + "torsion_deg")
-        kwargs["torsion"] = math.radians(kwargs.pop("torsion_deg"))
-    return _build(Condition, kwargs, path)
+    return _condition(node, path, _LISTED)
 
 
 def _expand_sweep(node):
-    _require_mapping(node, "sweep")
-    _check_keys(node, ("gravity", "stiffness", "torsion_deg"), "sweep.")
+    _check_mapping(node, _SWEEP_DEFAULTS, "sweep.")
     axes = {**_SWEEP_DEFAULTS, **node}
     for key, values in axes.items():
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
         for j, value in enumerate(values):
             _LEAF_RULES[key].check(value, f"sweep.{key}[{j}]")
-    out = []
-    for gravity in axes["gravity"]:
-        for torsion_deg in axes["torsion_deg"]:
-            for stiffness in axes["stiffness"]:
-                torsion = math.radians(torsion_deg)
-                out.append(
-                    Condition(
-                        _condition_name(gravity, stiffness, torsion),
-                        gravity=gravity,
-                        stiffness=stiffness,
-                        torsion=torsion,
-                    )
-                )
-    return out
+    return [_condition({"gravity": g, "stiffness": k, "torsion_deg": d}, "sweep.", _SWEPT)
+            for g in axes["gravity"] for d in axes["torsion_deg"] for k in axes["stiffness"]]
 
 
 _BOOL, _INT, _FLOAT = ("tag:yaml.org,2002:bool", "tag:yaml.org,2002:int",
@@ -344,14 +344,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if raw is None:
         return ExperimentConfig()
-    _require_mapping(raw, str(path))
-    _check_keys(raw, {f.name for f in fields(ExperimentConfig)} | {"sweep"}, "")
+    _check_mapping(raw, {f.name for f in fields(ExperimentConfig)} | {"sweep"}, "", str(path))
 
     kwargs = {}
     for name, cls in _SECTIONS.items():
         if name in raw:
-            _require_mapping(raw[name], name)
-            _check_keys(raw[name], {f.name for f in fields(cls)}, f"{name}.")
+            _check_mapping(raw[name], {f.name for f in fields(cls)}, f"{name}.")
             kwargs[name] = _build(cls, raw[name], f"{name}.")
     if "conditions" in raw and "sweep" in raw:
         raise ConfigError("give either 'conditions' or 'sweep', not both")
