@@ -4,7 +4,10 @@ A config file is a YAML mapping; every section is optional and an empty
 file reproduces the built-in defaults (the full eight-condition protocol).
 A section's keys are its dataclass's fields, and each dataclass checks its
 own values; the loader only maps the file onto them, rejecting unknown keys
-and prefixing a field's error with its dotted path so typos fail loudly.
+and naming in a field's error the key the file wrote, with its dotted path
+(``conditions[0].torsion_deg`` for a condition's torsion, and
+``sweep.stiffness, sweep.torsion_deg`` for a swept condition's name, which
+is made from them), so typos fail loudly.
 The file must be UTF-8, and a key given twice in one mapping is refused
 with its line rather than letting the last one win.  Numbers are read as
 YAML 1.2 reads them: ``1e-3`` is a float, ``010`` is ten, ``0o10`` and
@@ -66,8 +69,12 @@ class Condition:
                 "name: must be one path component, not '', '.', '..' or "
                 f"'summary.json', without '/', '\\' or NUL, got {self.name!r}"
             )
+        try:  # a lone surrogate, which a YAML escape can write, has no UTF-8 form
+            size = len(self.name.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ConfigError(
+                f"name: must be text that UTF-8 can encode, got {self.name!r}") from None
         # NAME_MAX, the longest folder name, is 255 bytes on ext4 and most others
-        size = len(self.name.encode("utf-8", "surrogatepass"))
         if size > 255:
             raise ConfigError(f"name: must be at most 255 bytes in UTF-8, the longest "
                               f"folder name, got {size} bytes: {self.name[:40]!r}...")
@@ -132,7 +139,7 @@ class ExperimentConfig:
             raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
         try:
             reach = reach_duration(self.task.radius, self.band)
-        except ZeroDivisionError:  # the rate of a reach underflows to 0
+        except ConfigError:  # the rate of a reach underflows to 0
             raise ConfigError(
                 f"task.radius, band.max_accel: the reach of task.radius ({self.task.radius:g} m) "
                 f"at band.max_accel ({self.band.max_accel:g} m/s^2) never arrives, as its rate "

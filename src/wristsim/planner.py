@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rules import POSITIVE, check_fields, param
+from ._rules import POSITIVE, ConfigError, check_fields, param
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,13 @@ class BandParams:
 
 def _half_cycle_rate(dist: float, params: BandParams) -> float:
     """Angular rate omega = sqrt(2 K) of a from-rest reach over ``dist`` > 0,
-    with the band stiffness K = ``max_accel / dist``."""
-    return math.sqrt(2.0 * (params.max_accel / dist))
+    with the band stiffness K = ``max_accel / dist``.  A rate that underflows
+    to 0 is refused: that reach would never arrive."""
+    rate = math.sqrt(2.0 * (params.max_accel / dist))
+    if rate == 0.0:
+        raise ConfigError(f"max_accel: the reach over {dist:g} m at max_accel "
+                          f"{params.max_accel:g} m/s^2 never arrives, as its rate underflows to 0")
+    return rate
 
 
 def reach_duration(dist: float, params: BandParams) -> float:

@@ -142,6 +142,11 @@ LEAF_CASES = (
      (Condition, {"name": "a", "stiffness": math.inf}, 15)),
     ("sweep:\n  torsion_deg: [0.0, -.inf]\n",
      "sweep.torsion_deg[1]: expected a number, got -inf", None),
+    # a swept name is made from the stiffness and torsion the file wrote
+    ("sweep: {stiffness: [1.0e300]}\n",
+     "sweep.stiffness, sweep.torsion_deg: must be at most 255 bytes in UTF-8", None),
+    ("sweep: {torsion_deg: [1.0e300]}\n",
+     "sweep.stiffness, sweep.torsion_deg: must be at most 255 bytes in UTF-8", None),
     ("body:\n  com_offset: [.nan, 0, 0]\n",
      "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]",
      (BodyModel, {"com_offset": [math.nan, 0, 0]}, 16)),
@@ -208,6 +213,8 @@ def _case(cls, kwargs, number, message):
           "plane_distance, radius: their sum must be at most 1.341e+154 m"),
     _case(ExperimentConfig, {"conditions": ("a",)}, 30,
           "conditions[0]: expected a Condition, got 'a'"),
+    _case(Condition, {"name": "\ud800x"}, 31,
+          "name: must be text that UTF-8 can encode, got '\\ud800x'"),
 ])
 def test_dataclasses_reject_what_a_file_is_refused_for(cls, kwargs, message):
     """Each parameter dataclass checks its own fields with the loader's
@@ -678,6 +685,22 @@ def test_condition_name_past_the_longest_folder_name_exits_2(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+def test_condition_name_utf8_cannot_encode_exits_2(tmp_path, capsys, monkeypatch):
+    """A name holding a lone surrogate has no UTF-8 form, so it can name no
+    folder: it is refused by its key before any trial runs or folder is made."""
+    import wristsim.cli as cli
+
+    def never(cond, cfg):
+        raise AssertionError("a condition whose name UTF-8 cannot encode was simulated")
+
+    monkeypatch.setattr(cli, "simulate_condition", never)
+    cfg = write(tmp_path, QUICK.replace("name: quick", 'name: "\\ud800x"'))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == (
+        "wristsim: conditions[0].name: must be text that UTF-8 can encode, got '\\ud800x'\n")
+    assert [p for p in tmp_path.rglob("*") if p != cfg] == []
+
+
 def test_empty_out_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path, QUICK)
@@ -1126,6 +1149,18 @@ DOTTED_KEY = re.compile(
 )
 
 
+#: a sweep's axes, whose values follow a condition's rules
+SWEEP_RULES = {key: CONDITION_RULES[key] for key in ("gravity", "stiffness", "torsion_deg")}
+#: a key path of a sweep file: a sweep axis, a section's key, or a top-level one
+SWEEP_KEY = re.compile(
+    "|".join(
+        [rf"\bsweep\.{key}\b" for key in SWEEP_RULES]
+        + [rf"\b{name}\.{key}\b" for name, cls in FILE_SECTIONS.items() for key in rules(cls)]
+        + [rf"\b{key}: " for key in rules(ExperimentConfig)]
+    )
+)
+
+
 def tiny_value(path, rule, default):
     """A value that passes ``rule`` and keeps the trial small: at most two
     targets with no dwell, and the other numbers near their defaults."""
@@ -1144,9 +1179,9 @@ def tiny_value(path, rule, default):
 @st.composite
 def configs(draw, elsewhere):
     """A config mapping with every key of every section and one or two
-    conditions, from each key's rule: values that pass it, then up to two
-    keys at an edge of their rule and maybe one key failing it."""
-    doc, leaves = {}, []  # leaves: (mapping, key, rule)
+    conditions, listed or swept, from each key's rule: values that pass it,
+    then up to two keys at an edge of their rule and maybe one key failing it."""
+    doc, leaves = {}, []  # leaves: (mapping or list, key or index, rule)
 
     def fill(node, prefix, key_rules, defaults):
         for key, rule in key_rules.items():
@@ -1156,16 +1191,26 @@ def configs(draw, elsewhere):
     for name, cls in FILE_SECTIONS.items():
         doc[name] = {}
         fill(doc[name], f"{name}.", rules(cls), {f.name: f.default for f in fields(cls)})
-    doc["conditions"] = []
-    for name in draw(st.lists(st.sampled_from(["first", "second"]), min_size=1, unique=True)):
-        kind = draw(st.sampled_from(["clock", "retune"]))
-        cond = {"name": name, "kind": kind}
-        # a retune condition runs its own stiffness and torsion schedule
-        keys = ("gravity",) if kind == "retune" else ("gravity", "stiffness", "torsion_deg")
-        fill(cond, "", {k: CONDITION_RULES[k] for k in keys},
-             {"stiffness": Condition.stiffness})
-        leaves += [(cond, "name", STRING), (cond, "kind", STRING)]
-        doc["conditions"].append(cond)
+    if draw(st.booleans()):
+        # one or two values per axis, and at most two conditions in all
+        doc["sweep"], double = {}, draw(st.sampled_from([None, *SWEEP_RULES]))
+        for key, rule in SWEEP_RULES.items():
+            values = doc["sweep"][key] = []
+            for j in range(1 + (key == double)):
+                values.append(draw(tiny_value(key, rule, Condition.stiffness)))
+                leaves.append((values, j, rule))
+    else:
+        doc["conditions"] = []
+        for name in draw(st.lists(st.sampled_from(["first", "second"]), min_size=1,
+                                  unique=True)):
+            kind = draw(st.sampled_from(["clock", "retune"]))
+            cond = {"name": name, "kind": kind}
+            # a retune condition runs its own stiffness and torsion schedule
+            keys = ("gravity",) if kind == "retune" else ("gravity", "stiffness", "torsion_deg")
+            fill(cond, "", {k: CONDITION_RULES[k] for k in keys},
+                 {"stiffness": Condition.stiffness})
+            leaves += [(cond, "name", STRING), (cond, "kind", STRING)]
+            doc["conditions"].append(cond)
     doc["seed"] = draw(tiny_value("seed", NON_NEGATIVE_INT, 0))
     doc["output_dir"] = elsewhere  # --out overrides it
     leaves += [(doc, "seed", NON_NEGATIVE_INT), (doc, "output_dir", NON_EMPTY_STRING)]
@@ -1207,10 +1252,11 @@ def test_every_config_exits_0_1_or_2(data):
         assert not (tmp / "elsewhere").exists()
         assert code in (0, 1, 2), err
         if code == 2:
-            assert DOTTED_KEY.search(err), err
+            assert (SWEEP_KEY if "sweep" in doc else DOTTED_KEY).search(err), err
             assert sorted(tmp.iterdir()) == [cfg], err
             return
-        names = [c["name"] for c in doc["conditions"]]
+        names = ([c.name for c in load_config(cfg).conditions] if "sweep" in doc
+                 else [c["name"] for c in doc["conditions"]])
         written = [name for name in names if (out / name).exists()]
         assert written == names[:len(written)]
         if code == 1:

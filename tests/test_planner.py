@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import plan_reach
+from wristsim._rules import ConfigError
+from wristsim.experiments import ClockTask, build_clock_schedule
 from wristsim.planner import BandParams, ReachProfile, reach_duration
 
 coords = st.floats(-0.5, 0.5)
@@ -22,6 +25,17 @@ def test_stiffness_matches_acceleration_budget():
         assert profile.omega**2 * profile.dist / 2.0 == pytest.approx(3.2, rel=1e-15)
     assert reach_duration(0.0, p) == 0.0
     assert ReachProfile.from_rest([0.1, 0.0, 0.0], [0.1, 0.0, 0.0], p, 0.0).omega == 0.0
+
+
+def test_reach_whose_rate_underflows_is_refused_by_max_accel():
+    """A rate that underflows to 0 would divide pi by 0: the library refuses
+    the reach where the rate is made, for the schedule and the profile alike."""
+    band = BandParams(max_accel=5e-324)
+    message = "max_accel: the reach over 2 m at max_accel 4.94066e-324 m/s^2 never arrives"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_clock_schedule(ClockTask(radius=2.0), band)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ReachProfile.from_rest([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], band, 0.0)
 
 
 def test_reach_duration_oracle(band):
