@@ -7,13 +7,14 @@ formatter behind :func:`write_rows`.
 
 The shared library is compiled on first use with the C compiler Python was
 built with (``sysconfig``'s ``CC``) and cached under
-``${XDG_CACHE_HOME:-~/.cache}/wristsim``.  The cache file name carries the
-CRC-32 of the compiler flags and the source plus the source length, and a
-copy of the source sits next to each library: a library is loaded only when
-that copy matches the packaged source byte for byte, and is rebuilt
-otherwise.  The compiler writes to a temporary file that is then moved into
-place, so concurrent first runs are safe.  ``subprocess`` and ``sysconfig``
-are imported only to build.
+``${XDG_CACHE_HOME:-~/.cache}/wristsim`` as ``_kernel-<digest>.so``, where
+the digest is the SHA-256 of the compiler flags and the source: a changed
+source or changed flags get a library of their own, and only the library
+built from this source with these flags is loaded.  The compiler works in a
+temporary directory beside the cache, and the library is then moved into
+place, so concurrent first runs are safe and a failed build leaves nothing
+behind.  The SHA-256 is CPython's own module, not ``hashlib``, which loads
+OpenSSL; ``subprocess`` and ``sysconfig`` are imported only to build.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -57,29 +57,35 @@ def cache_dir() -> Path:
     return Path(base) / "wristsim"
 
 
-def _cache_paths(source: bytes) -> tuple[Path, Path]:
-    """The cached library and source copy for ``source``."""
-    crc = zlib.crc32(source, zlib.crc32(" ".join(CFLAGS).encode()))
-    stem = cache_dir() / f"_kernel-{crc:08x}-{len(source)}"
-    return stem.with_suffix(".so"), stem.with_suffix(".c")
+def _cache_path(source: bytes) -> Path:
+    """The cached library for ``source``, named by the SHA-256 of the
+    compiler flags and the source."""
+    # CPython's own SHA-256, as ``random`` takes its SHA-512: ``hashlib``
+    # loads OpenSSL, some 3.5 MB of peak RSS on every run
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:  # a Python built without its own hashes
+            from hashlib import sha256
+    digest = sha256(" ".join(CFLAGS).encode() + b"\0" + source).hexdigest()
+    return cache_dir() / f"_kernel-{digest}.so"
 
 
-def _compile(source: bytes, lib: Path, copy: Path) -> None:
-    """Compile ``source`` into ``lib``, then store it as ``copy``."""
+def _compile(source: bytes, lib: Path) -> None:
+    """Compile ``source`` into ``lib``, in a temporary directory beside it
+    that is removed whether or not the compiler succeeds."""
     import shlex
     import subprocess
     import sysconfig
     import tempfile
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    tmp_src = tmp_lib = None
-    try:
-        with tempfile.NamedTemporaryFile("wb", suffix=".c", dir=lib.parent, delete=False) as fh:
-            tmp_src = fh.name
-            fh.write(source)
-        with tempfile.NamedTemporaryFile(suffix=".so", dir=lib.parent, delete=False) as fh:
-            tmp_lib = fh.name
-        cmd = [*cc, *CFLAGS, "-o", tmp_lib, tmp_src, "-lm"]
+    with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+        src, out = os.path.join(tmp, "_kernel.c"), os.path.join(tmp, lib.name)
+        Path(src).write_bytes(source)
+        cmd = [*cc, *CFLAGS, "-o", out, src, "-lm"]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
         except OSError as exc:
@@ -90,29 +96,17 @@ def _compile(source: bytes, lib: Path, copy: Path) -> None:
             raise KernelCompileError(
                 f"compiling the trial kernel failed: {' '.join(cmd)}\n{proc.stderr}"
             )
-        # the library first: a source copy that matches promises a library
-        os.replace(tmp_lib, lib)
-        tmp_lib = None
-        os.replace(tmp_src, copy)
-        tmp_src = None
-    finally:
-        for path in (tmp_src, tmp_lib):
-            if path is not None:
-                os.unlink(path)
+        os.replace(out, lib)
 
 
 def build() -> Path:
     """Path of the cached library for the packaged source, compiling it
-    when the cache holds none or its source copy differs."""
+    when the cache holds none."""
     source = SOURCE.read_bytes()
-    lib, copy = _cache_paths(source)
-    try:
-        fresh = lib.is_file() and copy.read_bytes() == source
-    except FileNotFoundError:
-        fresh = False
-    if not fresh:
+    lib = _cache_path(source)
+    if not lib.is_file():
         lib.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        _compile(source, lib, copy)
+        _compile(source, lib)
     return lib
 
 

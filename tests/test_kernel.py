@@ -5,8 +5,11 @@ formatter byte-identical to ``%.17g``, and its build cache."""
 import ctypes
 import dataclasses
 import functools
+import hashlib
+import importlib.util
 import io
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -280,21 +283,44 @@ def test_missing_or_failing_compiler_raises_named_error(tmp_path, monkeypatch):
     assert list((tmp_path / "wristsim").iterdir()) == []
 
 
-def test_stale_source_copy_is_rebuilt(tmp_path, monkeypatch):
+def test_library_is_named_by_its_flags_and_source(tmp_path, monkeypatch):
+    """One file per build in a 0700 directory, no source copy beside it; a
+    second build loads that file, and a changed source gets a file of its
+    own, compiled anew."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    source = _kernel.SOURCE.read_bytes()
     lib = _kernel.build()
-    copy = lib.with_suffix(".c")
     assert lib.parent == tmp_path / "wristsim"
     assert lib.parent.stat().st_mode & 0o777 == 0o700
-    assert copy.read_bytes() == source
+    assert [p.name for p in lib.parent.iterdir()] == [lib.name]
     built = lib.stat().st_ino
     assert _kernel.build() == lib and lib.stat().st_ino == built  # cached
-    copy.write_bytes(bytes(len(source)))  # same length, other bytes
-    assert _kernel.build() == lib
-    assert lib.stat().st_ino != built
-    assert copy.read_bytes() == source
-    assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, copy.name])
+    changed = tmp_path / "_kernel.c"
+    changed.write_bytes(_kernel.SOURCE.read_bytes() + b"/* one more line */\n")
+    monkeypatch.setattr(_kernel, "SOURCE", changed)
+    other = _kernel.build()
+    assert other.parent == lib.parent and other.name != lib.name
+    assert sorted(p.name for p in lib.parent.iterdir()) == sorted([lib.name, other.name])
+    assert lib.stat().st_ino == built
+    assert ctypes.CDLL(str(other)).wristsim_format_rows  # a library, compiled
+
+
+def test_naming_the_library_loads_no_openssl():
+    """The library's name is hashed without ``hashlib``, whose OpenSSL
+    would add some 3.5 MB to the peak RSS of every run."""
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python has no SHA-256 of its own")
+    code = (
+        "import sys\n"
+        "from wristsim import _kernel\n"
+        "name = _kernel._cache_path(b'int x;').name\n"
+        "assert name == '_kernel-' + sys.argv[1] + '.so', name\n"
+        "assert '_hashlib' not in sys.modules and 'hashlib' not in sys.modules\n"
+    )
+    digest = hashlib.sha256(" ".join(_kernel.CFLAGS).encode() + b"\0int x;").hexdigest()
+    src = os.path.dirname(os.path.dirname(_kernel.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, digest], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("opt", [("-O3",), ("-O2", "-fno-math-errno")], ids=" ".join)
@@ -313,7 +339,7 @@ def test_outputs_do_not_depend_on_the_optimisation_flags(opt, tmp_path, monkeypa
     _kernel._library.cache_clear()
     try:
         built = outputs()
-        lib, _ = _kernel._cache_paths(_kernel.SOURCE.read_bytes())
+        lib = _kernel._cache_path(_kernel.SOURCE.read_bytes())
     finally:
         _kernel._library.cache_clear()
     assert lib.is_file() and lib.parent == tmp_path / "wristsim"  # built anew
@@ -423,7 +449,7 @@ def test_formatter_falls_back_when_its_table_is_wrong(tmp_path):
     # the added statement runs once, after the loop that fills the table
     source = source.replace(fill, fill + "\n    pow5[55] += (u128)1 << 80;")
     lib = tmp_path / "wrong.so"
-    _kernel._compile(source.encode(), lib, tmp_path / "wrong.c")
+    _kernel._compile(source.encode(), lib)
     x = float(np.nextafter(1e-38, 0.0))
     proc = subprocess.run([sys.executable, "-c", FORMAT_ONE, str(lib), x.hex()],
                           capture_output=True, timeout=20)
