@@ -98,6 +98,12 @@ def _condition_name(gravity: bool, stiffness: float, torsion: float) -> str:
     return f"g_{'on' if gravity else 'off'}_K{round(stiffness)}_phi{phi}"
 
 
+def _repeated(names) -> list[str]:
+    """The names that occur more than once, sorted."""
+    names = list(names)
+    return sorted({n for n in names if names.count(n) > 1})
+
+
 def default_conditions() -> list[Condition]:
     """The stock protocol: one online-retuning trial plus seven clock runs,
     six of them a gravity-on sweep."""
@@ -133,9 +139,8 @@ class ExperimentConfig:
             if not isinstance(cond, Condition):
                 raise ConfigError(f"conditions[{i}]: expected a Condition, got {cond!r}")
         object.__setattr__(self, "conditions", tuple(self.conditions))
-        names = [c.name for c in self.conditions]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = _repeated(c.name for c in self.conditions)
+        if dupes:
             raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
         try:
             reach = reach_duration(self.task.radius, self.band)
@@ -286,8 +291,16 @@ def _expand_sweep(node):
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
         for j, value in enumerate(values):
             _LEAF_RULES[key].check(value, f"sweep.{key}[{j}]")
-    return [_condition({"gravity": g, "stiffness": k, "torsion_deg": d}, "sweep.", _SWEPT)
-            for g in axes["gravity"] for d in axes["torsion_deg"] for k in axes["stiffness"]]
+    conditions = [_condition({"gravity": g, "stiffness": k, "torsion_deg": d}, "sweep.", _SWEPT)
+                  for g in axes["gravity"] for d in axes["torsion_deg"] for k in axes["stiffness"]]
+    dupes = _repeated(c.name for c in conditions)
+    if dupes:
+        raise ConfigError(
+            f"sweep.gravity, sweep.stiffness, sweep.torsion_deg: two swept conditions are "
+            f"named {dupes[0]} (a name gives gravity as on or off, the stiffness rounded to a "
+            f"whole N*m/rad and the torsion rounded to a whole degree)"
+        )
+    return conditions
 
 
 _BOOL, _INT, _FLOAT = ("tag:yaml.org,2002:bool", "tag:yaml.org,2002:int",

@@ -26,6 +26,9 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 * :func:`torsion_about_pointer` reads the roll about the pointer back out
   of a quaternion, through :func:`quat_canonical`; ``project_to_sphere``
   and the trial's desired stream must carry the scheduled torsion.
+* :func:`rotation_vectors` is the torsion surface in rotation-vector
+  coordinates, with the scheduled torsion factored out: the table of
+  Listing's plane (Haslwanter, Vision Res 1995) that ``fit_plane`` takes.
 """
 
 import math
@@ -38,7 +41,7 @@ from wristsim.dynamics import integrate_step, plant, rk4_step, unit_quat_state
 from wristsim.experiments import SimulationError
 from wristsim.fic import branch_force, branch_step, branch_torque
 from wristsim.planner import ReachProfile
-from wristsim.rotations import GIMBAL_GUARD, _atan2, pointing_quat
+from wristsim.rotations import GIMBAL_GUARD, _atan2, pointing_quat, quat_mul
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -350,3 +353,22 @@ def torsion_about_pointer(q):
     # a half turn with a zero scalar part keeps its negative x: -pi is pi
     angle = np.where(angle == -math.pi, math.pi, angle)
     return np.where(pure_swing, 0.0, angle)[()]
+
+
+def rotation_vectors(quats, torsion):
+    """The (n, 3) rotation vectors (angle times unit axis, rad) of an (n, 4)
+    quaternion stack with the scheduled torsion factored out.
+
+    The projection composes the roll last, q = swing * twist_x(torsion), so
+    each quaternion is right-multiplied by twist_x(-torsion), canonicalised,
+    and mapped to 2 atan2(|v|, w) v / |v| (0 where |v| = 0).  ``torsion``
+    is one angle or one per quaternion.
+    """
+    half = -0.5 * np.asarray(torsion, dtype=float)
+    twist = np.stack(np.broadcast_arrays(np.cos(half), np.sin(half), 0.0, 0.0), axis=-1)
+    q = quat_canonical(quat_mul(quats, twist))
+    v = q[:, 1:]
+    norm = np.sqrt(np.sum(v * v, axis=1))
+    scale = np.divide(2.0 * np.arctan2(norm, q[:, 0]), norm,
+                      out=np.zeros_like(norm), where=norm > 0.0)
+    return v * scale[:, None]

@@ -147,6 +147,15 @@ LEAF_CASES = (
      "sweep.stiffness, sweep.torsion_deg: must be at most 255 bytes in UTF-8", None),
     ("sweep: {torsion_deg: [1.0e300]}\n",
      "sweep.stiffness, sweep.torsion_deg: must be at most 255 bytes in UTF-8", None),
+    # two swept conditions whose names are the same
+    ("sweep: {gravity: [true, true]}\n",
+     "sweep.gravity, sweep.stiffness, sweep.torsion_deg: two swept conditions are named "
+     "g_on_K10000_phi0 (a name gives gravity as on or off, the stiffness rounded to a "
+     "whole N*m/rad and the torsion rounded to a whole degree)", None),
+    ("sweep: {torsion_deg: [-0.3, 0.3]}\n",
+     "sweep.gravity, sweep.stiffness, sweep.torsion_deg: two swept conditions are named "
+     "g_on_K10000_phi0 (a name gives gravity as on or off, the stiffness rounded to a "
+     "whole N*m/rad and the torsion rounded to a whole degree)", None),
     ("body:\n  com_offset: [.nan, 0, 0]\n",
      "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]",
      (BodyModel, {"com_offset": [math.nan, 0, 0]}, 16)),
