@@ -51,6 +51,8 @@ VECTOR = Rule(
 BOOLEAN = Rule(lambda v: isinstance(v, bool), "expected a boolean")
 STRING = Rule(lambda v: isinstance(v, str), "expected a string")
 NON_EMPTY_STRING = Rule(lambda v: isinstance(v, str) and bool(v), "expected a non-empty string")
+KIND = Rule(lambda v: isinstance(v, str) and v in ("clock", "retune"),
+            "must be 'clock' or 'retune'")
 
 
 def param(rule: Rule, default=MISSING):

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rules import (BOOLEAN, NON_EMPTY_STRING, NON_NEGATIVE_INT, NUMBER, POSITIVE,
+from ._rules import (BOOLEAN, KIND, NON_EMPTY_STRING, NON_NEGATIVE_INT, NUMBER, POSITIVE,
                      STRING, ConfigError, check_fields, param, rules)
 from .dynamics import BodyModel
 from .experiments import (ClockTask, ParamSchedule, SimOptions, build_clock_schedule,
@@ -53,7 +53,7 @@ class Condition:
     """
 
     name: str = param(STRING)
-    kind: str = param(STRING, "clock")
+    kind: str = param(KIND, "clock")
     gravity: bool = param(BOOLEAN, True)
     stiffness: float = param(POSITIVE, 10000.0)
     torsion: float = param(NUMBER, 0.0)
@@ -78,8 +78,6 @@ class Condition:
         if size > 255:
             raise ConfigError(f"name: must be at most 255 bytes in UTF-8, the longest "
                               f"folder name, got {size} bytes: {self.name[:40]!r}...")
-        if self.kind not in ("clock", "retune"):
-            raise ConfigError(f"kind: must be 'clock' or 'retune', got {self.kind!r}")
         if self.kind == "retune":
             for f in fields(self):
                 if f.name in ("stiffness", "torsion") and getattr(self, f.name) != f.default:
@@ -142,56 +140,9 @@ class ExperimentConfig:
         dupes = _repeated(c.name for c in self.conditions)
         if dupes:
             raise ConfigError(f"duplicate condition names: {', '.join(dupes)}")
-        try:
-            reach = reach_duration(self.task.radius, self.band)
-        except ConfigError:  # the rate of a reach underflows to 0
-            raise ConfigError(
-                f"task.radius, band.max_accel: the reach of task.radius ({self.task.radius:g} m) "
-                f"at band.max_accel ({self.band.max_accel:g} m/s^2) never arrives, as its rate "
-                f"underflows to 0; lower task.radius or raise band.max_accel"
-            ) from None
         # one sample has no motion to measure.  Refused after every condition's
         # cap: the cap's advice may be to raise sim.dt, this one's is to lower it
-        short = []
-        for cond in self.conditions:
-            if cond.kind == "retune":
-                # the retune steps must land while the reach to target 0 is in flight
-                sched = cond.schedule(self.task, self.band)
-                last_step = max(sched.stiffness_breaks[-1][0], sched.torsion_breaks[-1][0])
-                end = sched.target_breaks[0][0] + reach
-                if end <= last_step:
-                    raise ConfigError(
-                        f"retune condition {cond.name!r}: the reach to target 0 ends at "
-                        f"{end:.3f} s, at or before the last stiffness/torsion step at "
-                        f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
-                        f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
-                    )
-            elif not reach + self.task.dwell > 0:
-                # a reach whose rate overflows lasts 0 s: the schedule would be empty
-                raise ConfigError(
-                    f"clock condition {cond.name!r}: its legs take no time, as the reach of "
-                    f"task.radius ({self.task.radius:g} m) at band.max_accel "
-                    f"({self.band.max_accel:g} m/s^2) rounds to 0 s and task.dwell is 0; "
-                    f"raise task.radius or task.dwell, or lower band.max_accel"
-                )
-            samples, legs, evals = self.trial_size(cond)
-            if samples < 2:
-                short.append(cond.name)
-            if max(samples, legs) > MAX_SAMPLES or evals > MAX_RHS_EVALS:
-                # the keys that set the size: a retune's schedule is fixed
-                lower = f"sim.substeps (now {self.sim.substeps})"
-                higher = f"sim.dt (now {self.sim.dt:g} s)"
-                if cond.kind == "clock":
-                    lower = (f"task.n_targets (now {self.task.n_targets}), task.dwell (now "
-                             f"{self.task.dwell:g} s), task.radius (now {self.task.radius:g} m) "
-                             f"or {lower}")
-                    higher = f"band.max_accel (now {self.band.max_accel:g} m/s^2) or {higher}"
-                raise ConfigError(
-                    f"condition {cond.name!r} is too large to run: {samples:,.0f} samples, "
-                    f"{legs:,} legs and {evals:,.0f} right-hand-side evaluations, where the "
-                    f"cap is {MAX_SAMPLES:,} samples or legs and {MAX_RHS_EVALS:,} "
-                    f"evaluations; lower {lower}, or raise {higher}"
-                )
+        short = [c.name for c in self.conditions if self.trial_size(c)[0] < 2]
         if short:
             raise ConfigError(
                 f"condition {short[0]!r} is too short to run: sim.dt (now {self.sim.dt:g} s) "
@@ -202,15 +153,56 @@ class ExperimentConfig:
         """Samples, schedule legs and right-hand-side evaluations of
         ``cond``'s trial, from its schedule's duration; the clock schedule
         is not built, so a huge task is sized at once.  Each leg is built
-        and checked one by one, whatever ``sim.dt`` is."""
+        and checked one by one, whatever ``sim.dt`` is.  A trial that cannot
+        run, or is larger than the caps, is refused with the keys to change."""
+        try:
+            reach = reach_duration(self.task.radius, self.band)
+        except ConfigError:  # the rate of a reach underflows to 0
+            raise ConfigError(
+                f"task.radius, band.max_accel: the reach of task.radius ({self.task.radius:g} m) "
+                f"at band.max_accel ({self.band.max_accel:g} m/s^2) never arrives, as its rate "
+                f"underflows to 0; lower task.radius or raise band.max_accel"
+            ) from None
         if cond.kind == "retune":
-            sched = build_retune_schedule()
+            # the retune steps must land while the reach to target 0 is in flight
+            sched = cond.schedule(self.task, self.band)
+            last_step = max(sched.stiffness_breaks[-1][0], sched.torsion_breaks[-1][0])
+            end = sched.target_breaks[0][0] + reach
+            if end <= last_step:
+                raise ConfigError(
+                    f"retune condition {cond.name!r}: the reach to target 0 ends at "
+                    f"{end:.3f} s, at or before the last stiffness/torsion step at "
+                    f"{last_step:g} s; raise task.radius (now {self.task.radius:g} m) "
+                    f"or lower band.max_accel (now {self.band.max_accel:g} m/s^2)"
+                )
             duration, legs = sched.duration, len(sched.target_breaks)
+            lower = higher = ""  # the keys that set the size: a retune's schedule is fixed
         else:  # build_clock_schedule's: two legs per target, a reach plus the dwell
+            leg = reach + self.task.dwell
+            if not leg > 0:
+                # a reach whose rate overflows lasts 0 s: the schedule would be empty
+                raise ConfigError(
+                    f"clock condition {cond.name!r}: its legs take no time, as the reach of "
+                    f"task.radius ({self.task.radius:g} m) at band.max_accel "
+                    f"({self.band.max_accel:g} m/s^2) rounds to 0 s and task.dwell is 0; "
+                    f"raise task.radius or task.dwell, or lower band.max_accel"
+                )
             legs = 2 * self.task.n_targets
-            duration = legs * (reach_duration(self.task.radius, self.band) + self.task.dwell)
+            duration = legs * leg
+            lower = (f"task.n_targets (now {self.task.n_targets}), task.dwell (now "
+                     f"{self.task.dwell:g} s), task.radius (now {self.task.radius:g} m) or ")
+            higher = f"band.max_accel (now {self.band.max_accel:g} m/s^2) or "
         steps = float(np.rint(duration / self.sim.dt))  # run_trial's rounding, inf-safe
-        return steps + 1, legs, steps * self.sim.substeps * 4
+        samples, evals = steps + 1, steps * self.sim.substeps * 4
+        if max(samples, legs) > MAX_SAMPLES or evals > MAX_RHS_EVALS:
+            raise ConfigError(
+                f"condition {cond.name!r} is too large to run: {samples:,.0f} samples, "
+                f"{legs:,} legs and {evals:,.0f} right-hand-side evaluations, where the "
+                f"cap is {MAX_SAMPLES:,} samples or legs and {MAX_RHS_EVALS:,} evaluations; "
+                f"lower {lower}sim.substeps (now {self.sim.substeps}), or raise "
+                f"{higher}sim.dt (now {self.sim.dt:g} s)"
+            )
+        return samples, legs, evals
 
     def condition(self, name: str) -> Condition:
         for cond in self.conditions:

@@ -197,7 +197,7 @@ def _field_message(message):
 
 def _case(cls, kwargs, number, message):
     """A case whose id keeps the number it was added with, so deleting a
-    case renames no other; a new case takes the next unused number, 31."""
+    case renames no other; a new case takes the next unused number, 33."""
     return pytest.param(cls, kwargs, message, id=f"{cls.__name__}-kwargs{number}-{message}")
 
 
@@ -224,6 +224,7 @@ def _case(cls, kwargs, number, message):
           "conditions[0]: expected a Condition, got 'a'"),
     _case(Condition, {"name": "\ud800x"}, 31,
           "name: must be text that UTF-8 can encode, got '\\ud800x'"),
+    _case(Condition, {"name": "a", "kind": 5}, 32, "kind: must be 'clock' or 'retune', got 5"),
 ])
 def test_dataclasses_reject_what_a_file_is_refused_for(cls, kwargs, message):
     """Each parameter dataclass checks its own fields with the loader's
