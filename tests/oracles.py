@@ -29,6 +29,12 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 * :func:`rotation_vectors` is the torsion surface in rotation-vector
   coordinates, with the scheduled torsion factored out: the table of
   Listing's plane (Haslwanter, Vision Res 1995) that ``fit_plane`` takes.
+* :func:`plan_torque` is the inverse dynamics of a desired stream: the
+  torque that realises the plan on a body, against which the commanded
+  effort is read.
+* :func:`fick_quat` and :func:`helmholtz_quat` point the body x axis along
+  a direction through a gimbal, the two controls that obey Donders' law
+  but not Listing's, beside the shortest arc of ``pointing_quat``.
 """
 
 import math
@@ -37,11 +43,11 @@ from typing import Optional
 
 import numpy as np
 
-from wristsim.dynamics import integrate_step, plant, rk4_step, unit_quat_state
+from wristsim.dynamics import gravity_torque, integrate_step, plant, rk4_step, unit_quat_state
 from wristsim.experiments import SimulationError
 from wristsim.fic import branch_force, branch_step, branch_torque
 from wristsim.planner import ReachProfile
-from wristsim.rotations import GIMBAL_GUARD, _atan2, pointing_quat, quat_mul
+from wristsim.rotations import GIMBAL_GUARD, _atan2, pointing_quat, quat_conj, quat_mul
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -372,3 +378,43 @@ def rotation_vectors(quats, torsion):
     scale = np.divide(2.0 * np.arctan2(norm, q[:, 0]), norm,
                       out=np.zeros_like(norm), where=norm > 0.0)
     return v * scale[:, None]
+
+
+def plan_torque(t, quat_des, body):
+    """The body-frame torque that realises the desired stream ``quat_des``
+    on ``body``, on the interior samples, an (n - 2, 3) stack.
+
+    The body rates are omega = 2 vec(q* q') and alpha = omega', both by
+    central differences over ``t``, and tau = I alpha + omega x I omega -
+    tau_g(q), the plant's law solved for its control torque.  A gravity-off
+    trial takes the body with zero gravity.
+    """
+    q = np.asarray(quat_des, dtype=float)
+    omega = 2.0 * quat_mul(quat_conj(q), np.gradient(q, t, axis=0))[:, 1:]
+    alpha = np.gradient(omega, t, axis=0)
+    inertia = body.inertia
+    tau = alpha @ inertia.T + np.cross(omega, omega @ inertia.T) - gravity_torque(q, body)
+    return tau[1:-1]
+
+
+def _turn(angle, axis):
+    """The (n, 4) quaternions of turns by ``angle`` about world axis 1 (y) or 2 (z)."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    q = np.zeros(half.shape + (4,))
+    q[..., 0], q[..., 1 + axis] = np.cos(half), np.sin(half)
+    return q
+
+
+def fick_quat(d):
+    """The Fick-gimbal pose that points body x along each row of the (n, 3)
+    directions ``d``: a turn about world z, then one about the rotated y."""
+    x, y, z = np.asarray(d, dtype=float).T
+    return quat_mul(_turn(np.arctan2(y, x), 2), _turn(np.arctan2(-z, np.hypot(x, y)), 1))
+
+
+def helmholtz_quat(d):
+    """The Helmholtz-gimbal pose that points body x along each row of the
+    (n, 3) directions ``d``: a turn about world y, then one about the
+    rotated z, the other order of :func:`fick_quat`."""
+    x, y, z = np.asarray(d, dtype=float).T
+    return quat_mul(_turn(np.arctan2(-z, x), 1), _turn(np.arctan2(y, np.hypot(x, z)), 2))

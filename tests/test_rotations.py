@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import euler_xyz_scalar, quat_canonical, torsion_about_pointer
+from oracles import (euler_xyz_scalar, fick_quat, helmholtz_quat, quat_canonical,
+                     rotation_vectors, torsion_about_pointer)
 from wristsim.cli import simulate_condition
 from wristsim.config import ExperimentConfig
+from wristsim.experiments import fit_plane
 from wristsim.rotations import (
     DegeneratePointingError,
     euler_xyz_from_quat,
@@ -88,6 +90,63 @@ def test_projection_points_x_axis_at_target(task):
         np.testing.assert_allclose(
             ray, target / np.linalg.norm(target), atol=1e-12
         )
+
+
+def test_donders_law_from_any_projection_listings_from_the_shortest_arc(task):
+    """Donders' law from any projection, Listing's law only from the
+    shortest arc.  Each projection maps a point to one pose, so each is path
+    independent; only the shortest arc puts the poses' rotation vectors on a
+    plane.  A Fick gimbal (a turn about world z, then about the rotated y)
+    and a Helmholtz gimbal (the other order) point as asked but twist their
+    surface: the y*z coefficient of a quadratic fit of rotation-vector x on
+    y and z is about -1/2 for Fick and +1/2 for Helmholtz, where it is 0 on
+    Listing's plane.  On 2,000 seeded points uniform over the task's disc,
+    18.4 deg in extent at the defaults."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    r, angle = task.radius * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+    points = np.column_stack([np.full(n, task.plane_distance), r * np.cos(angle),
+                              r * np.sin(angle)])
+    rays = points / np.linalg.norm(points, axis=1)[:, None]
+    poses = {"shortest arc": np.array([project_to_sphere(p) for p in points]),
+             "Fick": fick_quat(rays), "Helmholtz": helmholtz_quat(rays)}
+    for q in poses.values():
+        np.testing.assert_allclose(rotate_vec(q, [1.0, 0.0, 0.0]), rays, rtol=0, atol=1e-12)
+    residual, twist = {}, {}
+    for name, q in poses.items():
+        table = rotation_vectors(q, 0.0)
+        residual[name] = fit_plane(table)["rms_residual_rad"]
+        x, y, z = table.T
+        design = np.column_stack([y, z, y * y, y * z, z * z, np.ones(n)])
+        twist[name] = np.linalg.lstsq(design, x, rcond=None)[0][3]
+    assert residual["shortest arc"] == 0.0
+    assert residual["Fick"] >= 1e-2 and residual["Helmholtz"] >= 1e-2
+    assert -0.53 <= twist["Fick"] <= -0.49 and 0.49 <= twist["Helmholtz"] <= 0.53
+
+
+@pytest.mark.parametrize("end, listing_plane", [(2, False), (1, False), (4, True)])
+def test_chords_turn_by_the_half_angle_rule(task, end, listing_plane):
+    """Listing's law in velocity (Tweed & Vilis, Vision Res 1990): a pose
+    that moves within Listing's law turns about an axis normal to a + g,
+    where a is the primary pointer direction (world x) and g the current
+    one, not about an axis in Listing's plane (normal to a).  Along the
+    straight chord from target 0 to target ``end`` (2,001 shortest-arc
+    poses, world-frame omega by central differences), the first deviation
+    is rounding and the second is not, except on the chord through the
+    centre (0 to 4), where both rules hold."""
+    positions = task.positions
+    s = np.linspace(0.0, 1.0, 2001)
+    points = positions[0] + s[:, None] * (positions[end] - positions[0])
+    q = np.array([project_to_sphere(p) for p in points])
+    omega = 2.0 * quat_mul(np.gradient(q, s, axis=0), quat_conj(q))[1:-1, 1:]
+    axis = omega / np.linalg.norm(omega, axis=1)[:, None]
+    normal = [1.0, 0.0, 0.0] + points[1:-1] / np.linalg.norm(points[1:-1], axis=1)[:, None]
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    assert np.abs(np.sum(axis * normal, axis=1)).max() <= 1e-15
+    if listing_plane:
+        assert np.abs(axis[:, 0]).max() <= 1e-15
+    else:
+        assert np.abs(axis[:, 0]).max() >= 0.1
 
 
 def test_projection_degenerate_target():
