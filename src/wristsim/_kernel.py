@@ -195,8 +195,9 @@ def write_rows(fh, columns) -> None:
     Each column is an array of shape (n,) or (n, m) with the same n.  Blocks
     of at most :data:`BLOCK_ROWS` rows are copied into one reused table and
     formatted into one reused buffer, so neither the whole table nor its
-    text is ever held in memory.  Raises ``ValueError`` on a value that is
-    not finite; the rows before its block are already written.
+    text is ever held in memory.  Raises ``ValueError`` naming the first row
+    with a value that is not finite; the rows before its block are already
+    written.
     """
     cols = [np.asarray(c, dtype=np.float64) for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
@@ -216,9 +217,8 @@ def write_rows(fh, columns) -> None:
         np.concatenate([c[start:start + len(block)] for c in cols], axis=1, out=block)
         size = fmt(len(block), k, block, buf, buf.size)
         if size == -1:
-            raise ValueError(
-                f"rows {start}..{start + len(block) - 1} hold a value that is not finite"
-            )
+            row = start + int(np.argmax(~np.isfinite(block).all(axis=1)))
+            raise ValueError(f"row {row} holds a value that is not finite")
         if size < 0:
             raise RuntimeError("the CSV formatter's buffer is too small")
         fh.write(buf[:size])

@@ -13,9 +13,9 @@ Per condition the runner writes into ``<output_dir>/<condition>/``:
 A cross-condition ``summary.json`` lands next to the condition folders.
 Fixed-step runs are deterministic, so repeated runs of the same config
 produce byte-identical files.  Each of a condition's CSVs is written whole
-(checked, opened, written and closed) by one job on a one-worker
-:class:`~concurrent.futures.ThreadPoolExecutor` while the next condition is
-simulated; every other step runs on the calling thread.
+(opened, written and closed, or removed when refused) by one job on a
+one-worker :class:`~concurrent.futures.ThreadPoolExecutor` while the next
+condition is simulated; every other step runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -67,20 +67,15 @@ def simulate_condition(cond: Condition, cfg: ExperimentConfig):
 
 def write_csv(path: Path, header, columns) -> None:
     """Write ``columns`` (arrays of shape (n,) or (n, m)) side by side under
-    a header line of ``header``, each value as ``%.17g``.  Columns with a
-    value that is not finite are refused before the file is opened."""
-    bad = np.zeros(len(columns[0]), dtype=bool)
-    for col in columns:
-        finite = np.isfinite(col)
-        bad |= ~(finite.all(axis=1) if finite.ndim == 2 else finite)
-    if bad.any():
-        raise ValueError(
-            f"{path}: row {int(np.argmax(bad))} holds a value that is not finite; "
-            "nothing written"
-        )
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        write_rows(fh, columns)
+    a header line of ``header``, each value as ``%.17g``.  A refused table
+    (one with a value that is not finite) leaves no file at ``path``."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            write_rows(fh, columns)
+    except ValueError as exc:
+        path.unlink(missing_ok=True)
+        raise ValueError(f"{path}: {exc}; nothing written") from exc
 
 
 def write_trajectory(path: Path, traj: Trajectory, writer: Executor) -> Future:

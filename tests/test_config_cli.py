@@ -879,21 +879,40 @@ def test_unstable_run_exits_1_without_outputs(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-def test_non_finite_table_exits_1_without_the_file(tmp_path, capsys, monkeypatch):
-    """A trajectory column with a value that is not finite is refused
-    before its file is opened, naming the file and the row."""
+def poison_row_7(monkeypatch):
+    """Make every simulated trajectory hold an infinity in row 7 of xd_y_m."""
     import wristsim.cli as cli
 
     simulate = cli.simulate_condition
 
     def poisoned(cond, cfg):
         traj = simulate(cond, cfg)
-        traj.plan_pos[7, 1] = np.inf  # row 7 of xd_y_m
+        traj.plan_pos[7, 1] = np.inf
         return traj
 
     monkeypatch.setattr(cli, "simulate_condition", poisoned)
+
+
+def test_non_finite_table_exits_1_without_the_file(tmp_path, capsys, monkeypatch):
+    """A trajectory column with a value that is not finite is refused by
+    the formatter, naming the file and the row, and its file is removed."""
+    poison_row_7(monkeypatch)
     cfg = write(tmp_path, QUICK)
     out = tmp_path / "res"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "quick/trajectory.csv: row 7 holds a value that is not finite; nothing written" in err
+    assert not (out / "quick" / "trajectory.csv").exists()
+
+
+def test_refused_table_removes_an_earlier_runs_file(tmp_path, capsys, monkeypatch):
+    """A rerun into the same folder whose trajectory is refused leaves no
+    ``trajectory.csv``, not even the one the first run wrote."""
+    cfg = write(tmp_path, QUICK)
+    out = tmp_path / "res"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert (out / "quick" / "trajectory.csv").is_file()
+    poison_row_7(monkeypatch)
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     assert "trajectory.csv: row 7 " in capsys.readouterr().err
     assert not (out / "quick" / "trajectory.csv").exists()

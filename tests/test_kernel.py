@@ -475,7 +475,7 @@ def test_formatter_random_values():
 
 def test_formatter_refuses_non_finite_values():
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="^row 1 holds a value that is not finite$"):
             _kernel.write_rows(io.BytesIO(), [np.array([[1.0, 2.0], [bad, 3.0]])])
 
 
@@ -526,10 +526,13 @@ def test_write_trajectory_matches_savetxt_on_tiny_values(tmp_path, task, weightl
     assert_written_as_savetxt(tmp_path, traj)
 
 
-def test_write_csv_refuses_non_finite_before_opening(tmp_path):
+def test_write_csv_refuses_non_finite_and_leaves_no_file(tmp_path):
+    """A refused table names its first bad row and removes the file, also
+    one that was there before."""
     block, column = np.zeros((5, 2)), np.zeros(5)
     block[3, 1] = column[4] = np.nan
     path = tmp_path / "out.csv"
-    with pytest.raises(ValueError, match=r"out\.csv: row 3 "):
+    path.write_bytes(b"an earlier file\n")
+    with pytest.raises(ValueError, match=r"out\.csv: row 3 holds .*; nothing written$"):
         write_csv(path, ("a", "b", "c"), [column, block])
     assert not path.exists()
