@@ -165,21 +165,19 @@ def build_clock_schedule(
     stiffness: float = 10000.0,
     torsion: float = 0.0,
 ) -> ParamSchedule:
-    """Center-out-and-back visit of every clock target in order.
+    """Center-out-and-back visit of every clock target in order: the
+    target order 0, -1, 1, -1, ... (-1 is the center).
 
-    Each leg lasts one nominal reach duration plus the dwell; out legs aim
-    at target k, return legs aim back at the center.
+    Leg ``i`` starts at ``i * leg`` and lasts ``leg``, one nominal reach
+    duration plus the dwell.
     """
     leg = reach_duration(task.radius, band) + task.dwell
-    breaks = []
-    for k in range(task.n_targets):
-        breaks.append((2 * k * leg, k))
-        breaks.append(((2 * k + 1) * leg, -1))
+    order = [target for k in range(task.n_targets) for target in (k, -1)]
     return ParamSchedule(
-        duration=2 * task.n_targets * leg,
+        duration=len(order) * leg,
         stiffness_breaks=((0.0, stiffness),),
         torsion_breaks=((0.0, torsion),),
-        target_breaks=tuple(breaks),
+        target_breaks=tuple((i * leg, target) for i, target in enumerate(order)),
     )
 
 
