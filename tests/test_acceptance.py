@@ -3,10 +3,10 @@
 One test per criterion (A1-A8).  Each prints a single ``[PASS]``/``[FAIL]``
 line with the measured numbers before asserting, so the battery reads as a
 checklist under ``pytest -s`` and a red criterion surfaces its evidence
-instead of hiding behind a bare assert.  Three more tests read the same
+instead of hiding behind a bare assert.  Four more tests read the same
 battery in the same way: its torsion surface in rotation-vector
-coordinates, where Listing's plane is flat, and its effort against the
-plan's inverse dynamics.
+coordinates, where Listing's plane is flat, its effort against the plan's
+inverse dynamics, and its plan's speed profile against minimum jerk.
 
 Known reds (measured honestly, not tuned away):
 
@@ -60,6 +60,7 @@ from wristsim.experiments import (
     run_trial,
 )
 from wristsim.fic import branch_potential
+from wristsim.planner import reach_duration
 from wristsim.rotations import quat_angle_between, quat_mul
 
 # (gravity, stiffness, torsion) of each clock run
@@ -293,6 +294,59 @@ def test_effort_is_the_plans_inverse_dynamics(battery, body, weightless):
              + " (in [1, 1.1])"),
             (all(abs(ratios[name] - 1.0) <= 5e-3 for name in gravity_on),
              "gravity on within 0.5% of 1"),
+        ],
+    )
+    assert not failed, "; ".join(failed)
+
+
+def chord_deviation(points):
+    """Largest distance of the rows of ``points`` from the chord through the
+    first and the last of them, over the chord's length."""
+    chord = points[-1] - points[0]
+    rel = points - points[0]
+    off = rel - np.outer(rel @ chord, chord) / (chord @ chord)
+    return np.linalg.norm(off, axis=1).max() / np.linalg.norm(chord)
+
+
+def test_plan_is_a_half_cosine_not_minimum_jerk(battery, band, task):
+    """The plan's reaches are half cosines: their speed is a half sine,
+    whose peak is pi/2 times its mean, where a minimum-jerk reach's is 1.875
+    (Flash & Hogan, J Neurosci 1985).  They run along their chords to
+    rounding, and the pointer leaves its chord more when gravity comes on
+    and when the controller softens.  Over the 16 reach legs
+    [j*leg, j*leg + T] of each clock condition (T the reach duration),
+    speeds from ``plan_pos`` differences on the 1 ms grid."""
+    reach = reach_duration(task.radius, band)
+    leg = reach + task.dwell
+
+    def reaches(traj):
+        return [(traj.t >= j * leg) & (traj.t <= j * leg + reach)
+                for j in range(2 * task.n_targets)]
+
+    ratios = []
+    for name in CLOCK_SPECS:
+        traj = battery[name].traj
+        for window in reaches(traj):
+            step = np.linalg.norm(np.diff(traj.plan_pos[window], axis=0), axis=1)
+            speed = step / np.diff(traj.t[window])
+            ratios.append(speed.max() / speed.mean())
+    plan = battery["g_off_K10000"].traj
+    deviation = {"plan": max(chord_deviation(plan.plan_pos[w]) for w in reaches(plan))}
+    for name in ("g_off_K10000", "g_on_K10000", "g_on_K1000"):
+        traj = battery[name].traj
+        deviation[name] = max(chord_deviation(traj.pointer[w]) for w in reaches(traj))
+    devs = list(deviation.values())
+    failed = report(
+        "plan speed profile",
+        [
+            (all(abs(ratio / (math.pi / 2) - 1.0) <= 0.01 for ratio in ratios),
+             f"plan peak/mean speed over {len(ratios)} legs {min(ratios):.4f}-{max(ratios):.4f} "
+             f"(within 1% of pi/2 = {math.pi / 2:.4f})"),
+            (max(ratios) <= 0.85 * 1.875,
+             f"largest {max(ratios):.4f} (at least 15% below minimum jerk's 1.875)"),
+            (all(a < b for a, b in zip(devs, devs[1:])),
+             "largest deviation / chord: "
+             + " < ".join(f"{name} {value:.3g}" for name, value in deviation.items())),
         ],
     )
     assert not failed, "; ".join(failed)
