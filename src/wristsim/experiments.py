@@ -118,7 +118,10 @@ class ParamSchedule:
     Breakpoints are ``(time, value)`` pairs; each value holds from its time
     until the next breakpoint.  A target value selects a row of
     :attr:`ClockTask.positions`: k is target k and -1 the center, its last
-    row; before the first target breakpoint the plan holds the center.
+    row; before the first target breakpoint the plan holds the center.  A
+    reach leg starts only where the target in force changes, so a target
+    breakpoint that names the target already held (a first breakpoint to
+    the center, too) starts no leg and leaves the controller as it is.
     """
 
     duration: float = param(POSITIVE)
@@ -247,7 +250,7 @@ class Trajectory:
     stiffness: np.ndarray
     #: scheduled target per sample, a row of :attr:`ClockTask.positions`:
     #: k for target k, -1 for the center (also before the first target
-    #: breakpoint)
+    #: breakpoint); a reach leg starts at each sample where it changes
     target: np.ndarray
 
     def __len__(self) -> int:
@@ -268,25 +271,21 @@ def pointer_intersection(q: np.ndarray, plane_distance: float) -> np.ndarray:
     return plane_distance / ray[..., :1] * ray
 
 
-def _leg_table(times, target_break, targets, positions, band):
+def _leg_table(times, target, positions, band):
     """The plan's reach legs: the sample each takes over at and its row.
 
     The first leg holds the center from the start.  A new leg starts from
-    the previous leg's planned position whenever the scheduled target
-    changes; the plan never reads the measured state.
+    the previous leg's planned position at each sample where ``target``
+    (:attr:`Trajectory.target`) differs from the previous sample's, the
+    center before sample 0; the plan never reads the measured state.
     """
     leg = ReachProfile.from_rest(positions[-1], positions[-1], band, 0.0)
     starts, legs = [0], [leg]
-    current = None
-    for k in np.flatnonzero(np.diff(target_break, prepend=-1)):
-        target = targets[target_break[k]]
-        if target == current:
-            continue
+    for k in np.flatnonzero(np.diff(target, prepend=-1)):
         t_k = float(times[k])
-        leg = ReachProfile.from_rest(leg.position(t_k), positions[target], band, t_k)
+        leg = ReachProfile.from_rest(leg.position(t_k), positions[target[k]], band, t_k)
         starts.append(k)
         legs.append(leg)
-        current = target
     rows = [(g.t0, g.duration, g.dist, g.omega, *g.target, *g.unit) for g in legs]
     return starts, rows
 
@@ -317,18 +316,16 @@ def run_trial(
     phi_break = _in_force(schedule.torsion_breaks, times)
     cr = np.array([math.cos(a) for a in half])[phi_break]
     sr = np.array([math.sin(a) for a in half])[phi_break]
-    # each full-length temporary goes at its last use: the break indexes
-    # before the kernel, the torsion streams after it
+    # each full-length temporary goes at its last use: the torsion break
+    # index before the kernel, the torsion streams after it
     del phi_break
-    targets = [idx for _, idx in schedule.target_breaks]
-    target_break = _in_force(schedule.target_breaks, times)
     # break -1 (no target yet) picks the appended center
-    target = np.array([*targets, -1])[target_break]
+    target = np.array([*(idx for _, idx in schedule.target_breaks), -1])[
+        _in_force(schedule.target_breaks, times)]
     beyond = target[target >= task.n_targets]
     if beyond.size:
         raise ConfigError(f"target index {beyond[0]} out of range for {task.n_targets} targets")
-    leg_start, legs = _leg_table(times, target_break, targets, task.positions, band)
-    del target_break
+    leg_start, legs = _leg_table(times, target, task.positions, band)
     # initial state: at the plan start pose, at rest
     y0 = (*pointing_quat(*map(float, task.center), float(cr[0]), float(sr[0])),
           0.0, 0.0, 0.0)

@@ -39,7 +39,6 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 
 import math
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -92,7 +91,7 @@ def simulate_scalar(schedule, task, body, band, opts):
                         math.cos(0.5 * phi0), math.sin(0.5 * phi0)),
          0.0, 0.0, 0.0)
     diverging, peak, prev = True, 0.0, 0.0
-    cur_idx: Optional[int] = None
+    cur_idx = -1  # the center, held before the first target breakpoint
     h = opts.dt / opts.substeps
 
     for k in range(n + 1):

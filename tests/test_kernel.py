@@ -28,6 +28,7 @@ from wristsim.dynamics import BodyModel, plant, plant_constants
 from wristsim.experiments import (
     ClockTask,
     ParamSchedule,
+    Trajectory,
     build_clock_schedule,
     build_retune_schedule,
     extract_listing,
@@ -45,8 +46,8 @@ def test_kernel_matches_python_oracle(task, body, weightless, band, opts):
     """All seven records equal the Python loop's bit for bit, and the
     parameter streams equal the per-sample schedule lookups."""
     short = ClockTask(n_targets=2, dwell=0.1)
-    # edge cases of the leg table: the first target is the center, and a
-    # repeated target starts no new leg
+    # edge cases of the leg table: a first break to the center, and a
+    # repeated target; neither starts a leg
     edges = ParamSchedule(
         duration=0.3,
         stiffness_breaks=((0.0, 9000.0), (0.1, 2000.0)),
@@ -79,6 +80,25 @@ def test_kernel_matches_python_oracle(task, body, weightless, band, opts):
         assert np.array_equal(traj.stiffness, [sched.stiffness_at(t) for t in traj.t])
         targets = [sched.target_at(t) for t in traj.t]
         assert np.array_equal(traj.target, [-1 if i is None else i for i in targets])
+
+
+@pytest.mark.parametrize("noop, breaks", [
+    (((0.05, -1), (0.1, 0)), ((0.1, 0),)),
+    (((0.1, 0), (0.3, 0)), ((0.1, 0),)),
+    (((0.0, -1), (0.1, 0)), ((0.1, 0),)),
+], ids=["first-break-to-center", "repeated-target", "center-at-0"])
+def test_a_break_to_the_target_held_starts_no_leg(task, body, band, opts, noop, breaks):
+    """A target break that names the target already held starts no leg and
+    leaves the branch machine as it is: every record of the trial, gravity
+    on, is bit-identical to the trial without that break."""
+    def trial(target_breaks):
+        schedule = ParamSchedule(duration=0.6, target_breaks=target_breaks)
+        return run_trial(schedule, task, body, band, opts)
+
+    got, want = trial(noop), trial(breaks)
+    for field in dataclasses.fields(Trajectory):
+        assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), \
+            field.name
 
 
 # ---------------------------------------------------------------------------
