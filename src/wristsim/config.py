@@ -15,7 +15,10 @@ YAML 1.2 reads them: ``1e-3`` is a float, ``010`` is ten, ``0o10`` and
 and separated (``1_000``) forms are strings, which a number field refuses.
 Booleans are YAML 1.2's too: ``true`` and ``false`` (or ``True``, ``TRUE``,
 ``False``, ``FALSE``), so YAML 1.1's ``yes``, ``no``, ``on`` and ``off`` are
-strings, which a boolean field refuses and a name takes.
+strings, which a boolean field refuses and a name takes.  An explicit
+``!!int``, ``!!float`` or ``!!bool`` takes only YAML 1.2's forms of its type
+(``!!float 10`` is 10.0, ``!!float 1:30`` is refused), and a tagged value
+that YAML cannot build (``!!timestamp abc``) is refused as not valid YAML.
 
 Conditions can be given explicitly under ``conditions:`` or generated as a
 cartesian product under ``sweep:``; torsion is written in degrees in the
@@ -334,7 +337,7 @@ def load_config(path) -> ExperimentConfig:
     Loader.add_implicit_resolver(_BOOL, _YAML12_BOOL, list("tTfF"))
 
     def strict(tag, pattern, kind, value):
-        # an explicit !!int or !!bool too, so that no YAML 1.1 form gets through
+        # an explicit !!int, !!float or !!bool too, so that no YAML 1.1 form gets through
         def construct(loader, node):
             text = loader.construct_scalar(node)
             if not pattern.match(text):
@@ -344,6 +347,8 @@ def load_config(path) -> ExperimentConfig:
         Loader.add_constructor(tag, construct)
 
     strict(_INT, _YAML12_INT, "integer", lambda t: int(t, {"0o": 8, "0x": 16}.get(t[:2], 10)))
+    strict(_FLOAT, _YAML12_FLOAT, "float",
+           lambda t: float(t.lower().replace(".inf", "inf").replace(".nan", "nan")))
     strict(_BOOL, _YAML12_BOOL, "boolean", lambda t: t.lower() == "true")
 
     try:
@@ -352,7 +357,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=Loader)
-    except yaml.YAMLError as exc:
+    except ConfigError:
+        raise
+    # PyYAML's constructors raise plain errors on some tagged values (!!timestamp abc)
+    except (yaml.YAMLError, ValueError, AttributeError, TypeError) as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if raw is None:
         return ExperimentConfig()

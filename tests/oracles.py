@@ -29,6 +29,8 @@ as the package's one stepper, ``dynamics.integrate_step``, does.
 * :func:`rotation_vectors` is the torsion surface in rotation-vector
   coordinates, with the scheduled torsion factored out: the table of
   Listing's plane (Haslwanter, Vision Res 1995) that ``fit_plane`` takes.
+* :func:`listing_tilt_predicted` is the first-order imprint of gravity on
+  that plane: half the static sag at the task's center pose.
 * :func:`plan_torque` is the inverse dynamics of a desired stream: the
   torque that realises the plan on a body, against which the commanded
   effort is read.
@@ -46,7 +48,8 @@ from wristsim.dynamics import gravity_torque, integrate_step, plant, rk4_step, u
 from wristsim.experiments import SimulationError
 from wristsim.fic import branch_force, branch_step, branch_torque
 from wristsim.planner import ReachProfile
-from wristsim.rotations import GIMBAL_GUARD, _atan2, pointing_quat, quat_conj, quat_mul
+from wristsim.rotations import (GIMBAL_GUARD, _atan2, pointing_quat, project_to_sphere,
+                                quat_conj, quat_mul)
 
 
 def simulate_scalar(schedule, task, body, band, opts):
@@ -377,6 +380,23 @@ def rotation_vectors(quats, torsion):
     scale = np.divide(2.0 * np.arctan2(norm, q[:, 0]), norm,
                       out=np.zeros_like(norm), where=norm > 0.0)
     return v * scale[:, None]
+
+
+def listing_tilt_predicted(body, task, stiffness):
+    """The plane ``fit_plane`` finds on :func:`rotation_vectors` of a
+    gravity-on clock trial at stiffness K, to first order in the sag.
+
+    With tau the body-frame gravity torque at the center pose, each hold
+    sags by the rotation tau / K, and a fixed rotation composed with
+    Listing-law poses tilts their plane by half of it (Tweed & Vilis, Vision
+    Res 1990): ``tilt_y`` = tau_z / (2K), ``tilt_z`` = -tau_y / (2K), and
+    the torsional part shifts the plane, ``offset_rad`` = tau_x / K.  This
+    holds for a centre of mass on the pointer; off it, the moment's change
+    over the workspace tilts the plane at the same order in 1/K.
+    """
+    tau_x, tau_y, tau_z = gravity_torque(project_to_sphere(task.center), body)
+    return {"tilt_y": tau_z / (2.0 * stiffness), "tilt_z": -tau_y / (2.0 * stiffness),
+            "offset_rad": tau_x / stiffness}
 
 
 def plan_torque(t, quat_des, body):

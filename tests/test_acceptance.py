@@ -46,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import (plan_torque, rotation_vectors, simulate_release, torsion_about_pointer,
-                     vdp_equivalent_mu)
+from oracles import (listing_tilt_predicted, plan_torque, rotation_vectors, simulate_release,
+                     torsion_about_pointer, vdp_equivalent_mu)
 from wristsim.checks import run_checks
+from wristsim.dynamics import BodyModel
 from wristsim.experiments import (
     ParamSchedule,
     Trajectory,
@@ -270,6 +271,34 @@ def test_gravity_tilts_the_plane_by_half_the_sag(battery, body, band, task, opts
             (-1.02 <= slope <= -0.98,
              f"log-log slope of |tilt_z| over K = 1e3, 1e4, 1e5: {slope:.5f} (in [-1.02, -0.98])"),
         ],
+    )
+    assert not failed, "; ".join(failed)
+
+
+@pytest.mark.parametrize("stiffness", [1e3, 1e4], ids=["K1e3", "K1e4"])
+@pytest.mark.parametrize("gravity, zero", [
+    ((0.0, -9.81, 0.0), ("tilt_z", "offset_rad")),
+    (tuple(-9.81 / math.sqrt(3.0) for _ in range(3)), ("offset_rad",)),
+], ids=["minus-y", "diagonal"])
+@pytest.mark.parametrize("com_x", [0.05, 0.08], ids=["com-5cm", "com-8cm"])
+def test_gravity_tilt_general_form_with_the_com_on_the_pointer(band, task, opts, com_x,
+                                                               gravity, zero, stiffness):
+    """The general form of the tilt, ``listing_tilt_predicted``: half the
+    sag that the gravity moment at the center pose makes, for a centre of
+    mass on the pointer and gravity along -y or along -(1, 1, 1)/sqrt(3).
+    Each tilt predicted as nonzero is met within 1%; the tilt and offset
+    predicted as 0 stay at most 1e-7.  At the default 10 substeps, phi = 0.
+    """
+    body = BodyModel(com_offset=(com_x, 0.0, 0.0), gravity=gravity)
+    traj = run_trial(build_clock_schedule(task, band, stiffness, 0.0), task, body, band, opts)
+    fit = rotvec_plane(traj.quat, 0.0)
+    predicted = listing_tilt_predicted(body, task, stiffness)
+    failed = report(
+        "general form of the gravity tilt",
+        [(abs(fit[key]) <= 1e-7, f"{key} {fit[key]:.2e} (|.| <= 1e-7)") if key in zero
+         else (abs(fit[key] / want - 1.0) <= 0.01,
+               f"{key} {fit[key]:.4e} vs {want:.4e}: {fit[key] / want - 1.0:+.2%} (within 1%)")
+         for key, want in predicted.items()],
     )
     assert not failed, "; ".join(failed)
 

@@ -172,6 +172,21 @@ LEAF_CASES = (
     ("conditions:\n  - name: a\n    gravity: !!bool on\n",
      "not valid YAML: not a YAML 1.2 boolean: 'on'", None),
     ("seed: !!int 0b11\n", "not valid YAML: not a YAML 1.2 integer: '0b11'", None),
+    # an explicit !!float is read as YAML 1.2 reads a float, .inf and .nan too
+    ("task: {dwell: !!float 1:30.0}\n", "not valid YAML: not a YAML 1.2 float: '1:30.0'",
+     None),
+    ("task: {radius: !!float 1_0.5e-2}\n",
+     "not valid YAML: not a YAML 1.2 float: '1_0.5e-2'", None),
+    ("task: {dwell: !!float abc}\n", "not valid YAML: not a YAML 1.2 float: 'abc'", None),
+    ("task: {dwell: !!float 0x10}\n", "not valid YAML: not a YAML 1.2 float: '0x10'", None),
+    ("task: {dwell: !!float 0o7}\n", "not valid YAML: not a YAML 1.2 float: '0o7'", None),
+    ("task: {dwell: !!float .inf}\n", "task.dwell: must be a non-negative number, got inf",
+     None),
+    ("body: {com_offset: [!!float .NaN, 0, 0]}\n",
+     "body.com_offset: expected a 3-vector of numbers, got [nan, 0, 0]", None),
+    # other tags whose PyYAML constructor raises a plain error
+    ("seed: !!timestamp abc\n", "cfg.yaml: not valid YAML: ", None),
+    ("seed: !!set [1]\n", "cfg.yaml: not valid YAML: ", None),
     ("conditions: []\n", "conditions: expected a non-empty list",
      (ExperimentConfig, {"conditions": ()}, 29)),
 )
@@ -480,6 +495,16 @@ def test_integers_load_as_yaml_1_2_reads_them(tmp_path, number, value):
     integers as YAML 1.2 does."""
     seed = load_config(write(tmp_path, f"seed: {number}\n")).seed
     assert type(seed) is int and seed == value
+
+
+@pytest.mark.parametrize("number, value", [
+    ("10", 10.0), ("010", 10.0), ("+.5", 0.5), ("1E-3", 1e-3),
+], ids=["integer-form", "leading-zero", "signed-fraction", "exponent"])
+def test_explicit_floats_load_as_yaml_1_2_reads_them(tmp_path, number, value):
+    """An explicit ``!!float`` takes YAML 1.2's float forms, an integer's
+    among them, and loads a float."""
+    dwell = load_config(write(tmp_path, f"task: {{dwell: !!float {number}}}\n")).task.dwell
+    assert type(dwell) is float and dwell == value
 
 
 @pytest.mark.parametrize("text, message", [
