@@ -16,6 +16,11 @@
  * the CSV rows of wristsim.cli.write_csv with the bytes of printf's
  * "%.17g".  The wristsim_law_* entry points expose single laws to the test
  * suite only.
+ *
+ * The library keeps no mutable file-scope state: every call works on its
+ * arguments and its own locals.  The command line relies on that, running
+ * two trial kernels at once on its kernel pool while its writer thread
+ * formats CSV rows.
  */
 #include <math.h>
 #include <stdint.h>

@@ -139,7 +139,7 @@ def _library():
     return lib
 
 
-def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
+def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps, pool=None):
     """Run the compiled trial kernel over the sample grid ``times``.
 
     ``stiff``, ``cr`` and ``sr`` are per-sample streams (stiffness and the
@@ -149,6 +149,11 @@ def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
     Returns ``(failed, records)``: ``failed`` is -1 or the first sample whose
     state is not finite, and ``records`` are plan_pos, quat_des, quat,
     omega, tau_cmd, err_angle and disp_max.
+
+    The inputs are checked and the records allocated on the calling thread.
+    With ``pool``, an Executor, only the C call is submitted to it: it
+    releases the GIL, ``failed`` is then its Future, and the records hold the
+    trial once that is done.
     """
     n = len(times)
     times, stiff, cr, sr, legs, body, y = (
@@ -165,9 +170,9 @@ def simulate(times, stiff, cr, sr, leg_start, legs, body, y0, h, substeps):
         np.empty((n, 3)), np.empty((n, 4)), np.empty((n, 4)),
         np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n),
     )
-    failed = _library().wristsim_simulate(n - 1, substeps, h, times, stiff, cr, sr,
-                                          m, leg_start, legs, body, y, *records)
-    return failed, records
+    args = (n - 1, substeps, h, times, stiff, cr, sr, m, leg_start, legs, body, y, *records)
+    kernel = _library().wristsim_simulate
+    return (kernel(*args) if pool is None else pool.submit(kernel, *args)), records
 
 
 def euler_xyz(quats) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,17 @@ Per condition the runner writes into ``<output_dir>/<condition>/``:
 
 A cross-condition ``summary.json`` lands next to the condition folders.
 Fixed-step runs are deterministic, so repeated runs of the same config
-produce byte-identical files.  Each of a condition's CSVs is written whole
-(opened, written and closed, or removed when refused) by one job on a
-one-worker :class:`~concurrent.futures.ThreadPoolExecutor` while the next
-condition is simulated; every other step runs on the calling thread.
+produce byte-identical files.
+
+Two thread pools work beside the calling thread.  The kernel pool runs only
+the compiled trial kernel's C call (:func:`~._kernel.simulate`), at most
+:data:`KERNELS_IN_FLIGHT` (two) at once: the calling thread builds each
+trial's schedule, streams and records, starts its kernel one condition
+ahead, and finishes it (:func:`~.experiments.run_trial`).  The one-worker
+writer pool writes each of a condition's CSVs whole (opened, written and
+closed, or removed when refused) by one job.  Every other step runs on the
+calling thread, and errors are raised in condition order, as in a run of
+one condition after another.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .experiments import (
     extract_listing,
     fit_plane,
     run_trial,
+    start_trial,
     target_rmse,
 )
 
@@ -59,10 +67,28 @@ TRAJECTORY_COLUMNS = (
 LISTING_COLUMNS = ("theta_y_deg", "theta_z_deg", "theta_x_deg")
 
 
-def simulate_condition(cond: Condition, cfg: ExperimentConfig):
+#: trials whose kernels may run at once: the one being finished and the
+#: next.  Each holds its records: the default battery peaks at 38.3 MB of
+#: RSS with one, 39.8 MB with two and 42.2 MB with three (x86-64 Linux)
+KERNELS_IN_FLIGHT = 2
+
+
+def start_condition(cond: Condition, cfg: ExperimentConfig, kernels: Executor | None = None):
+    """Start ``cond``'s trial: build its schedule, streams and records on
+    the calling thread, and run its kernel on ``kernels`` (only the C call)
+    or, when it is None, here.  Returns what :func:`simulate_condition`
+    finishes."""
     schedule = cond.schedule(cfg.task, cfg.band)
     body = cfg.body if cond.gravity else replace(cfg.body, gravity=(0.0, 0.0, 0.0))
-    return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim)
+    return schedule, body, start_trial(schedule, cfg.task, body, cfg.band, cfg.sim, kernels)
+
+
+def simulate_condition(cond: Condition, cfg: ExperimentConfig, started=None) -> Trajectory:
+    """``cond``'s trajectory: the trial that :func:`start_condition`
+    started, or, when ``started`` is None, one started here, finished on
+    the calling thread by :func:`run_trial`."""
+    schedule, body, trial = started or start_condition(cond, cfg)
+    return run_trial(schedule, cfg.task, body, cfg.band, cfg.sim, started=trial)
 
 
 def write_csv(path: Path, header, columns) -> None:
@@ -144,17 +170,16 @@ def wait_for(jobs: list[tuple[str, Future]]) -> None:
     jobs.clear()
 
 
-def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
+def emit_condition(cond: Condition, cfg: ExperimentConfig, started, out_root: Path,
                    writer: Executor, jobs: list[tuple[str, Future]]) -> dict:
-    """Simulate ``cond`` and write its four files.  ``jobs`` holds the
-    previous condition's CSV jobs: they are waited for before ``cond``'s
-    folder is made, and then replaced by the jobs that write its three CSVs
-    on ``writer``.  Every error raises as a
-    :class:`ConditionError` of the condition it belongs to."""
+    """Finish ``cond``'s trial from ``started`` (:func:`start_condition`'s,
+    or the error that stopped it) and write its four files: ``metrics.json``
+    here, and its three CSVs by jobs on ``writer``, which are appended to
+    ``jobs``.  Every error raises as a :class:`ConditionError` of ``cond``."""
     with failing_as(cond.name):
-        traj = simulate_condition(cond, cfg)
-    wait_for(jobs)
-    with failing_as(cond.name):
+        if isinstance(started, Exception):
+            raise started
+        traj = simulate_condition(cond, cfg, started)
         cond_dir = out_root / cond.name
         cond_dir.mkdir(parents=True, exist_ok=True)
         jobs.append((cond.name, write_trajectory(cond_dir / "trajectory.csv", traj, writer)))
@@ -168,10 +193,13 @@ def emit_condition(cond: Condition, cfg: ExperimentConfig, out_root: Path,
 
 
 def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
-    """Run the conditions in order.  Each condition's CSVs are written
-    while the next one is simulated; a failure leaves every earlier
-    condition's files complete and no ``summary.json``, not even a previous
-    run's."""
+    """Run the conditions in order, each trial's kernel started one
+    condition ahead.  For each condition: wait for the previous one's CSV
+    jobs, start the next one's kernel, then finish this one and write its
+    files.  An error while starting a condition raises only when that
+    condition is finished, so errors come in condition order: a failure
+    leaves every earlier condition's files complete and no
+    ``summary.json``, not even a previous run's."""
     conditions = list(cfg.conditions)
     if only is not None:
         conditions = [cfg.condition(only)]
@@ -181,11 +209,24 @@ def run_and_emit(cfg: ExperimentConfig, only: str | None = None) -> int:
     # here, not at the top: it imports logging, and --check writes no CSV
     from concurrent.futures import ThreadPoolExecutor
 
-    summary, jobs = [], []
-    with ThreadPoolExecutor(1, thread_name_prefix="wristsim-writer") as writer:
+    def start(cond):
+        # an error is kept and raised when ``cond`` is finished, in its turn
         try:
-            for cond in conditions:
-                metrics = emit_condition(cond, cfg, out_root, writer, jobs)
+            return start_condition(cond, cfg, kernels)
+        except Exception as exc:
+            return exc
+
+    ahead = KERNELS_IN_FLIGHT - 1
+    summary, jobs = [], []
+    with ThreadPoolExecutor(1, thread_name_prefix="wristsim-writer") as writer, \
+            ThreadPoolExecutor(KERNELS_IN_FLIGHT, thread_name_prefix="wristsim-kernel") as kernels:
+        try:
+            started = [start(cond) for cond in conditions[:ahead]]
+            for i, cond in enumerate(conditions):
+                wait_for(jobs)
+                if i + ahead < len(conditions):
+                    started.append(start(conditions[i + ahead]))
+                metrics = emit_condition(cond, cfg, started.pop(0), out_root, writer, jobs)
                 summary.append(metrics)
                 print(
                     f"{cond.name}: rmse_y={metrics['rmse_y_m'] * 1e3:.3f}mm "

@@ -18,6 +18,8 @@ bit-identical across those conditions.
 The schedules become per-sample streams with one ``searchsorted`` each, the
 closed loop runs in the compiled kernel (``_kernel.c``), and the streams
 derived after it are computed on the whole record at once.
+:func:`start_trial` does the first two, and may hand the kernel's C call
+to a thread pool; :func:`run_trial` finishes what it started.
 
 A torsion surface is one (m, 3) table of (theta_x, theta_y, theta_z) Euler
 rows from :func:`extract_listing` to :func:`fit_plane`, which fits column 0
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -290,23 +292,31 @@ def _leg_table(times, target, positions, band):
     return starts, rows
 
 
-def run_trial(
+class StartedTrial(NamedTuple):
+    """A trial whose kernel :func:`start_trial` has started: its sample
+    grid and its stiffness and target streams, the kernel's ``failed``
+    (:func:`~._kernel.simulate`'s, a Future when it runs on a pool), and
+    the seven records the kernel fills."""
+
+    times: np.ndarray
+    stiff: np.ndarray
+    target: np.ndarray
+    failed: object
+    records: tuple
+
+
+def start_trial(
     schedule: ParamSchedule,
     task: ClockTask,
     body: BodyModel,
     band: BandParams,
     opts: SimOptions = SimOptions(),
-) -> Trajectory:
-    """Simulate one scheduled trial and record it at the control rate.
-
-    The closed loop runs in the compiled kernel (``_kernel.c``): the branch
-    machine ticks at every substep boundary and is frozen inside the RK4
-    stages.  The plan (the active leg's
-    :meth:`~.planner.ReachProfile.position`) is evaluated at each distinct
-    stage time, and the desired pose is computed once per distinct planned
-    position and torsion.  The tick's orientation error also gives the
-    record's torque and the first RK4 stage.
-    """
+    pool=None,
+) -> StartedTrial:
+    """Build a trial's streams, leg table, initial state and records on the
+    calling thread, and start its kernel: on ``pool`` (an Executor), which
+    then makes only the C call, or here when ``pool`` is None.
+    :func:`run_trial` finishes it."""
     n = int(round(schedule.duration / opts.dt))
     times = np.arange(n + 1) * opts.dt
     # piecewise-constant parameter streams on the sample grid
@@ -317,7 +327,7 @@ def run_trial(
     cr = np.array([math.cos(a) for a in half])[phi_break]
     sr = np.array([math.sin(a) for a in half])[phi_break]
     # each full-length temporary goes at its last use: the torsion break
-    # index before the kernel, the torsion streams after it
+    # index here, the torsion streams with the kernel's call
     del phi_break
     # break -1 (no target yet) picks the appended center
     target = np.array([*(idx for _, idx in schedule.target_breaks), -1])[
@@ -331,13 +341,44 @@ def run_trial(
           0.0, 0.0, 0.0)
     failed, records = _kernel.simulate(
         times, stiff, cr, sr, leg_start, legs, plant_constants(body), y0,
-        opts.dt / opts.substeps, opts.substeps,
+        opts.dt / opts.substeps, opts.substeps, pool,
     )
+    return StartedTrial(times, stiff, target, failed, records)
+
+
+def run_trial(
+    schedule: ParamSchedule,
+    task: ClockTask,
+    body: BodyModel,
+    band: BandParams,
+    opts: SimOptions = SimOptions(),
+    started: Optional[StartedTrial] = None,
+) -> Trajectory:
+    """Simulate one scheduled trial and record it at the control rate.
+
+    The closed loop runs in the compiled kernel (``_kernel.c``): the branch
+    machine ticks at every substep boundary and is frozen inside the RK4
+    stages.  The plan (the active leg's
+    :meth:`~.planner.ReachProfile.position`) is evaluated at each distinct
+    stage time, and the desired pose is computed once per distinct planned
+    position and torsion.  The tick's orientation error also gives the
+    record's torque and the first RK4 stage.
+
+    ``started`` is this trial's :func:`start_trial`, when its kernel was
+    started ahead on a pool; without it the trial is started here.  Either
+    way this call finishes it on the calling thread: it waits for the
+    kernel, refuses a state that is not finite and derives the gravity
+    torque and the pointer from the record.
+    """
+    if started is None:
+        started = start_trial(schedule, task, body, band, opts)
+    times, stiff, target, failed, records = started
+    if not isinstance(failed, int):  # the Future of a kernel on a pool
+        failed = failed.result()
     if failed >= 0:
         raise SimulationError(
             f"non-finite state at sample {failed} (t = {times[failed]:.3f} s)"
         )
-    del cr, sr
     plan_pos, quat_des, quat, omega, tau_cmd, err_angle, disp_max = records
     return Trajectory(
         t=times,

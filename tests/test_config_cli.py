@@ -333,10 +333,10 @@ def test_body_the_plant_cannot_take_exits_2(tmp_path, capsys, monkeypatch, body,
     simulated or written."""
     import wristsim.cli as cli
 
-    def never(cond, cfg):
+    def never(cond, cfg, kernels=None):
         raise AssertionError("a body the plant cannot take was simulated")
 
-    monkeypatch.setattr(cli, "simulate_condition", never)
+    monkeypatch.setattr(cli, "start_condition", never)
     cfg = write(tmp_path, f"body: {body}\nconditions: [{{name: a}}]\n")
     with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(cfg)
@@ -373,10 +373,10 @@ def test_config_too_large_to_run_exits_2(tmp_path, capsys, monkeypatch, section,
     and for the retune, whose schedule is fixed, only the sampling."""
     import wristsim.cli as cli
 
-    def never(cond, cfg):
+    def never(cond, cfg, kernels=None):
         raise AssertionError("an oversized condition was simulated")
 
-    monkeypatch.setattr(cli, "simulate_condition", never)
+    monkeypatch.setattr(cli, "start_condition", never)
     cfg = write(tmp_path, section)
     assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
     err = capsys.readouterr().err
@@ -396,10 +396,10 @@ def test_trial_of_one_sample_exits_2(tmp_path, capsys, monkeypatch, text, name):
     the condition, before anything is simulated or written."""
     import wristsim.cli as cli
 
-    def never(cond, cfg):
+    def never(cond, cfg, kernels=None):
         raise AssertionError("a one-sample condition was simulated")
 
-    monkeypatch.setattr(cli, "simulate_condition", never)
+    monkeypatch.setattr(cli, "start_condition", never)
     cfg = write(tmp_path, text)
     assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
     err = capsys.readouterr().err
@@ -725,10 +725,10 @@ def test_condition_name_utf8_cannot_encode_exits_2(tmp_path, capsys, monkeypatch
     folder: it is refused by its key before any trial runs or folder is made."""
     import wristsim.cli as cli
 
-    def never(cond, cfg):
+    def never(cond, cfg, kernels=None):
         raise AssertionError("a condition whose name UTF-8 cannot encode was simulated")
 
-    monkeypatch.setattr(cli, "simulate_condition", never)
+    monkeypatch.setattr(cli, "start_condition", never)
     cfg = write(tmp_path, QUICK.replace("name: quick", 'name: "\\ud800x"'))
     assert main(["run", str(cfg), "--out", str(tmp_path / "res")]) == 2
     assert capsys.readouterr().err == (
@@ -910,8 +910,8 @@ def poison_row_7(monkeypatch):
 
     simulate = cli.simulate_condition
 
-    def poisoned(cond, cfg):
-        traj = simulate(cond, cfg)
+    def poisoned(cond, cfg, started=None):
+        traj = simulate(cond, cfg, started)
         traj.plan_pos[7, 1] = np.inf
         return traj
 
@@ -948,6 +948,9 @@ TWO = (
     "task:\n  n_targets: 1\n  dwell: 0.05\n"
     "conditions:\n  - name: first\n    gravity: false\n  - name: second\n"
 )
+# three: each condition after the first is started while the one before it
+# is finished
+THREE = TWO + "  - name: third\n    kind: retune\n"
 CONDITION_FILES = (
     "trajectory.csv", "listing_measured.csv", "listing_desired.csv", "metrics.json",
 )
@@ -1023,15 +1026,101 @@ def test_failed_rerun_leaves_no_summary(tmp_path, capsys, monkeypatch):
     assert (out / "summary.json").is_file()
     simulate = cli.simulate_condition
 
-    def failing(cond, cfg):
+    def failing(cond, cfg, started=None):
         if cond.name == "b":
             raise RuntimeError("blown up")
-        return simulate(cond, cfg)
+        return simulate(cond, cfg, started)
 
     monkeypatch.setattr(cli, "simulate_condition", failing)
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     assert "wristsim: simulation failed: b: blown up" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+# gravity off, two stiffnesses, a torsion and the retune, in one run
+PIPELINED = (
+    "task:\n  n_targets: 1\n  dwell: 0.05\n"
+    "conditions:\n"
+    "  - {name: off, gravity: false}\n"
+    "  - {name: k1000, stiffness: 1000.0}\n"
+    "  - {name: k8000, stiffness: 8000.0}\n"
+    "  - {name: twist, torsion_deg: -25.0}\n"
+    "  - {name: retune, kind: retune}\n"
+)
+
+
+def tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_pipelined_run_matches_each_condition_run_alone(tmp_path, capsys):
+    """A run that starts each kernel one condition ahead writes every file
+    byte for byte as the condition run alone with ``--condition`` does,
+    prints its lines in config order and leaves no kernel thread."""
+    cfg = write(tmp_path, PIPELINED)
+    names = ["off", "k1000", "k8000", "twist", "retune"]
+    assert main(["run", str(cfg), "--out", str(tmp_path / "all")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == names
+    assert not [t for t in threading.enumerate() if t.name.startswith("wristsim-kernel")]
+    whole = tree(tmp_path / "all")
+    assert len(whole) == 4 * len(names) + 1
+    summary = []
+    for name, line in zip(names, lines):
+        alone = tmp_path / name
+        assert main(["run", str(cfg), "--condition", name, "--out", str(alone)]) == 0
+        assert capsys.readouterr().out.splitlines() == [line]
+        files = tree(alone)
+        for file in CONDITION_FILES:
+            assert whole[Path(name) / file] == files.pop(Path(name) / file), (name, file)
+        summary += json.loads(files.pop(Path("summary.json")))
+        assert files == {}
+    assert json.loads(whole[Path("summary.json")]) == summary
+
+
+def test_failure_while_the_next_kernel_runs(tmp_path, capsys):
+    """When the second of three conditions blows up, the third's kernel is
+    already running: the first condition's files are complete, the second
+    and third get no folder, no summary is written, the run exits 1 naming
+    the second, and no kernel thread outlives it."""
+    cfg = write(tmp_path, THREE.replace("name: second\n", "name: second\n    stiffness: 1.0e+6\n"))
+    out, alone = tmp_path / "res", tmp_path / "alone"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    assert not [t for t in threading.enumerate() if t.name.startswith("wristsim-kernel")]
+    assert "wristsim: simulation failed: second: non-finite state at sample" in \
+        capsys.readouterr().err
+    assert main(["run", str(cfg), "--condition", "first", "--out", str(alone)]) == 0
+    for name in CONDITION_FILES:
+        assert (out / "first" / name).read_bytes() == (alone / "first" / name).read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["first"]
+
+
+def test_error_starting_the_next_condition_raises_after_this_one(tmp_path, monkeypatch):
+    """An error while starting a condition, which happens while the one
+    before it is still to be finished, raises as that condition's
+    :class:`ConditionError` only once the one before has all its files."""
+    import wristsim.cli as cli
+
+    start = cli.start_condition
+
+    def failing(cond, cfg, kernels=None):
+        if cond.name == "second":
+            raise RuntimeError("cannot start")
+        return start(cond, cfg, kernels)
+
+    monkeypatch.setattr(cli, "start_condition", failing)
+    cfg = load_config(write(tmp_path, THREE + f"output_dir: {tmp_path / 'res'}\n"))
+    with pytest.raises(cli.ConditionError, match="^second: cannot start$") as exc:
+        cli.run_and_emit(cfg)
+    assert isinstance(exc.value.__cause__, RuntimeError)
+    out = tmp_path / "res"
+    assert sorted(p.name for p in out.iterdir()) == ["first"]
+    monkeypatch.undo()
+    assert main(["run", str(write(tmp_path, THREE)), "--condition", "first",
+                 "--out", str(tmp_path / "alone")]) == 0
+    for name in CONDITION_FILES:
+        assert (out / "first" / name).read_bytes() == \
+            (tmp_path / "alone" / "first" / name).read_bytes()
 
 
 CHECK_LINES_SEED_0 = [
@@ -1134,20 +1223,41 @@ def test_trace_cli_wraps_the_check_suite(tmp_path):
 
 
 def test_trace_cli_attributes_each_condition(tmp_path):
-    """Every traced call stays on the main thread, in order: each condition
-    span holds its own trial, Listing extractions and writers, and the
-    per-sample post-processing sits under that condition's trial."""
-    cfg = write(tmp_path, TWO)
+    """Every traced call stays on the main thread, in a fixed order.  Each
+    condition's schedule is built under ``cli.run_and_emit``, in config
+    order, when its kernel is started: the first two before the first
+    condition is finished, each later one just before the condition ahead
+    of it is.  Each condition span holds its own trial, with that trial's
+    per-sample post-processing under it, then its writers, Listing
+    extractions and metrics."""
+    cfg = write(tmp_path, THREE)
     shapes = []
     for run in ("a", "b"):
         _, data = trace_run(tmp_path, ["run", str(cfg), "--out", str(tmp_path / run)])
         spans, tallies = data["spans"], data["tallies"]
-        conditions = [i for i, span in enumerate(spans) if span[0] == "cli.emit_condition"]
-        assert len(conditions) == 2
+        # one call stack: each span lies inside its parent and after the
+        # sibling before it, as spans of calls on other threads would not
+        elder = {}
+        for i, (_, start, end, parent, *_) in enumerate(spans):
+            if parent >= 0:
+                assert spans[parent][1] <= start <= end <= spans[parent][2]
+            if parent in elder:
+                assert spans[elder[parent]][2] <= start
+            elder[parent] = i
+        (top,) = [i for i, span in enumerate(spans) if span[0] == "cli.run_and_emit"]
+        children = [i for i, span in enumerate(spans) if span[3] == top]
+        assert [spans[i][0] for i in children] == [
+            "experiments.build_clock_schedule",   # first
+            "experiments.build_clock_schedule",   # second
+            "cli.emit_condition",                 # first
+            "experiments.build_retune_schedule",  # third
+            "cli.emit_condition",                 # second
+            "cli.emit_condition",                 # third
+        ]
+        conditions = [i for i in children if spans[i][0] == "cli.emit_condition"]
         for index in conditions:
             children = [i for i, span in enumerate(spans) if span[3] == index]
             assert [spans[i][0] for i in children] == [
-                "experiments.build_clock_schedule",
                 "experiments.run_trial",
                 "cli.write_trajectory",
                 "experiments.extract_listing",
@@ -1156,7 +1266,7 @@ def test_trace_cli_attributes_each_condition(tmp_path):
                 "cli.write_listing",
                 "cli.condition_metrics",
             ]
-            trial = children[1]
+            trial = children[0]
             calls = {name: count for parent, name, count, *_ in tallies if parent == trial}
             assert calls["dynamics.gravity_torque"] == 1
             assert calls["experiments.pointer_intersection"] == 1

@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -99,6 +100,42 @@ def test_a_break_to_the_target_held_starts_no_leg(task, body, band, opts, noop, 
     for field in dataclasses.fields(Trajectory):
         assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), \
             field.name
+
+
+def kernel_inputs(monkeypatch, schedule, task, body, band, opts):
+    """The arguments :func:`run_trial` gives ``_kernel.simulate``."""
+    calls, simulate = [], _kernel.simulate
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernel, "simulate", lambda *args: calls.append(args) or simulate(*args))
+        run_trial(schedule, task, body, band, opts)
+    (args,) = calls
+    return args
+
+
+def test_kernel_is_reentrant(monkeypatch, task, body, weightless, band, opts):
+    """Two kernel calls at once, on two threads, fill records bit-identical
+    to the same calls made one after the other: the kernel keeps no state
+    between calls, as the kernel pool and the CSV writer thread need."""
+    inputs = [
+        kernel_inputs(monkeypatch, build_clock_schedule(task, band, 1000.0, math.radians(-25.0)),
+                      task, body, band, opts),
+        kernel_inputs(monkeypatch, build_clock_schedule(task, band), task, weightless, band,
+                      opts),
+    ]
+    serial = [_kernel.simulate(*args) for args in inputs]
+    both = threading.Barrier(2, timeout=60)
+
+    def at_once(args):
+        both.wait()
+        return _kernel.simulate(*args)
+
+    with ThreadPoolExecutor(2) as pool:
+        concurrent = list(pool.map(at_once, inputs))
+    for (failed, records), (want_failed, want) in zip(concurrent, serial):
+        assert failed == want_failed == -1
+        assert [r.tobytes() for r in records] == [r.tobytes() for r in want]
+    # the two trials differ, so a record one of them leaked would show
+    assert serial[0][1][2].tobytes() != serial[1][1][2].tobytes()
 
 
 # ---------------------------------------------------------------------------
